@@ -22,6 +22,7 @@ from .hrcs.runner import run_scenario, write_artifacts
 from .hrcs.simulator import ScenarioConfig
 from .speclang import (
     INVARIANT_KINDS,
+    EvaluationError,
     ParseError,
     SpecLangError,
     State,
@@ -120,7 +121,11 @@ def cmd_verify(spec_path: str, trace_path: str) -> int:
     for entity in specs.entities:
         if entity.kind not in INVARIANT_KINDS or entity.invariant is None:
             continue
-        verdict = evaluate(entity.invariant, trace, 0)
+        try:
+            verdict = evaluate(entity.invariant, trace, 0)
+        except EvaluationError as exc:
+            print(f"error: {entity.name}: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"{entity.name}: invariant: {verdict.value}")
         violated = violated or verdict is Verdict.VIOL
     return EXIT_DIAGNOSTICS if violated else EXIT_OK

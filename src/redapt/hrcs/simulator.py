@@ -89,6 +89,8 @@ class ScenarioConfig:
             raise DomainError(f"open interval {self.t_open_s!r} outside [4, 7) seconds")
         if self.discharge_rate <= 0:
             raise DomainError("discharge rate must be positive")
+        if not self.sample_interval_s > 0:
+            raise DomainError(f"sample interval {self.sample_interval_s!r} s must be positive")
         closed = self.warn_lead_time_s - self.t_close_s + self.train_pass_time_s + self.t_open_s
         if closed <= 0:
             raise DomainError("gate closure interval is empty; check warn lead and close delay")

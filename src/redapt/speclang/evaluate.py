@@ -7,6 +7,16 @@ state is inconclusive, and ``U`` follows its one-step unfolding under strong
 Kleene connectives.  Definitive verdicts are therefore stable under trace
 extension.
 
+Each ``evaluate`` call computes every ``F``/``G``/``U`` subformula at most
+once per position and per distinct quantifier binding, by one-step unfolding
+(after Havelund & Roşu, "Synthesizing Monitors for Safety Properties", TACAS
+2002): it scans forward from the queried position to the first position that
+decides the operator, or one already computed, or the end, then fills the
+verdicts back over the positions scanned.  Evaluation therefore costs
+O(trace length) per subformula and binding, and the memo lives only for the
+call.  Because a temporal operator stops at the first position that decides
+it, an evaluation error further on, such as an unbound name, is not raised.
+
 A state maps variable names to values, where ``None`` records a value the
 system failed to deliver.  For ``=`` and ``!=`` an absent value behaves like
 the empty string (a failed sensor satisfies ``x = ""``); ordering
@@ -141,44 +151,42 @@ class _Evaluator:
         self.trace = trace
         self.domains = domains
         self.length = len(trace.states)
+        # (id of an F/G/U node, quantifier bindings) -> {position: verdict}
+        self.memo: dict[tuple[int, tuple], dict[int, Verdict]] = {}
 
-    def run(self, node: Formula, pos: int, env: dict) -> Verdict:
+    def run(self, node: Formula, pos: int, env: dict, bindings: tuple = ()) -> Verdict:
+        """``bindings`` holds the ``(var, type, value)`` of every quantifier
+        entered in this call, outermost first; with the node it keys the memo.
+        The type keeps ``1`` and ``true`` apart, which compare alike."""
         if isinstance(node, Atom):
             return _truthy(self.term(node.term, pos, env))
         if isinstance(node, Cmp):
             return _compare(node.op, self.term(node.lhs, pos, env), self.term(node.rhs, pos, env))
         if isinstance(node, Not):
-            return kleene_not(self.run(node.operand, pos, env))
+            return kleene_not(self.run(node.operand, pos, env, bindings))
         if isinstance(node, And):
-            return kleene_and(self.run(node.lhs, pos, env), self.run(node.rhs, pos, env))
+            return kleene_and(
+                self.run(node.lhs, pos, env, bindings), self.run(node.rhs, pos, env, bindings)
+            )
         if isinstance(node, Or):
-            return kleene_or(self.run(node.lhs, pos, env), self.run(node.rhs, pos, env))
+            return kleene_or(
+                self.run(node.lhs, pos, env, bindings), self.run(node.rhs, pos, env, bindings)
+            )
         if isinstance(node, Implies):
-            return kleene_or(kleene_not(self.run(node.lhs, pos, env)), self.run(node.rhs, pos, env))
+            return kleene_or(
+                kleene_not(self.run(node.lhs, pos, env, bindings)),
+                self.run(node.rhs, pos, env, bindings),
+            )
         if isinstance(node, Next):
             if pos + 1 >= self.length:
                 return Verdict.INCONCLUSIVE
-            return self.run(node.operand, pos + 1, env)
+            return self.run(node.operand, pos + 1, env, bindings)
         if isinstance(node, Eventually):
-            for j in range(pos, self.length):
-                if self.run(node.operand, j, env) is Verdict.SAT:
-                    return Verdict.SAT
-            return Verdict.INCONCLUSIVE
+            return self.first(node, Verdict.SAT, pos, env, bindings)
         if isinstance(node, Globally):
-            for j in range(pos, self.length):
-                if self.run(node.operand, j, env) is Verdict.VIOL:
-                    return Verdict.VIOL
-            return Verdict.INCONCLUSIVE
+            return self.first(node, Verdict.VIOL, pos, env, bindings)
         if isinstance(node, Until):
-            # one-step unfolding, folded backwards from the end of the trace
-            out = Verdict.INCONCLUSIVE
-            for j in range(self.length - 1, pos - 1, -1):
-                released = self.run(node.rhs, j, env)
-                if released is Verdict.SAT:
-                    out = Verdict.SAT
-                    continue
-                out = kleene_or(released, kleene_and(self.run(node.lhs, j, env), out))
-            return out
+            return self.until(node, pos, env, bindings)
         if isinstance(node, (Forall, Exists)):
             values = self.domain_values(node.domain, pos)
             verdict = Verdict.SAT if isinstance(node, Forall) else Verdict.VIOL
@@ -186,11 +194,72 @@ class _Evaluator:
             for value in values:
                 env_child = dict(env)
                 env_child[node.var] = value
-                verdict = fold(verdict, self.run(node.body, pos, env_child))
+                bound = bindings + ((node.var, type(value), value),)
+                verdict = fold(verdict, self.run(node.body, pos, env_child, bound))
             return verdict
         if isinstance(node, ProcedureRef):
             raise EvaluationError(f"procedure reference {node.name!r} is not evaluable")
         raise TypeError(f"unknown formula node {node!r}")
+
+    def first(
+        self,
+        node: Union[Eventually, Globally],
+        decisive: Verdict,
+        pos: int,
+        env: dict,
+        bindings: tuple,
+    ) -> Verdict:
+        """``F`` (decisive SAT) and ``G`` (decisive VIOL): the verdict at
+        ``i`` is ``decisive`` if the operand's is, else the verdict at
+        ``i + 1``, and inconclusive past the end.  Every position scanned
+        before the one that decides gets the same verdict."""
+        known = self.memo.setdefault((id(node), bindings), {})
+        verdict = Verdict.INCONCLUSIVE
+        j = pos
+        while j < self.length:
+            hit = known.get(j)
+            if hit is not None:
+                verdict = hit
+                break
+            if self.run(node.operand, j, env, bindings) is decisive:
+                verdict = known[j] = decisive
+                break
+            j += 1
+        for k in range(pos, j):
+            known[k] = verdict
+        return verdict
+
+    def until(self, node: Until, pos: int, env: dict, bindings: tuple) -> Verdict:
+        """``a U b`` at ``i`` is ``b(i) || (a(i) && (a U b)(i + 1))``, and
+        inconclusive past the end.  It is decided at ``i`` without looking
+        further when ``b(i)`` is SAT, ``a(i)`` is VIOL, or both are
+        INCONCLUSIVE; ``a`` is not evaluated where ``b`` is SAT."""
+        known = self.memo.setdefault((id(node), bindings), {})
+        waiting: list[tuple[Verdict, Verdict]] = []  # (b, a) at pos, pos + 1, ...
+        verdict = Verdict.INCONCLUSIVE
+        j = pos
+        while j < self.length:
+            hit = known.get(j)
+            if hit is not None:
+                verdict = hit
+                break
+            released = self.run(node.rhs, j, env, bindings)
+            if released is Verdict.SAT:
+                verdict = known[j] = released
+                break
+            held = self.run(node.lhs, j, env, bindings)
+            # b(i) || (VIOL && x) is b(i); INCONCLUSIVE || (INCONCLUSIVE && x) is INCONCLUSIVE
+            if held is Verdict.VIOL or (
+                held is Verdict.INCONCLUSIVE and released is Verdict.INCONCLUSIVE
+            ):
+                verdict = known[j] = released
+                break
+            waiting.append((released, held))
+            j += 1
+        for released, held in reversed(waiting):
+            j -= 1
+            verdict = known[j] = kleene_or(released, kleene_and(held, verdict))
+        return verdict
 
     def domain_values(self, domain: str, pos: int) -> list[object]:
         state = self.trace.states[pos]

@@ -120,6 +120,21 @@ class TestVerify:
         trace.write_text("time,E,n\n")
         assert run_cli("verify", "--spec", spec_path, str(trace)) == 2
 
+    def test_unevaluable_invariant_exits_two(self, tmp_path, capsys):
+        # F is a variable the engine sees but trace.csv does not record
+        spec = tmp_path / "flow.agmspec"
+        spec.write_text(
+            'goal "Flow bounded" {\n  attributes:\n    numeric F\n  invariant: G(F <= 100)\n}\n'
+        )
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time,n\n0,10\n1,12\n")
+        assert run_cli("check", "--spec", str(spec)) == 0
+        assert run_cli("verify", "--spec", str(spec), str(trace)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Flow bounded: ")
+        assert "'F'" in err
+        assert "Traceback" not in err
+
     def test_missing_trace_exits_two(self, tmp_path, spec_path):
         assert run_cli("verify", "--spec", spec_path, str(tmp_path / "nope.csv")) == 2
 

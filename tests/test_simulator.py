@@ -63,6 +63,14 @@ class TestBasics:
         with pytest.raises(DomainError):
             quick_cfg(t_dispatch_min=1.0, train_pass_time_s=110.0).validate()
 
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_non_positive_sample_interval_rejected(self, interval):
+        # a run would re-queue its sample at the same instant forever
+        with pytest.raises(DomainError):
+            ScenarioConfig.from_dict(
+                {"lambda_north": 10.0, "lambda_south": 10.0, "sample_interval_s": interval}
+            )
+
 
 class TestFluidStability:
     def test_experiment1_is_dischargeable_and_clean(self, experiment1):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,12 @@ from redapt.speclang import (
     And,
     Atom,
     Cmp,
+    Const,
     EvaluationError,
     Eventually,
+    Exists,
     Forall,
+    Formula,
     Globally,
     Implies,
     InfiniteDomainError,
@@ -31,6 +35,7 @@ from redapt.speclang import (
     kleene_or,
     parse_formula,
 )
+from redapt.speclang.evaluate import _Evaluator
 
 SAT, VIOL, INC = Verdict.SAT, Verdict.VIOL, Verdict.INCONCLUSIVE
 
@@ -185,6 +190,61 @@ class TestErrors:
             evaluate(parse_formula("x = 1"), trace_of({"x": 1}), position=3)
 
 
+class _Counted:
+    """A state value that counts its truth tests: ``_truthy`` asks ``value != 0``."""
+
+    def __init__(self, truth, calls):
+        self.truth = truth
+        self.calls = calls
+
+    def __ne__(self, other):
+        self.calls[0] += 1
+        return self.truth
+
+
+_COST_FORMULAS = ["G(p U q)", "G(p -> F q)", "G(p -> (p U (q && X r)))"]
+
+
+class TestCost:
+    """Each F/G/U subformula is computed once per position, so the work
+    grows linearly with the trace.  Counted, not timed."""
+
+    @staticmethod
+    def atom_tests(formula, n):
+        calls = [0]
+        yes, no = _Counted(True, calls), _Counted(False, calls)
+        # q holds only at the last state, so no operator is decided early
+        trace = trace_of(
+            *({"p": yes, "q": yes if i == n - 1 else no, "r": yes} for i in range(n))
+        )
+        evaluate(parse_formula(formula), trace)
+        return calls[0]
+
+    @pytest.mark.parametrize("formula", _COST_FORMULAS)
+    def test_atom_tests_grow_linearly(self, formula):
+        single = self.atom_tests(formula, 200)
+        double = self.atom_tests(formula, 400)
+        assert double <= 2.2 * single
+
+    @pytest.mark.parametrize("formula", _COST_FORMULAS)
+    def test_long_trace_needs_no_deep_recursion(self, formula):
+        n = 20_000
+        trace = trace_of(*({"p": True, "q": i == n - 1, "r": True} for i in range(n)))
+        assert evaluate(parse_formula(formula), trace) is INC
+
+
+def test_shared_subformula_reads_back_what_a_scan_filled_in():
+    # one Until node under both sides of ||: the right side reads at position 3
+    # what the left side's scan from position 0 filled in.  Its lhs is
+    # inconclusive at 0 (p fails, G q is open) and true later, so the verdicts
+    # along the scan differ: U is INCONCLUSIVE at 0 and SAT at 1..4.
+    until = Until(Or(Atom(Var("p")), Globally(Atom(Var("q")))), Atom(Var("b")))
+    trace = trace_of(*({"p": i > 0, "q": True, "b": i == 4} for i in range(5)))
+    assert evaluate(until, trace) is INC
+    assert evaluate(until, trace, 3) is SAT
+    assert evaluate(Or(until, Next(Next(Next(until)))), trace) is SAT
+
+
 # -- cross-checks against the independent reference evaluator ----------------
 
 
@@ -284,3 +344,102 @@ def _project_boolean(formula):
         return Atom(Var("p"))
 
     return walk(formula)
+
+
+# -- long traces, random start positions --------------------------------------
+
+_LEVELS = (0.0, 150.0, 300.0)
+
+
+def _sticky_trace(rng, length):
+    """Each value keeps its previous one with probability 0.9, so temporal
+    operators scan runs of several states before one decides them."""
+
+    def fresh():
+        return {
+            "p": rng.random() < 0.5,
+            "q": rng.random() < 0.5,
+            "n": None if rng.random() < 0.15 else float(rng.randrange(0, 400, 25)),
+            "sensors": {
+                f"ir_{k:02d}": Instance(
+                    id=f"ir_{k:02d}",
+                    value=None if rng.random() < 0.2 else float(rng.randrange(0, 400, 50)),
+                    select=rng.random() < 0.7,
+                )
+                for k in range(rng.randrange(4))
+            },
+        }
+
+    states, current = [], fresh()
+    for i in range(length):
+        current = {k: current[k] if rng.random() < 0.9 else v for k, v in fresh().items()}
+        values = {k: v for k, v in current.items() if k != "sensors"}
+        states.append(State(float(i), values, {"I_sensor": current["sensors"]}))
+    return Trace(tuple(states))
+
+
+def _random_leaf(rng, bound):
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    roll = rng.randrange(4)
+    if roll == 0 and bound:
+        var, domain = rng.choice(bound)
+        if domain == "I_sensor":
+            if rng.random() < 0.5:
+                return Atom(Var(f"{var}.select"))
+            return Cmp(op, Var(f"{var}.value"), Const(float(rng.randrange(0, 400, 50))))
+        return Cmp(op, Var("n"), Var(var))
+    if roll == 1:
+        return Cmp(op, Var("n"), Const(float(rng.randrange(0, 400, 25))))
+    return Atom(Var(rng.choice(["p", "q"])))
+
+
+# the temporal operators twice, so that most formulas nest them
+_OPERATORS = (Not, Next, And, Or, Implies, Exists, Forall) + (Eventually, Globally, Until) * 2
+
+
+def _random_long_formula(rng, depth, bound=()):
+    if depth == 0 or rng.random() < 0.1:
+        return _random_leaf(rng, bound)
+    op = rng.choice(_OPERATORS)
+    if op in (Exists, Forall):
+        var, domain = f"v{depth}", "I_sensor" if op is Exists else "levels"
+        return op(var, domain, _random_long_formula(rng, depth - 1, bound + ((var, domain),)))
+    if op in (And, Or, Implies, Until):
+        lhs = _random_long_formula(rng, depth - 1, bound)
+        return op(lhs, _random_long_formula(rng, depth - 1, bound))
+    return op(_random_long_formula(rng, depth - 1, bound))
+
+
+def _subformulas(node):
+    yield node
+    for name in ("operand", "lhs", "rhs", "body"):
+        child = getattr(node, name, None)
+        if isinstance(child, Formula):
+            yield from _subformulas(child)
+
+
+def _check_memo(formula, trace, pos, domains):
+    """Every verdict the evaluator filled in, at every position and binding,
+    is the oracle's verdict there: a wrong fill-back that the queried
+    position happens not to read still fails."""
+    evaluator = _Evaluator(trace, domains)
+    evaluator.run(formula, pos, {})
+    nodes = {id(node): node for node in _subformulas(formula)}
+    for (node_id, bindings), verdicts in evaluator.memo.items():
+        env = {var: value for var, _, value in bindings}
+        for j, verdict in verdicts.items():
+            expected = reference_verdict(nodes[node_id], trace.states[j:], env, domains)
+            assert verdict is expected, (nodes[node_id], j, env)
+
+
+def test_long_traces_match_oracle_from_any_position():
+    rng = random.Random(20020408)
+    domains = {"levels": _LEVELS}
+    for _ in range(300):
+        formula = _random_long_formula(rng, 4)
+        trace = _sticky_trace(rng, rng.randint(20, 60))
+        positions = rng.sample(range(len(trace)), 3)
+        for pos in positions:
+            expected = reference_verdict(formula, trace.states[pos:], domains=domains)
+            assert evaluate(formula, trace, pos, domains=domains) is expected, (formula, pos)
+        _check_memo(formula, trace, positions[0], domains)
