@@ -300,18 +300,35 @@ def noisy_slots(
     return [slot for slot in slots if flags[slot]]
 
 
+def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
+    """Each affected goal's invariant evaluated at the trace's last state."""
+    if not trace.states:
+        return {}
+    last = len(trace.states) - 1
+    return {
+        entity.name: evaluate(entity.invariant, trace, last)
+        for entity, _ in affected_entities(specs)
+        if entity.invariant is not None
+    }
+
+
 def diagnose(
     specs: SpecDocument,
     readings: Sequence[Reading],
     trace: Trace,
     cfg: EngineConfig,
+    verdicts: Optional[Mapping[str, Verdict]] = None,
 ) -> dict[str, ViolationType]:
     """Classify each affected goal's state into the violation taxonomy.
 
     The case split follows the affecting uncertainty's category and
     requirement kind; the first source reporting a violation wins, and an
-    inconclusive invariant verdict counts as no violation.
+    inconclusive invariant verdict counts as no violation.  ``verdicts`` are
+    the invariant verdicts at the last state, as ``invariant_verdicts``
+    gives them; they are computed here when not passed.
     """
+    if verdicts is None:
+        verdicts = invariant_verdicts(specs, trace)
     result: dict[str, ViolationType] = {}
     for entity, sources in affected_entities(specs):
         verdict = ViolationType.NONE
@@ -319,10 +336,8 @@ def diagnose(
             context = source.kind is EntityKind.CONTEXT_UNCERTAINTY
             functional = source.affected_violation_kind == "FR"
             if context and functional:
-                if entity.invariant is not None and trace.states:
-                    outcome = evaluate(entity.invariant, trace, len(trace.states) - 1)
-                    if outcome is Verdict.VIOL:
-                        verdict = ViolationType.CONU_FR
+                if verdicts.get(entity.name) is Verdict.VIOL:
+                    verdict = ViolationType.CONU_FR
             elif context and not functional:
                 attr = utility_attribute(entity)
                 threshold = utility_threshold(entity, cfg)
@@ -567,13 +582,11 @@ class AdaptationEngine:
             return report
         report.readings = readings
 
-        for entity, _ in affected_entities(self.specs):
-            if entity.invariant is not None:
-                outcome = evaluate(entity.invariant, self.trace, len(self.trace.states) - 1)
-                report.verdicts[entity.name] = outcome.value
+        verdicts = invariant_verdicts(self.specs, self.trace)
+        report.verdicts = {goal: outcome.value for goal, outcome in verdicts.items()}
 
         try:
-            violations = diagnose(self.specs, readings, self.trace, self.cfg)
+            violations = diagnose(self.specs, readings, self.trace, self.cfg, verdicts)
         except EngineError as exc:
             report.errors.append(f"diagnosis failed: {exc}")
             self.cycle_index += 1

@@ -126,8 +126,13 @@ class _Verifiers:
         return self._verify_gate_timing
 
     def _verify_dispatch(self, candidate: Reconfiguration) -> ViolationType:
-        # model-based verification: re-run the scenario under the candidate;
-        # the model is a pure function of the candidate, so verdicts are cached
+        """Model-based verification: re-run the fault-free scenario under the
+        candidate and check p and the occupancy peak against their limits.
+
+        The model run records counts, not rows: its verdict needs only the
+        vehicles' crossing times and the simulator's running ``n_peak``.  The
+        model is a pure function of the candidate, so verdicts are cached.
+        """
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_FR
         key = tuple(sorted(candidate.changes))
@@ -139,7 +144,7 @@ class _Verifiers:
             t_dispatch_min=overrides.get("t_dispatch", self.scenario.t_dispatch_min),
             sensor_faults=(),
         )
-        metrics = compute_metrics(simulate(model_cfg), model_cfg)
+        metrics = compute_metrics(simulate(model_cfg, record_rows=False), model_cfg)
         ok = (
             min(metrics.p_north, metrics.p_south) >= model_cfg.p_min
             and metrics.n_peak <= model_cfg.n_limit

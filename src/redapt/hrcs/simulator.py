@@ -11,6 +11,11 @@ or made noisy at configured times and replaced at runtime.
 The simulator exposes the probe interface (``now``, ``instances``, ``read``,
 ``snapshot``) and the effector interface (``set_parameter``,
 ``bind_instance``) consumed by the adaptation engine.
+
+At every sample instant a full run records a ``SampleRow``.  A model run
+records counts, not rows: its verdict needs only the vehicles' crossing
+times and the occupancy peak, and the simulator keeps the running peak
+``n_peak`` at the sample instants whether it records rows or not.
 """
 
 from __future__ import annotations
@@ -161,8 +166,12 @@ class SimTrace:
     vehicles: tuple[VehicleRecord, ...]
     flow_slots: tuple[str, ...]
     lux_slots: tuple[str, ...]
+    # the simulator's running peak, set even when no rows were recorded
+    n_peak: Optional[int] = None
 
     def occupancy_peak(self) -> int:
+        if self.n_peak is not None:
+            return self.n_peak
         return max((row.n for row in self.rows), default=0)
 
 
@@ -219,11 +228,16 @@ class _SensorState:
 
 
 class Simulator:
-    """One crossing, advanced by an event heap up to a requested time."""
+    """One crossing, advanced by an event heap up to a requested time.
 
-    def __init__(self, cfg: ScenarioConfig):
+    ``record_rows=False`` is for model runs: sample instants then update
+    ``n_peak`` only, so no sensor is read and no ``SampleRow`` is built.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
         cfg.validate()
         self.cfg = cfg
+        self.record_rows = record_rows
         self.clock = 0.0
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._seq = 0
@@ -273,8 +287,14 @@ class Simulator:
             f"e_{i}": _SensorState(f"e_{i}", f"lux_{i:02d}")
             for i in range(1, cfg.lux_sensor_count + 1)
         }
+        # slots are rebound in place, never added, so their order is fixed
+        self._flow_slots = tuple(self.flow_sensors)
+        self._lux_slots = tuple(self.lux_sensors)
+        self._utilities_key: Optional[tuple[float, float, float]] = None
+        self._utilities = None
 
         self._rows: list[SampleRow] = []
+        self.n_peak = 0
 
         for direction in DIRECTIONS:
             self._schedule_arrival(direction, 0.0)
@@ -420,7 +440,11 @@ class Simulator:
     def _on_sample(self, *_: object) -> None:
         if self.clock > self.cfg.duration_s:
             return
-        self._rows.append(self._row())
+        n = self.occupancy()
+        if n > self.n_peak:
+            self.n_peak = n
+        if self.record_rows:
+            self._rows.append(self._row(n))
         nxt = self.clock + self.cfg.sample_interval_s
         if nxt <= self.cfg.duration_s:
             self._push(nxt, "sample", ())
@@ -450,17 +474,35 @@ class Simulator:
         return self._completed_fast[direction] / done
 
     def utilities(self):
-        return eval_utilities(self.t_close_s, self.t_open_s, self.illuminance)
+        # recomputed only when an input changes; a rejected timing raises on
+        # every call, as it is never cached
+        key = (self.t_close_s, self.t_open_s, self.illuminance)
+        if key != self._utilities_key:
+            self._utilities = eval_utilities(*key)
+            self._utilities_key = key
+        return self._utilities
 
-    def _row(self) -> SampleRow:
+    def _gauge(self, sensor: _SensorState, truth: float) -> Optional[float]:
+        """What one sensor reads when the true value is ``truth``."""
+        if sensor.failed:
+            return None
+        if sensor.noise_sigma > 0:
+            return truth + float(self._rng_noise.normal(0.0, sensor.noise_sigma))
+        return truth
+
+    def _row(self, n: int) -> SampleRow:
         u = self.utilities()
+        flow = self.flow_per_min()
+        lux = self.illuminance
+        gauge, flow_sensors, lux_sensors = self._gauge, self.flow_sensors, self.lux_sensors
+        # flows before lux, each in slot order: the order of the noise draws
         return SampleRow(
             time=self.clock,
-            illuminance=self.illuminance,
-            n=self.occupancy(),
+            illuminance=lux,
+            n=n,
             gate="open" if self.gate_open else "closed",
-            flows=tuple(self.read(slot) for slot in self.flow_slots()),
-            lux=tuple(self.read(slot) for slot in self.lux_slots()),
+            flows=tuple([gauge(flow_sensors[slot], flow) for slot in self._flow_slots]),
+            lux=tuple([gauge(lux_sensors[slot], lux) for slot in self._lux_slots]),
             p_north=self.percentage_fast(NORTH),
             p_south=self.percentage_fast(SOUTH),
             t_dispatch=self.t_dispatch_min,
@@ -471,10 +513,10 @@ class Simulator:
         )
 
     def flow_slots(self) -> list[str]:
-        return sorted(self.flow_sensors, key=lambda s: int(s.split("_")[1]))
+        return list(self._flow_slots)
 
     def lux_slots(self) -> list[str]:
-        return sorted(self.lux_sensors, key=lambda s: int(s.split("_")[1]))
+        return list(self._lux_slots)
 
     # -- probe interface -------------------------------------------------------
 
@@ -483,19 +525,14 @@ class Simulator:
 
     def instances(self, class_name: str) -> list[tuple[str, str]]:
         if class_name == FLOW_CLASS:
-            return [(slot, self.flow_sensors[slot].instance_id) for slot in self.flow_slots()]
+            return [(slot, self.flow_sensors[slot].instance_id) for slot in self._flow_slots]
         if class_name == LUX_CLASS:
-            return [(slot, self.lux_sensors[slot].instance_id) for slot in self.lux_slots()]
+            return [(slot, self.lux_sensors[slot].instance_id) for slot in self._lux_slots]
         return []
 
     def read(self, slot: str) -> Optional[float]:
-        sensor = self._sensor(slot)
-        if sensor.failed:
-            return None
         truth = self.flow_per_min() if slot in self.flow_sensors else self.illuminance
-        if sensor.noise_sigma > 0:
-            truth += float(self._rng_noise.normal(0.0, sensor.noise_sigma))
-        return truth
+        return self._gauge(self._sensor(slot), truth)
 
     def snapshot(self) -> dict[str, object]:
         u = self.utilities()
@@ -570,14 +607,18 @@ class Simulator:
         return SimTrace(
             rows=tuple(self._rows),
             vehicles=tuple(self.completed) + pending,
-            flow_slots=tuple(self.flow_slots()),
-            lux_slots=tuple(self.lux_slots()),
+            flow_slots=self._flow_slots,
+            lux_slots=self._lux_slots,
+            n_peak=self.n_peak,
         )
 
 
-def simulate(cfg: ScenarioConfig) -> SimTrace:
-    """Run one scenario start to finish without an adaptation engine."""
-    sim = Simulator(cfg)
+def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
+    """Run one scenario start to finish without an adaptation engine.
+
+    ``record_rows=False`` (for model runs) returns a trace without rows
+    whose vehicles and ``n_peak`` are those of the full run."""
+    sim = Simulator(cfg, record_rows=record_rows)
     sim.run_to_end()
     return sim.trace()
 
@@ -605,6 +646,19 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:.9g}"
 
 
+def _fmt_cells(values: tuple[Optional[float], ...]) -> list[str]:
+    """One row's sensor cells; a value shared by adjacent slots (the flow
+    every healthy gauge reads) is formatted once."""
+    cells: list[str] = []
+    last: object = cells  # matches no reading
+    cell = ""
+    for value in values:
+        if value is not last:
+            last, cell = value, _fmt(value)
+        cells.append(cell)
+    return cells
+
+
 def trace_to_csv(trace: SimTrace) -> str:
     out = io.StringIO()
     header = (
@@ -620,8 +674,8 @@ def trace_to_csv(trace: SimTrace) -> str:
             _fmt(row.illuminance),
             str(row.n),
             row.gate,
-            *(_fmt(v) for v in row.flows),
-            *(_fmt(v) for v in row.lux),
+            *_fmt_cells(row.flows),
+            *_fmt_cells(row.lux),
             _fmt(row.p_north),
             _fmt(row.p_south),
             _fmt(min(row.p_north, row.p_south)),
@@ -636,15 +690,21 @@ def trace_to_csv(trace: SimTrace) -> str:
 
 
 def vehicles_to_json(trace: SimTrace) -> str:
-    def nine(value: float) -> float:
-        return float(f"{value:.9g}")
+    """The vehicles as ``json.dumps({"vehicles": [...]}, indent=2)`` writes
+    them, times rounded to nine significant digits.  Written out by hand:
+    ``indent`` would send every record through json's pure-Python encoder."""
+
+    def nine(value: float) -> str:
+        return repr(float(f"{value:.9g}"))  # json writes a float as its repr
 
     records = [
-        {
-            "entry_time": nine(v.entry_time),
-            "exit_time": None if v.exit_time is None else nine(v.exit_time),
-            "direction": v.direction,
-        }
+        '    {\n'
+        f'      "entry_time": {nine(v.entry_time)},\n'
+        f'      "exit_time": {"null" if v.exit_time is None else nine(v.exit_time)},\n'
+        f'      "direction": {json.dumps(v.direction)}\n'
+        '    }'
         for v in sorted(trace.vehicles, key=lambda v: (v.entry_time, v.direction))
     ]
-    return json.dumps({"vehicles": records}, indent=2) + "\n"
+    if not records:
+        return '{\n  "vehicles": []\n}\n'
+    return '{\n  "vehicles": [\n' + ",\n".join(records) + '\n  ]\n}\n'

@@ -472,3 +472,22 @@ class TestEngineCycle:
 
         a, b = run(), run()
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+    def test_each_invariant_is_evaluated_once_per_cycle(self, specs, monkeypatch):
+        import redapt.engine as engine_module
+        from redapt.engine import affected_entities
+
+        calls = []
+        original = engine_module.evaluate
+
+        def counted(formula, *args, **kwargs):
+            calls.append(formula)
+            return original(formula, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "evaluate", counted)
+        engine = self.engine(specs)
+        target = FakeTarget(slot_values={"f_1": 15.0, "f_2": None})
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        goals = {e.name: e.invariant for e, _ in affected_entities(specs) if e.invariant is not None}
+        assert goals and calls == list(goals.values())
+        assert set(report.verdicts) == set(goals)

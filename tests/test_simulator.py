@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from redapt.hrcs import (
     compute_metrics,
     simulate,
     trace_to_csv,
+    vehicles_to_json,
 )
 from redapt.hrcs.utilities import DomainError
 
@@ -256,3 +258,88 @@ class TestTraceExport:
         p_index = header.split(",").index("p_north")
         cell = first_row.split(",")[p_index]
         assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+class TestModelRuns:
+    """A run that records counts, not rows, scores exactly like a full run."""
+
+    @pytest.mark.parametrize(
+        "name, t_dispatch",
+        [("experiment2", 4.0), ("experiment2", 5.0), ("experiment2", 6.0),
+         ("experiment2", 7.0), ("experiment1", None)],
+    )
+    def test_counts_match_full_run_metrics(self, name, t_dispatch):
+        import redapt
+
+        cfg = ScenarioConfig.from_json(redapt.data_path(f"{name}.json").read_text())
+        if t_dispatch is not None:
+            cfg = replace(cfg, t_dispatch_min=t_dispatch)
+        full = compute_metrics(simulate(cfg), cfg)
+        counted = simulate(cfg, record_rows=False)
+        assert counted.rows == ()
+        model = compute_metrics(counted, cfg)
+        assert (model.p_north, model.p_south, model.n_peak) == (
+            full.p_north, full.p_south, full.n_peak
+        )
+
+    def test_running_peak_is_the_row_maximum(self):
+        sim = Simulator(quick_cfg())
+        sim.run_to_end()
+        assert sim.n_peak == max(row.n for row in sim.trace().rows) > 0
+
+    def test_counting_run_reads_no_sensor(self):
+        cfg = quick_cfg(sensor_faults=(SensorFault("f_1", "noise", 60.0, sigma=5.0),))
+        sim = Simulator(cfg, record_rows=False)
+        state = sim._rng_noise.bit_generator.state
+        sim.run_to_end()
+        assert sim.trace().rows == ()
+        assert sim._rng_noise.bit_generator.state == state
+
+
+class TestVehiclesJson:
+    """The hand-written writer gives json.dumps(..., indent=2) byte for byte."""
+
+    @staticmethod
+    def reference(trace):
+        def nine(value):
+            return float(f"{value:.9g}")
+
+        records = [
+            {
+                "entry_time": nine(v.entry_time),
+                "exit_time": None if v.exit_time is None else nine(v.exit_time),
+                "direction": v.direction,
+            }
+            for v in sorted(trace.vehicles, key=lambda v: (v.entry_time, v.direction))
+        ]
+        return json.dumps({"vehicles": records}, indent=2) + "\n"
+
+    @staticmethod
+    def of(*vehicles):
+        return SimTrace(rows=(), vehicles=tuple(vehicles), flow_slots=(), lux_slots=())
+
+    def test_empty_vehicle_list(self):
+        trace = self.of()
+        assert vehicles_to_json(trace) == self.reference(trace) == '{\n  "vehicles": []\n}\n'
+
+    def test_pending_vehicles_write_null(self):
+        trace = self.of(VehicleRecord(12.5, None, SOUTH), VehicleRecord(3.0, 230.25, NORTH))
+        text = vehicles_to_json(trace)
+        assert text == self.reference(trace)
+        assert '"exit_time": null' in text
+
+    def test_values_rounded_to_nine_digits(self):
+        trace = self.of(
+            VehicleRecord(1234.56789012345, 1634.567890126, NORTH),
+            VehicleRecord(0.1 + 0.2, 1e-7 / 3, SOUTH),
+            VehicleRecord(86399.99999999, 123456789012.0, NORTH),
+            VehicleRecord(0, 7, SOUTH),  # integers are written as floats
+        )
+        text = vehicles_to_json(trace)
+        assert text == self.reference(trace)
+        assert '"entry_time": 1234.56789,' in text
+
+    def test_simulated_run_matches(self):
+        trace = simulate(quick_cfg())
+        assert any(v.exit_time is None for v in trace.vehicles)
+        assert vehicles_to_json(trace) == self.reference(trace)
