@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .engine import EngineConfig
+from .engine import EngineConfig, EngineError
 from .hrcs.runner import run_scenario, write_artifacts
 from .hrcs.simulator import ScenarioConfig
 from .speclang import (
@@ -95,7 +95,11 @@ def cmd_run(
         return EXIT_DIAGNOSTICS
 
     log.info("running scenario %s for %.0f min", scenario_path, scenario.duration_min)
-    result = run_scenario(specs, scenario, engine_cfg, seed=seed)
+    try:
+        result = run_scenario(specs, scenario, engine_cfg, seed=seed)
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     files = write_artifacts(result, out_dir)
     for name, path in files.items():
         log.info("wrote %s", path)

@@ -227,14 +227,8 @@ def monitor_step(specs: SpecDocument, target: ProbeSource) -> list[Reading]:
     return readings
 
 
-def detect_noise(
-    windows: Mapping[str, Sequence[Optional[float]]], cfg: EngineConfig
-) -> dict[str, bool]:
-    """Flag each sensor whose window of readings has excessive spread."""
-    return {slot: window_is_noisy(values, cfg) for slot, values in windows.items()}
-
-
 def window_is_noisy(values: Sequence[Optional[float]], cfg: EngineConfig) -> bool:
+    """Whether one sensor's window of readings has excessive spread."""
     present = [v for v in values if v is not None]
     if len(present) < 2:
         return False  # insufficient evidence
@@ -291,13 +285,12 @@ def failed_slots(entity: EntitySpec, readings: Sequence[Reading]) -> list[str]:
 def noisy_slots(
     entity: EntitySpec, trace: Trace, readings: Sequence[Reading], cfg: EngineConfig
 ) -> list[str]:
-    slots = sorted({r.variable for r in monitor_slots(entity, readings)})
-    windows = {
-        slot: [s.values.get(slot) for s in trace.states[-cfg.noise_window :]]
-        for slot in slots
-    }
-    flags = detect_noise(windows, cfg)
-    return [slot for slot in slots if flags[slot]]
+    window = trace.states[-cfg.noise_window :]
+    return [
+        slot
+        for slot in sorted({r.variable for r in monitor_slots(entity, readings)})
+        if window_is_noisy([s.values.get(slot) for s in window], cfg)
+    ]
 
 
 def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
@@ -545,8 +538,10 @@ def reconfiguration_to_dict(reconfig: Reconfiguration) -> dict:
 class AdaptationEngine:
     """Drives one managed system through monitor/diagnose/plan/execute cycles.
 
-    Cycles never overlap; state carried between cycles is the monitored
-    trace, the component pool and the cycle counter.
+    Cycles never overlap; state carried between cycles is the component
+    pool, the cycle counter and the last ``noise_window`` monitored states.
+    Those suffice: every invariant is future-time and evaluated at the last
+    state, which is all it reads there, and noise detection reads the window.
     """
 
     def __init__(self, specs: SpecDocument, cfg: EngineConfig, pool: ComponentPool):
@@ -656,16 +651,10 @@ class AdaptationEngine:
         for r in readings:
             values[r.variable] = r.value
         state = State(time=target.now(), values=values, instances=instances)
-        self.trace = self.trace.extended(state)
+        kept = self.trace.states[1 - self.cfg.noise_window :]
+        self.trace = Trace(kept + (state,))
 
     def _forget_window(self, slot: str) -> None:
         """Drop a replaced slot's history so noise detection restarts cleanly."""
-        states = tuple(
-            State(
-                time=s.time,
-                values={k: v for k, v in s.values.items() if k != slot},
-                instances=s.instances,
-            )
-            for s in self.trace.states
-        )
-        self.trace = Trace(states)
+        for state in self.trace.states:
+            state.values.pop(slot, None)  # the dicts _append_state built

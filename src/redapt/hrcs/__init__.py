@@ -9,7 +9,6 @@ from .simulator import (
     Metrics,
     NORTH,
     SOUTH,
-    SampleRow,
     ScenarioConfig,
     SensorFault,
     SimTrace,
@@ -17,7 +16,6 @@ from .simulator import (
     UnknownSensorError,
     VehicleRecord,
     compute_metrics,
-    sample_sensors,
     simulate,
     trace_to_csv,
     vehicles_to_json,
@@ -26,9 +24,9 @@ from .utilities import DARK_LUX_BOUND, DomainError, Utilities, eval_utilities
 
 __all__ = [
     "DARK_LUX_BOUND", "DIRECTIONS", "DomainError", "FLOW_CLASS", "LUX_CLASS",
-    "Metrics", "NORTH", "RunResult", "SOUTH", "SampleRow", "ScenarioConfig",
+    "Metrics", "NORTH", "RunResult", "SOUTH", "ScenarioConfig",
     "SensorFault", "SimTrace", "Simulator", "UnknownSensorError", "Utilities",
     "VehicleRecord", "build_pool", "compute_metrics", "derive_goal_model",
-    "eval_utilities", "initial_model", "run_scenario", "sample_sensors", "simulate",
+    "eval_utilities", "initial_model", "run_scenario", "simulate",
     "trace_to_csv", "vehicles_to_json", "write_artifacts",
 ]

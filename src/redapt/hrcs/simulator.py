@@ -12,7 +12,11 @@ The simulator exposes the probe interface (``now``, ``instances``, ``read``,
 ``snapshot``) and the effector interface (``set_parameter``,
 ``bind_instance``) consumed by the adaptation engine.
 
-At every sample instant a full run records a ``SampleRow``.  A model run
+One instant is described by one row: the value of every column in
+``Simulator.columns``, as ``Simulator.row()`` gives it.  ``snapshot()`` is
+the row's derived columns and ``read()`` its sensor columns, and a sensor is
+gauged at most once per instant, so the engine sees what ``trace.csv``
+records.  At every sample instant a full run records the row.  A model run
 records counts, not rows: its verdict needs only the vehicles' crossing
 times and the occupancy peak, and the simulator keeps the running peak
 ``n_peak`` at the sample instants whether it records rows or not.
@@ -23,8 +27,10 @@ from __future__ import annotations
 import heapq
 import io
 import json
-from collections import deque
-from dataclasses import dataclass
+import math
+import numbers
+from collections import deque, namedtuple
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
@@ -55,6 +61,11 @@ class SensorFault:
             raise ValueError(f"unknown fault mode {self.mode!r}")
 
 
+def _require_finite(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     lambda_north: float  # vehicles per minute
@@ -79,9 +90,24 @@ class ScenarioConfig:
     flow_window_s: float = 600.0
     sample_interval_s: float = 1.0
     standby_per_slot: int = 2
-    sensor_nominal_sigma: float = 1.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, tuple):
+                _require_finite(f.name, value)
+        for t, lux in self.illuminance_profile:
+            _require_finite("illuminance profile time", t)
+            _require_finite("illuminance", lux)
+        slots = {f"f_{i}" for i in range(1, self.flow_sensor_count + 1)}
+        slots |= {f"e_{i}" for i in range(1, self.lux_sensor_count + 1)}
+        for fault in self.sensor_faults:
+            if fault.slot not in slots:
+                raise DomainError(f"sensor fault names slot {fault.slot!r}, which no sensor fills")
+            _require_finite("fault time", fault.at_s)
+            _require_finite("fault sigma", fault.sigma)
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise DomainError(f"seed {self.seed!r} must be a non-negative integer")
         if self.lambda_north < 0 or self.lambda_south < 0:
             raise DomainError("arrival rates cannot be negative")
         if self.highway_length_m <= 0 or self.free_speed_ms <= 0:
@@ -144,28 +170,10 @@ class VehicleRecord:
 
 
 @dataclass(frozen=True)
-class SampleRow:
-    time: float
-    illuminance: float
-    n: int
-    gate: str  # "open" | "closed"
-    flows: tuple[Optional[float], ...]
-    lux: tuple[Optional[float], ...]
-    p_north: float
-    p_south: float
-    t_dispatch: float
-    t_close: float
-    t_open: float
-    u_safety: float
-    u_pass: float
-
-
-@dataclass(frozen=True)
 class SimTrace:
-    rows: tuple[SampleRow, ...]
+    rows: tuple[tuple, ...]  # one per sample instant, in ``columns`` order
     vehicles: tuple[VehicleRecord, ...]
-    flow_slots: tuple[str, ...]
-    lux_slots: tuple[str, ...]
+    columns: tuple[str, ...]
     # the simulator's running peak, set even when no rows were recorded
     n_peak: Optional[int] = None
 
@@ -231,7 +239,7 @@ class Simulator:
     """One crossing, advanced by an event heap up to a requested time.
 
     ``record_rows=False`` is for model runs: sample instants then update
-    ``n_peak`` only, so no sensor is read and no ``SampleRow`` is built.
+    ``n_peak`` only, so no sensor is read and no row is built.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -290,10 +298,27 @@ class Simulator:
         # slots are rebound in place, never added, so their order is fixed
         self._flow_slots = tuple(self.flow_sensors)
         self._lux_slots = tuple(self.lux_sensors)
+        self._slot_index = {slot: i for i, slot in enumerate(self._flow_slots + self._lux_slots)}
         self._utilities_key: Optional[tuple[float, float, float]] = None
         self._utilities = None
+        # the readings of every sensor at the instant ``_gauged_at``
+        self._gauged_at: Optional[float] = None
+        self._gauged: tuple[Optional[float], ...] = ()
 
-        self._rows: list[SampleRow] = []
+        # the one place the columns are named; ``row()`` fills them in order
+        self.columns = (
+            "time", "E", "n", "gate", "F", *self._flow_slots, *self._lux_slots,
+            "p_north", "p_south", "p", "t_dispatch", "t_close", "t_open",
+            "U_E", "U_safety", "U_pass",
+        )
+        self._row_type = namedtuple("Row", self.columns)  # cells also read by name
+        # the first column is the clock; the others no sensor gauges are derived
+        self._derived = tuple(
+            (i, name) for i, name in enumerate(self.columns)
+            if i and name not in self._slot_index
+        )
+
+        self._rows: list[tuple] = []
         self.n_peak = 0
 
         for direction in DIRECTIONS:
@@ -436,6 +461,7 @@ class Simulator:
             sensor.failed = True
         else:
             sensor.noise_sigma = fault.sigma
+        self._gauged_at = None
 
     def _on_sample(self, *_: object) -> None:
         if self.clock > self.cfg.duration_s:
@@ -444,7 +470,7 @@ class Simulator:
         if n > self.n_peak:
             self.n_peak = n
         if self.record_rows:
-            self._rows.append(self._row(n))
+            self._rows.append(self.row())
         nxt = self.clock + self.cfg.sample_interval_s
         if nxt <= self.cfg.duration_s:
             self._push(nxt, "sample", ())
@@ -482,6 +508,21 @@ class Simulator:
             self._utilities_key = key
         return self._utilities
 
+    def _gauges(self) -> tuple[Optional[float], ...]:
+        """What every sensor reads now, failed ones ``None``.
+
+        Gauged once per instant: flows before lux, each in slot order, which
+        is the order of the noise draws.  A fault or a replacement changes
+        what a sensor reads, so either gauges the instant afresh."""
+        if self._gauged_at != self.clock:
+            flow, lux, gauge = self.flow_per_min(), self.illuminance, self._gauge
+            self._gauged = tuple(
+                [gauge(sensor, flow) for sensor in self.flow_sensors.values()]
+                + [gauge(sensor, lux) for sensor in self.lux_sensors.values()]
+            )
+            self._gauged_at = self.clock
+        return self._gauged
+
     def _gauge(self, sensor: _SensorState, truth: float) -> Optional[float]:
         """What one sensor reads when the true value is ``truth``."""
         if sensor.failed:
@@ -490,26 +531,17 @@ class Simulator:
             return truth + float(self._rng_noise.normal(0.0, sensor.noise_sigma))
         return truth
 
-    def _row(self, n: int) -> SampleRow:
+    def row(self) -> tuple:
+        """The current value of every column, in ``self.columns`` order."""
         u = self.utilities()
-        flow = self.flow_per_min()
-        lux = self.illuminance
-        gauge, flow_sensors, lux_sensors = self._gauge, self.flow_sensors, self.lux_sensors
-        # flows before lux, each in slot order: the order of the noise draws
-        return SampleRow(
-            time=self.clock,
-            illuminance=lux,
-            n=n,
-            gate="open" if self.gate_open else "closed",
-            flows=tuple([gauge(flow_sensors[slot], flow) for slot in self._flow_slots]),
-            lux=tuple([gauge(lux_sensors[slot], lux) for slot in self._lux_slots]),
-            p_north=self.percentage_fast(NORTH),
-            p_south=self.percentage_fast(SOUTH),
-            t_dispatch=self.t_dispatch_min,
-            t_close=self.t_close_s,
-            t_open=self.t_open_s,
-            u_safety=u.u_safety,
-            u_pass=u.u_pass,
+        p_north = self.percentage_fast(NORTH)
+        p_south = self.percentage_fast(SOUTH)
+        return self._row_type(
+            self.clock, self.illuminance, self.occupancy(),
+            "open" if self.gate_open else "closed", self.flow_per_min(), *self._gauges(),
+            p_north, p_south, min(p_north, p_south),
+            self.t_dispatch_min, self.t_close_s, self.t_open_s,
+            u.u_e, u.u_safety, u.u_pass,
         )
 
     def flow_slots(self) -> list[str]:
@@ -531,32 +563,14 @@ class Simulator:
         return []
 
     def read(self, slot: str) -> Optional[float]:
-        truth = self.flow_per_min() if slot in self.flow_sensors else self.illuminance
-        return self._gauge(self._sensor(slot), truth)
+        index = self._slot_index.get(slot)
+        if index is None:
+            raise UnknownSensorError(slot)
+        return self._gauges()[index]  # the sensor cells of ``row()``
 
     def snapshot(self) -> dict[str, object]:
-        u = self.utilities()
-        healthy_lux = [
-            self.illuminance for s in self.lux_sensors.values() if not s.failed
-        ]
-        mean_lux = sum(healthy_lux) / len(healthy_lux) if healthy_lux else self.illuminance
-        p_north = self.percentage_fast(NORTH)
-        p_south = self.percentage_fast(SOUTH)
-        return {
-            "E": mean_lux,
-            "n": self.occupancy(),
-            "gate": "open" if self.gate_open else "closed",
-            "F": self.flow_per_min(),
-            "p_north": p_north,
-            "p_south": p_south,
-            "p": min(p_north, p_south),
-            "t_dispatch": self.t_dispatch_min,
-            "t_close": self.t_close_s,
-            "t_open": self.t_open_s,
-            "U_E": u.u_e,
-            "U_safety": u.u_safety,
-            "U_pass": u.u_pass,
-        }
+        row = self.row()
+        return {name: row[i] for i, name in self._derived}
 
     # -- effector interface ------------------------------------------------------
 
@@ -596,6 +610,7 @@ class Simulator:
         sensor.instance_id = instance_id
         sensor.failed = False
         sensor.noise_sigma = 0.0
+        self._gauged_at = None
 
     # -- trace export ------------------------------------------------------------
 
@@ -607,8 +622,7 @@ class Simulator:
         return SimTrace(
             rows=tuple(self._rows),
             vehicles=tuple(self.completed) + pending,
-            flow_slots=self._flow_slots,
-            lux_slots=self._lux_slots,
+            columns=self.columns,
             n_peak=self.n_peak,
         )
 
@@ -623,34 +637,23 @@ def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
     return sim.trace()
 
 
-def sample_sensors(sim: Simulator):
-    """Gauge every sensor slot once; failed sensors read absent."""
-    from ..engine import Reading
-
-    now = sim.now()
-    return [
-        Reading(sensor_id=instance_id, variable=slot, value=sim.read(slot), timestamp=now)
-        for class_name in (FLOW_CLASS, LUX_CLASS)
-        for slot, instance_id in sim.instances(class_name)
-    ]
-
-
 # -- trace serialization ----------------------------------------------------
 
 
-def _fmt(value: Optional[float]) -> str:
+def _fmt(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.9g}"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
 
 
-def _fmt_cells(values: tuple[Optional[float], ...]) -> list[str]:
-    """One row's sensor cells; a value shared by adjacent slots (the flow
-    every healthy gauge reads) is formatted once."""
+def _fmt_cells(values: tuple) -> list[str]:
+    """One row's cells; a value shared by adjacent cells (the flow every
+    healthy gauge reads, or p and the smaller of p_north and p_south) is
+    formatted once."""
     cells: list[str] = []
-    last: object = cells  # matches no reading
+    last: object = cells  # matches no value
     cell = ""
     for value in values:
         if value is not last:
@@ -661,31 +664,9 @@ def _fmt_cells(values: tuple[Optional[float], ...]) -> list[str]:
 
 def trace_to_csv(trace: SimTrace) -> str:
     out = io.StringIO()
-    header = (
-        ["time", "E", "n", "gate"]
-        + list(trace.flow_slots)
-        + list(trace.lux_slots)
-        + ["p_north", "p_south", "p", "t_dispatch", "t_close", "t_open", "U_safety", "U_pass"]
-    )
-    out.write(",".join(header) + "\n")
+    out.write(",".join(trace.columns) + "\n")
     for row in trace.rows:
-        cells = [
-            _fmt(row.time),
-            _fmt(row.illuminance),
-            str(row.n),
-            row.gate,
-            *_fmt_cells(row.flows),
-            *_fmt_cells(row.lux),
-            _fmt(row.p_north),
-            _fmt(row.p_south),
-            _fmt(min(row.p_north, row.p_south)),
-            _fmt(row.t_dispatch),
-            _fmt(row.t_close),
-            _fmt(row.t_open),
-            _fmt(row.u_safety),
-            _fmt(row.u_pass),
-        ]
-        out.write(",".join(cells) + "\n")
+        out.write(",".join(_fmt_cells(row)) + "\n")
     return out.getvalue()
 
 

@@ -124,9 +124,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def extended(self, *states: State) -> "Trace":
-        return Trace(self.states + states)
-
 
 _ABSENT = None
 

@@ -101,9 +101,9 @@ def test_criterion_3_nfr_adaptation_restores_safety_utility(bundled_spec):
 
     rows = {row.time: row for row in result.trace.rows}
     for onset in (540.0, 780.0, 1080.0):
-        assert rows[onset].u_safety == 0.0  # diagnosed value before retiming
+        assert rows[onset].U_safety == 0.0  # diagnosed value before retiming
         converged = rows[onset + 1.0]
-        assert converged.u_safety == pytest.approx(5 / 6, abs=1e-15)
+        assert converged.U_safety == pytest.approx(5 / 6, abs=1e-15)
         assert (converged.t_close, converged.t_open) == (1.5, 6.5)
     assert time.perf_counter() - started < 5.0
 

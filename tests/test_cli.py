@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +84,27 @@ class TestRun:
         assert code == 3
         cycles = (tmp_path / "o" / "cycles.jsonl").read_text().splitlines()
         assert any("plan failed" in line for line in cycles)
+
+    def test_contract_violation_exits_one_without_traceback(self, tmp_path, spec_path):
+        # a plan output naming no effector passes check; run must reject it
+        text = Path(spec_path).read_text()
+        assert "output: t_dispatch_new" in text
+        spec = tmp_path / "typo.agmspec"
+        spec.write_text(text.replace("output: t_dispatch_new", "output: t_dispatcf_new"))
+        env = dict(os.environ, PYTHONPATH=str(Path(redapt.__file__).resolve().parents[1]))
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "redapt.cli", *argv], capture_output=True, text=True, env=env
+            )
+
+        assert cli("check", "--spec", str(spec)).returncode == 0
+        run = cli("run", "--spec", str(spec), "--scenario", str(redapt.data_path("sensor_failure.json")),
+                  "--out", str(tmp_path / "o"))
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ")
+        assert "t_dispatcf" in run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_engine_config_is_honored(self, tmp_path, spec_path, scenario_path):
         engine_cfg = tmp_path / "engine.json"

@@ -15,7 +15,6 @@ from redapt.engine import (
     Reading,
     Structural,
     ViolationType,
-    detect_noise,
     diagnose,
     execute,
     monitor_step,
@@ -121,7 +120,7 @@ def healthy_state(time, **extra):
 
 class TestDetectNoise:
     def test_constant_window_is_quiet(self):
-        assert detect_noise({"f_1": [5, 5, 5, 5, 5]}, EngineConfig()) == {"f_1": False}
+        assert not window_is_noisy([5, 5, 5, 5, 5], EngineConfig())
 
     def test_alternating_window_is_noisy(self):
         # sample standard deviation of [5, 50, 5, 50, 5]: mean 23,
@@ -472,6 +471,14 @@ class TestEngineCycle:
 
         a, b = run(), run()
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+    def test_engine_keeps_only_the_noise_window(self, specs):
+        engine = self.engine(specs)
+        target = FakeTarget()
+        for k in range(1, 9):
+            target.time = 60.0 * k
+            engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert [s.time for s in engine.trace.states] == [240.0, 300.0, 360.0, 420.0, 480.0]
 
     def test_each_invariant_is_evaluated_once_per_cycle(self, specs, monkeypatch):
         import redapt.engine as engine_module

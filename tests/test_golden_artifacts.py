@@ -2,9 +2,11 @@
 writers that moves a single byte of a bundled run shows up here.
 
 ``sensor_noise.json`` covers the order of the noise draws, which decides
-what a noisy sensor records in ``trace.csv`` and ``cycles.jsonl``.  A change
-that gives the engine and the trace the same noisy reading will change its
-hashes on purpose; update them together with that change.
+what a noisy sensor records in ``trace.csv`` and ``cycles.jsonl``; the
+engine and the trace see the same reading, one draw per sensor and instant.
+
+The experiment-2 trace is also pinned with its ``F`` and ``U_E`` columns
+dropped, which pins every other cell on its own.
 """
 
 import hashlib
@@ -12,18 +14,18 @@ import hashlib
 import pytest
 
 import redapt
-from redapt.hrcs import ScenarioConfig, run_scenario, write_artifacts
+from redapt.hrcs import ScenarioConfig, run_scenario, trace_to_csv, write_artifacts
 
 GOLDEN = {
     "experiment2": {
         "cycles.jsonl": "970d5a9ea97089f496c2b2bc1b2b7dedb9aab0c476bb47a4b9e3925e1b4cea57",
-        "trace.csv": "ee0239bf0483573c18d48c4f761d4c3118cbb2e74e3c5a1fbcc124ac26c43ba9",
+        "trace.csv": "a9abac69be9a170f3ec318e5481b11ce3efa37e0ddfc252447f07d13033d5461",
         "vehicles.json": "ee1b91028caa458312d5797096dc6be7c659d4659dae905a9109c956a71436a0",
         "metrics.json": "f243b41d6d1879f8a93782e0e1e5ab0a02539a022f42fd013bc52956ed66e972",
     },
     "sensor_noise": {
-        "cycles.jsonl": "3c05d341a857a2216bc1b9089ff8567a6fcd2c60b860550f85146856a5fcf5a5",
-        "trace.csv": "2996f08782c1e982cc7776de7d17f6a52e2ebf9d6fe4c5be695781d2c2d04daf",
+        "cycles.jsonl": "139716213e2868c9427260c97738e629b165f581d03c582eda52dcc66732443f",
+        "trace.csv": "7c1147e0e7ef731aedac3325772c62f58d5b1550d66da805df60091e29928d55",
         "vehicles.json": "4d9b1458443128132772eb7143f397d7210fe35dec27e7ac1ab45f2f76fcd309",
         "metrics.json": "3af825ab31ef0e169e51f0617b89fd5690b517806adbabc12c4b3705e5f4a02e",
     },
@@ -38,3 +40,16 @@ def test_bundled_run_artifacts_keep_their_hashes(name, bundled_spec, tmp_path):
         file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in paths
     }
     assert digests == GOLDEN[name]
+
+
+def test_experiment2_trace_without_new_columns_keeps_its_bytes(bundled_spec, experiment2):
+    text = trace_to_csv(run_scenario(bundled_spec, experiment2).trace)
+    header = text.split("\n", 1)[0].split(",")
+    dropped = {header.index("F"), header.index("U_E")}
+    old_layout = "".join(
+        ",".join(cell for i, cell in enumerate(line.split(",")) if i not in dropped) + "\n"
+        for line in text.splitlines()
+    )
+    assert hashlib.sha256(old_layout.encode()).hexdigest() == (
+        "ee0239bf0483573c18d48c4f761d4c3118cbb2e74e3c5a1fbcc124ac26c43ba9"
+    )

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,6 @@ from redapt.hrcs import (
     NORTH,
     SOUTH,
     Metrics,
-    SampleRow,
     ScenarioConfig,
     SensorFault,
     SimTrace,
@@ -65,6 +65,27 @@ class TestBasics:
         with pytest.raises(DomainError):
             quick_cfg(t_dispatch_min=1.0, train_pass_time_s=110.0).validate()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"duration_min": math.inf},  # a run that never ends
+            {"lambda_north": math.nan},
+            {"t_open_s": -math.inf},
+            {"illuminance_profile": [[0.0, math.nan]]},
+            {"seed": 0.5},
+            {"seed": 1e9},
+            {"seed": -1},
+            {"seed": True},
+            {"sensor_faults": [{"slot": "f_99", "mode": "fail", "at_s": 60.0}]},
+            {"sensor_faults": [{"slot": "e_4", "mode": "noise", "at_s": 60.0, "sigma": 1.0}]},
+            {"sensor_faults": [{"slot": "f_1", "mode": "noise", "at_s": 60.0, "sigma": math.inf}]},
+        ],
+    )
+    def test_bad_values_rejected(self, override):
+        # only validated: a run is never started on these
+        with pytest.raises(DomainError):
+            ScenarioConfig.from_dict({"lambda_north": 10.0, "lambda_south": 10.0, **override})
+
     @pytest.mark.parametrize("interval", [0, -1])
     def test_non_positive_sample_interval_rejected(self, interval):
         # a run would re-queue its sample at the same instant forever
@@ -105,13 +126,13 @@ class TestSensors:
         assert len(set(values)) == 1
         assert values[0] == pytest.approx(24.0, abs=8.0)
 
-    def test_sample_sensors_covers_every_slot(self):
-        from redapt.hrcs import sample_sensors
+    def test_sample_sensors_covers_every_slot(self, bundled_spec):
+        from redapt.engine import monitor_step
 
         cfg = quick_cfg(sensor_faults=(SensorFault("f_3", "fail", 100.0),))
         sim = Simulator(cfg)
         sim.run_until(200.0)
-        readings = sample_sensors(sim)
+        readings = monitor_step(bundled_spec, sim)
         by_slot = {r.variable: r for r in readings}
         assert len(readings) == cfg.flow_sensor_count + cfg.lux_sensor_count
         assert by_slot["f_3"].value is None
@@ -211,14 +232,10 @@ def _closure_starts(trace):
 
 class TestMetrics:
     def hand_trace(self, rows=(), vehicles=()):
-        return SimTrace(rows=tuple(rows), vehicles=tuple(vehicles), flow_slots=(), lux_slots=())
+        return SimTrace(rows=tuple(rows), vehicles=tuple(vehicles), columns=("time", "n"))
 
     def hand_row(self, time, n):
-        return SampleRow(
-            time=time, illuminance=100.0, n=n, gate="open", flows=(), lux=(),
-            p_north=1.0, p_south=1.0, t_dispatch=5.0, t_close=4.0, t_open=4.0,
-            u_safety=1.0, u_pass=1.0,
-        )
+        return namedtuple("Row", ("time", "n"))(time, n)
 
     def test_percentage_counts_strictly_under_threshold(self):
         vehicles = [
@@ -316,7 +333,7 @@ class TestVehiclesJson:
 
     @staticmethod
     def of(*vehicles):
-        return SimTrace(rows=(), vehicles=tuple(vehicles), flow_slots=(), lux_slots=())
+        return SimTrace(rows=(), vehicles=tuple(vehicles), columns=())
 
     def test_empty_vehicle_list(self):
         trace = self.of()

@@ -1,0 +1,62 @@
+"""What the engine observes is what ``trace.csv`` records.
+
+The simulator describes an instant by one row; the engine's readings and its
+snapshot are cells of that row, and a sensor is gauged once per instant, so
+even a noisy sensor reads the same in ``cycles.jsonl`` and ``trace.csv``.
+"""
+
+import pytest
+
+import redapt
+from redapt.engine import AdaptationEngine
+from redapt.hrcs import ScenarioConfig, run_scenario, trace_to_csv
+
+SCENARIOS = ["experiment1", "experiment2", "nfr_lowlight", "sensor_failure", "sensor_noise"]
+
+
+@pytest.fixture(scope="module", params=SCENARIOS)
+def recorded(request, bundled_spec):
+    """A bundled run, with the snapshot the engine's target gave before each cycle."""
+    snapshots = []
+    original = AdaptationEngine.cycle
+
+    def recording(engine, target, *args, **kwargs):
+        snapshots.append((target.now(), target.snapshot()))
+        return original(engine, target, *args, **kwargs)
+
+    AdaptationEngine.cycle = recording
+    try:
+        scenario = ScenarioConfig.from_json(redapt.data_path(f"{request.param}.json").read_text())
+        result = run_scenario(bundled_spec, scenario)
+    finally:
+        AdaptationEngine.cycle = original
+    return scenario, result, snapshots
+
+
+def test_every_reading_is_its_trace_cell(recorded):
+    scenario, result, _ = recorded
+    lines = trace_to_csv(result.trace).splitlines()
+    header = lines[0].split(",")
+    cells = {}
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        cells[row["time"]] = row
+    checked = 0
+    for report in result.reports:
+        row = cells[f"{report.sim_time:.9g}"]
+        for reading in report.readings:
+            written = "" if reading.value is None else f"{reading.value:.9g}"
+            assert row[reading.variable] == written, (report.sim_time, reading.variable)
+            checked += 1
+    assert checked == len(result.reports) * (scenario.flow_sensor_count + scenario.lux_sensor_count)
+
+
+def test_snapshot_is_the_rows_derived_columns(recorded):
+    _, result, snapshots = recorded
+    rows = {row.time: row for row in result.trace.rows}
+    slots = {reading.variable for reading in result.reports[0].readings}
+    assert len(snapshots) == len(result.reports)
+    for time, snapshot in snapshots:
+        row = rows[time]
+        assert set(snapshot) == set(result.trace.columns) - {"time"} - slots
+        assert snapshot == {column: getattr(row, column) for column in snapshot}
