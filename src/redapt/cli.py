@@ -12,10 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Collection, Optional
 
 from .engine import EngineConfig, EngineError
 from .hrcs.runner import run_scenario, write_artifacts
@@ -31,6 +34,7 @@ from .speclang import (
     check_wellformed,
     evaluate,
     parse_document,
+    variable_names,
 )
 
 log = logging.getLogger("redapt")
@@ -40,10 +44,24 @@ EXIT_DIAGNOSTICS = 1
 EXIT_IO = 2
 EXIT_PLAN_FAILED = 3
 
+_BLOCK_ROWS = 1024  # trace rows split at a time; bounds the cell strings alive at once
+# a recorded trace holds no class instances: one read-only empty mapping
+# serves every state
+_NO_INSTANCES = MappingProxyType({})
+
+
+def read_input(path: str) -> str:
+    """A file's text; a file that is not UTF-8 raises ``OSError`` as an
+    unreadable one does."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path!r} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
 
 def cmd_check(spec_path: str) -> int:
     try:
-        text = Path(spec_path).read_text(encoding="utf-8")
+        text = read_input(spec_path)
     except OSError as exc:
         print(f"{spec_path}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -69,13 +87,9 @@ def cmd_run(
     seed: Optional[int],
 ) -> int:
     try:
-        spec_text = Path(spec_path).read_text(encoding="utf-8")
-        scenario_text = Path(scenario_path).read_text(encoding="utf-8")
-        engine_text = (
-            Path(engine_config_path).read_text(encoding="utf-8")
-            if engine_config_path
-            else None
-        )
+        spec_text = read_input(spec_path)
+        scenario_text = read_input(scenario_path)
+        engine_text = read_input(engine_config_path) if engine_config_path else None
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
@@ -109,22 +123,25 @@ def cmd_run(
 
 def cmd_verify(spec_path: str, trace_path: str) -> int:
     try:
-        spec_text = Path(spec_path).read_text(encoding="utf-8")
-        trace_text = Path(trace_path).read_text(encoding="utf-8")
+        spec_text = read_input(spec_path)
+        trace_text = read_input(trace_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
         specs = parse_document(spec_text)
-        trace = trace_from_csv(trace_text)
+        invariants = [
+            e for e in specs.entities if e.kind in INVARIANT_KINDS and e.invariant is not None
+        ]
+        # evaluation reads no other column
+        names = frozenset().union(*(variable_names(e.invariant) for e in invariants))
+        trace = trace_from_csv(trace_text, names)
     except (SpecLangError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     violated = False
-    for entity in specs.entities:
-        if entity.kind not in INVARIANT_KINDS or entity.invariant is None:
-            continue
+    for entity in invariants:
         try:
             verdict = evaluate(entity.invariant, trace, 0)
         except EvaluationError as exc:
@@ -135,30 +152,77 @@ def cmd_verify(spec_path: str, trace_path: str) -> int:
     return EXIT_DIAGNOSTICS if violated else EXIT_OK
 
 
-def trace_from_csv(text: str) -> Trace:
-    """Rebuild an evaluable trace from an exported trace.csv."""
-    lines = [line for line in text.splitlines() if line.strip()]
+def trace_from_csv(text: str, columns: Optional[Collection[str]] = None) -> Trace:
+    """Rebuild an evaluable trace from an exported trace.csv.
+
+    Each column is typed once, as a whole.  A column whose every cell is a
+    number becomes floats.  Any other column is typed cell by cell: an empty
+    cell is ``None`` (a value the system failed to deliver), a number is a
+    float and anything else stays text.  Every ``time`` cell must be a
+    finite number.  ``columns`` names the columns to keep besides ``time``;
+    ``None`` keeps them all.  Every row is checked against the header's
+    width, kept columns or not.
+    """
+    lines = list(filter(str.strip, text.splitlines()))
     if len(lines) < 2:
         raise ValueError("trace file has no data rows")
     header = lines[0].split(",")
     if "time" not in header:
         raise ValueError("trace file has no time column")
-    states = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError("trace row width does not match the header")
-        values: dict[str, object] = {}
-        for name, cell in zip(header, cells):
-            if cell == "":
-                values[name] = None
-            else:
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    values[name] = cell
-        states.append(State(time=float(values.pop("time")), values=values))
+    for name in header:
+        if header.count(name) > 1:
+            raise ValueError(f"trace header names column {name!r} twice")
+    body = lines[1:]
+    width = len(header)
+    if set(map(str.count, body, repeat(","))) != {width - 1}:
+        raise ValueError("trace row width does not match the header")
+    kept = {name: i for i, name in enumerate(header) if columns is None or name in columns}
+    kept["time"] = header.index("time")
+    cells: dict[str, list[str]] = {name: [] for name in kept}
+    # A block of rows is split into one flat list, so no list or tuple is
+    # made per row: each object a row leaves alive brings the collector
+    # round sooner, and the states already make two per row.
+    for start in range(0, len(body), _BLOCK_ROWS):
+        flat = ",".join(body[start : start + _BLOCK_ROWS]).split(",")
+        for name, i in kept.items():
+            cells[name] += flat[i::width]
+    times = _times(cells.pop("time"))
+    names = list(cells)
+    rows = zip(*map(_typed, cells.values())) if names else repeat(())
+    states = map(State, times, map(dict, map(zip, repeat(names), rows)), repeat(_NO_INSTANCES))
     return Trace(tuple(states))
+
+
+def _times(cells: list[str]) -> list[float]:
+    times = _typed(cells)
+    try:
+        if all(map(math.isfinite, times)):
+            return times
+    except TypeError:  # an empty or text cell
+        pass
+    number, time = next(
+        (number, time) for number, time in enumerate(times, 1)
+        if not isinstance(time, float) or not math.isfinite(time)
+    )
+    problem = "is missing" if time is None else f"{time!r} is not a finite number"
+    raise ValueError(f"trace row {number}: time {problem}")
+
+
+def _typed(cells: list[str]) -> list:
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        distinct = {cell: _cell_value(cell) for cell in set(cells)}
+        return list(map(distinct.__getitem__, cells))
+
+
+def _cell_value(cell: str) -> object:
+    if cell == "":
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def build_parser() -> argparse.ArgumentParser:

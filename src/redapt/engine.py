@@ -138,10 +138,20 @@ class EngineConfig:
         for name, threshold in self.desired_utilities.items():
             if not 0.0 <= threshold <= 1.0:
                 raise ValueError(f"utility threshold for {name!r} must be in [0, 1]")
+        for name in ("noise_std_threshold", "cycle_period_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
+        for name in ("max_plan_iterations", "noise_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.max_plan_iterations < 1:
             raise ValueError("max_plan_iterations must be at least 1")
         if self.noise_window < 2:
             raise ValueError("noise_window must be at least 2")
+        if self.cycle_period_s <= 0:
+            raise ValueError("cycle_period_s must be positive")
 
     @staticmethod
     def from_dict(data: Mapping) -> "EngineConfig":

@@ -33,8 +33,6 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .utilities import DARK_LUX_BOUND, DomainError, OPTIMAL_INTERVAL_S, eval_utilities
 
 NORTH = "north"
@@ -249,6 +247,8 @@ class Simulator:
         self.clock = 0.0
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._seq = 0
+
+        import numpy as np  # here, not at the top: `check` and `verify` never build a simulator
 
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
         self._rng_arrivals = {

@@ -29,6 +29,7 @@ from .ast import (
     UNCERTAINTY_KINDS,
     Until,
     Var,
+    variable_names,
 )
 from .errors import (
     DuplicateEntityError,
@@ -62,5 +63,5 @@ __all__ = [
     "UnboundVariableError", "Until", "Var", "Verdict", "check_wellformed",
     "evaluate", "kleene_and", "kleene_not", "kleene_or", "parse_document",
     "parse_formula", "print_document", "print_entity", "print_formula",
-    "print_term",
+    "print_term", "variable_names",
 ]

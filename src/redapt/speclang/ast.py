@@ -125,6 +125,28 @@ class ProcedureRef(Formula):
     name: str
 
 
+def variable_names(formula: Formula) -> frozenset[str]:
+    """Every ``Var`` name in ``formula``, dotted and quantifier-bound names
+    included: evaluation looks a state value up for no other name."""
+    names: set[str] = set()
+    pending: list[Union[Formula, Term]] = [formula]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Func):
+            pending.extend(node.args)
+        elif isinstance(node, Atom):
+            pending.append(node.term)
+        elif isinstance(node, (Not, Next, Eventually, Globally)):
+            pending.append(node.operand)
+        elif isinstance(node, (Cmp, And, Or, Implies, Until)):
+            pending += (node.lhs, node.rhs)
+        elif isinstance(node, (Forall, Exists)):
+            pending.append(node.body)
+    return frozenset(names)
+
+
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 

@@ -63,3 +63,25 @@ def test_tracer_and_cycle_timer_record_a_run(tmp_path, spec_path):
     } <= names
     cycles, probes = timer.take()
     assert len(cycles) == 5 and probes == [(0, 0.0)]
+
+
+def test_tracer_sees_one_read_and_one_evaluation_per_invariant(tmp_path, spec_path, bundled_spec):
+    # `verify.csv_read_ms` and `eval.verify_ms` come from these spans; a reader
+    # inlined into `cmd_verify` would leave the first at 0
+    tracing = load_tracing()
+    trace = tmp_path / "trace.csv"
+    trace.write_text("time,n,p,gate,U_safety,U_pass\n0,10,1,open,1,1\n1,12,0.9,closed,0.8,1\n")
+    tracer = tracing.Tracer()
+    restore = tracer.install()
+    try:
+        code = cli.main(["verify", "--spec", spec_path, str(trace)])
+    finally:
+        restore()
+
+    assert code == 0
+    invariants = [e for e in bundled_spec.entities if e.invariant is not None]
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.trace_from_csv") == 1
+    assert names.count("cli.evaluate") == len(invariants) == 3
+    [(_, start, end, _)] = [span for span in tracer.spans if span[0] == "cli.trace_from_csv"]
+    assert end > start

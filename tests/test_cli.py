@@ -14,6 +14,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def python(*argv):
+    """A fresh interpreter with the source tree under test on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(redapt.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_process(*argv):
+    return python("-m", "redapt.cli", *argv)
+
+
+NOT_UTF8 = b"\xff\xfe"
+
+
 @pytest.fixture()
 def scenario_path():
     return str(redapt.data_path("sensor_failure.json"))
@@ -40,6 +53,19 @@ class TestCheck:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("check", "--spec", str(tmp_path / "absent.agmspec")) == 2
+
+    def test_non_utf8_spec_exits_two_without_traceback(self, tmp_path):
+        spec = tmp_path / "latin.agmspec"
+        spec.write_bytes(NOT_UTF8)
+        done = run_process("check", "--spec", str(spec))
+        assert done.returncode == 2
+        assert "not UTF-8" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_import_leaves_numpy_unloaded(self):
+        # check and verify build no simulator, so they never need numpy
+        done = python("-c", "import sys, redapt.cli; print('numpy' in sys.modules)")
+        assert done.stdout.strip() == "False", done.stderr
 
 
 class TestRun:
@@ -91,20 +117,28 @@ class TestRun:
         assert "output: t_dispatch_new" in text
         spec = tmp_path / "typo.agmspec"
         spec.write_text(text.replace("output: t_dispatch_new", "output: t_dispatcf_new"))
-        env = dict(os.environ, PYTHONPATH=str(Path(redapt.__file__).resolve().parents[1]))
 
-        def cli(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "redapt.cli", *argv], capture_output=True, text=True, env=env
-            )
-
-        assert cli("check", "--spec", str(spec)).returncode == 0
-        run = cli("run", "--spec", str(spec), "--scenario", str(redapt.data_path("sensor_failure.json")),
-                  "--out", str(tmp_path / "o"))
+        assert run_process("check", "--spec", str(spec)).returncode == 0
+        run = run_process("run", "--spec", str(spec), "--scenario",
+                          str(redapt.data_path("sensor_failure.json")), "--out", str(tmp_path / "o"))
         assert run.returncode == 1
         assert run.stderr.startswith("error: ")
         assert "t_dispatcf" in run.stderr
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("option", ["--spec", "--scenario", "--engine-config"])
+    def test_non_utf8_input_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path,
+                                                         option):
+        argv = {"--spec": spec_path, "--scenario": scenario_path, "--engine-config": None}
+        argv[option] = str(tmp_path / "latin")
+        (tmp_path / "latin").write_bytes(NOT_UTF8)
+        done = run_process("run", *(f"{k}={v}" for k, v in argv.items() if v),
+                           "--out", str(tmp_path / "o"))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "not UTF-8" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_engine_config_is_honored(self, tmp_path, spec_path, scenario_path):
         engine_cfg = tmp_path / "engine.json"
@@ -159,6 +193,28 @@ class TestVerify:
         assert err.startswith("error: Flow bounded: ")
         assert "'F'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["", "soon", "nan", "inf"])
+    def test_bad_time_cell_exits_two(self, tmp_path, spec_path, cell, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"time,n,p,U_safety,U_pass\n0,10,1,1,1\n{cell},11,1,1,1\n")
+        assert run_cli("verify", "--spec", spec_path, str(trace)) == 2
+        assert capsys.readouterr().err.startswith("error: trace row 2: time ")
+
+    def test_duplicate_column_exits_two(self, tmp_path, spec_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time,n,p,n,U_safety,U_pass\n0,10,1,10,1,1\n")
+        assert run_cli("verify", "--spec", spec_path, str(trace)) == 2
+        assert capsys.readouterr().err == "error: trace header names column 'n' twice\n"
+
+    def test_non_utf8_trace_exits_two_without_traceback(self, tmp_path, spec_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"time,n\n0," + NOT_UTF8 + b"\n")
+        done = run_process("verify", "--spec", spec_path, str(trace))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "not UTF-8" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_missing_trace_exits_two(self, tmp_path, spec_path):
         assert run_cli("verify", "--spec", spec_path, str(tmp_path / "nope.csv")) == 2

@@ -118,6 +118,33 @@ def healthy_state(time, **extra):
     return state(time, **base)
 
 
+class TestEngineConfig:
+    """Validated only: a run under any of these values is never started
+    (with a zero period the cycle loop would never advance)."""
+
+    @pytest.mark.parametrize("data", [
+        {"cycle_period_s": 0},
+        {"cycle_period_s": -5},
+        {"cycle_period_s": math.nan},
+        {"cycle_period_s": math.inf},
+        {"cycle_period_s": "60"},
+        {"noise_std_threshold": math.nan},
+        {"noise_std_threshold": -math.inf},
+        {"max_plan_iterations": 2.5},
+        {"max_plan_iterations": True},
+        {"noise_window": 5.0},
+    ])
+    def test_bad_values_rejected(self, data):
+        with pytest.raises(ValueError):
+            EngineConfig.from_dict(data)
+
+    def test_values_from_json_accepted(self):
+        cfg = EngineConfig.from_dict(json.loads(
+            '{"cycle_period_s": 120, "noise_std_threshold": 2.5, "max_plan_iterations": 8}'
+        ))
+        assert (cfg.cycle_period_s, cfg.noise_std_threshold, cfg.max_plan_iterations) == (120, 2.5, 8)
+
+
 class TestDetectNoise:
     def test_constant_window_is_quiet(self):
         assert not window_is_noisy([5, 5, 5, 5, 5], EngineConfig())

@@ -13,6 +13,7 @@ from redapt.speclang import (
     Func,
     Globally,
     Implies,
+    Next,
     Not,
     Or,
     ParseError,
@@ -24,6 +25,7 @@ from redapt.speclang import (
     check_wellformed,
     parse_document,
     parse_formula,
+    variable_names,
 )
 
 
@@ -220,3 +222,31 @@ class TestWellformed:
             'goal "x" {\n  attributes:\n    numeric f_i\n  invariant: G(f_3 >= 0)\n}'
         )
         assert check_wellformed(doc) == []
+
+
+class TestVariableNames:
+    def test_every_operator_and_term_is_walked(self):
+        formula = Implies(
+            Or(
+                Globally(And(Cmp(">=", Var("p"), Const(0.5)), Atom(Var("ok")))),
+                Until(Next(Atom(Var("a"))), Eventually(Not(Atom(Var("b"))))),
+            ),
+            Forall("s", "I_sensor", Exists(
+                "v", "levels", Cmp("=", Func("unstable", (Var("s.value"),)), Var("v"))
+            )),
+        )
+        assert variable_names(formula) == {"p", "ok", "a", "b", "s.value", "v"}
+
+    def test_constants_and_procedures_name_nothing(self):
+        assert variable_names(Cmp("<", Const(1.0), Const(2.0))) == frozenset()
+        assert variable_names(ProcedureRef("swap")) == frozenset()
+
+    def test_bundled_invariants(self, bundled_spec):
+        names = set()
+        for entity in bundled_spec.entities:
+            if entity.invariant is not None:
+                names |= variable_names(entity.invariant)
+        assert names == {"p", "n", "U_safety", "U_pass"}
+
+    def test_parsed_dotted_name(self):
+        assert variable_names(parse_formula('exists s in I_sensor . s.value = ""')) == {"s.value"}

@@ -8,6 +8,7 @@ even a noisy sensor reads the same in ``cycles.jsonl`` and ``trace.csv``.
 import pytest
 
 import redapt
+from redapt import cli
 from redapt.engine import AdaptationEngine
 from redapt.hrcs import ScenarioConfig, run_scenario, trace_to_csv
 
@@ -60,3 +61,27 @@ def test_snapshot_is_the_rows_derived_columns(recorded):
         row = rows[time]
         assert set(snapshot) == set(result.trace.columns) - {"time"} - slots
         assert snapshot == {column: getattr(row, column) for column in snapshot}
+
+
+def test_verify_answers_alike_from_the_named_columns_and_from_all(
+    recorded, tmp_path, spec_path, monkeypatch, capsys
+):
+    _, result, _ = recorded
+    trace = tmp_path / "trace.csv"
+    trace.write_text(trace_to_csv(result.trace))
+    argv = ["verify", "--spec", spec_path, str(trace)]
+    read = cli.trace_from_csv
+    asked = []
+
+    def reading(text, columns=None):
+        asked.append(columns)
+        return read(text, columns)
+
+    monkeypatch.setattr(cli, "trace_from_csv", reading)
+    projected = cli.main(argv), capsys.readouterr()
+    monkeypatch.setattr(cli, "trace_from_csv", lambda text, columns=None: read(text))
+    full = cli.main(argv), capsys.readouterr()
+
+    assert asked == [{"p", "n", "U_safety", "U_pass"}]
+    assert projected == full
+    assert projected[1].out.count(": invariant: ") == 3
