@@ -108,13 +108,19 @@ def cmd_run(
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)  # fail before the run, not after
+    except OSError as exc:
+        print(f"error: cannot make output directory: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+
     log.info("running scenario %s for %.0f min", scenario_path, scenario.duration_min)
     try:
         result = run_scenario(specs, scenario, engine_cfg, seed=seed)
-    except EngineError as exc:
+        files = write_artifacts(result, out_dir)
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    files = write_artifacts(result, out_dir)
     for name, path in files.items():
         log.info("wrote %s", path)
     print(result.metrics_json(), end="")

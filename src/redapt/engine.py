@@ -5,10 +5,12 @@ contract (class instances that can be read) and accepts the effector
 contract (settable parameters and rebindable component slots).  Violations
 are classified by the uncertainty source written in the specification
 document: context uncertainty is diagnosed through invariants (functional)
-or utility thresholds (non-functional); components uncertainty through
-absent readings (failure) or unstable readings (noise).  Planning is
-intertwined with analysis: every candidate reconfiguration is re-checked
-through a caller-supplied verifier before it is returned.
+or utility thresholds (non-functional); components uncertainty through the
+instances of the sensor class the source declares, as the monitored states
+hold them: an absent reading (failure) or unstable readings since the
+instance was bound (noise).  Monitored states are never changed once built.
+Planning is intertwined with analysis: every candidate reconfiguration is
+re-checked through a caller-supplied verifier before it is returned.
 """
 
 from __future__ import annotations
@@ -280,27 +282,29 @@ def utility_threshold(entity: EntitySpec, cfg: EngineConfig) -> Optional[float]:
     return None
 
 
-def monitor_slots(entity: EntitySpec, readings: Sequence[Reading]) -> list[Reading]:
-    families = entity.output or tuple(a.name for a in entity.numeric_attributes())
-    declared = [a for a in entity.attributes if a.name in families] or list(
-        entity.numeric_attributes()
-    )
-    return [r for r in readings if any(a.matches(r.variable) for a in declared)]
-
-
-def failed_slots(entity: EntitySpec, readings: Sequence[Reading]) -> list[str]:
-    return [r.variable for r in monitor_slots(entity, readings) if r.value is None]
-
-
-def noisy_slots(
-    entity: EntitySpec, trace: Trace, readings: Sequence[Reading], cfg: EngineConfig
-) -> list[str]:
+def faulty_slots(source: EntitySpec, trace: Trace, cfg: EngineConfig) -> list[str]:
+    """Slots, in the target's order, of the classes a components-uncertainty
+    source declares whose instance has failed (FR: it reads absent) or is
+    noisy (NFR: its readings since it was bound fail ``window_is_noisy``)."""
+    if not trace.states:
+        return []
     window = trace.states[-cfg.noise_window :]
-    return [
-        slot
-        for slot in sorted({r.variable for r in monitor_slots(entity, readings)})
-        if window_is_noisy([s.values.get(slot) for s in window], cfg)
-    ]
+    out: list[str] = []
+    for cls in source.class_attributes():
+        for slot, instance in window[-1].instances.get(cls.name, {}).items():
+            if source.affected_violation_kind == "FR":
+                faulty = instance.value is None
+            else:
+                values: list[Optional[float]] = []
+                for state in reversed(window):
+                    held = state.instances.get(cls.name, {}).get(slot)
+                    if held is None or held.id != instance.id:
+                        break
+                    values.append(held.value)
+                faulty = window_is_noisy(values[::-1], cfg)
+            if faulty:
+                out.append(slot)
+    return out
 
 
 def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
@@ -317,10 +321,9 @@ def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
 
 def diagnose(
     specs: SpecDocument,
-    readings: Sequence[Reading],
     trace: Trace,
     cfg: EngineConfig,
-    verdicts: Optional[Mapping[str, Verdict]] = None,
+    verdicts: Mapping[str, Verdict],
 ) -> dict[str, ViolationType]:
     """Classify each affected goal's state into the violation taxonomy.
 
@@ -328,10 +331,9 @@ def diagnose(
     requirement kind; the first source reporting a violation wins, and an
     inconclusive invariant verdict counts as no violation.  ``verdicts`` are
     the invariant verdicts at the last state, as ``invariant_verdicts``
-    gives them; they are computed here when not passed.
+    gives them.  Components uncertainty is read from the kept states'
+    sensor instances (``faulty_slots``).
     """
-    if verdicts is None:
-        verdicts = invariant_verdicts(specs, trace)
     result: dict[str, ViolationType] = {}
     for entity, sources in affected_entities(specs):
         verdict = ViolationType.NONE
@@ -348,12 +350,8 @@ def diagnose(
                     value = trace.states[-1].values.get(attr)
                     if value is not None and float(value) < threshold:
                         verdict = ViolationType.CONU_NFR
-            elif not context and functional:
-                if failed_slots(entity, readings):
-                    verdict = ViolationType.COMU_FR
-            else:
-                if noisy_slots(entity, trace, readings, cfg):
-                    verdict = ViolationType.COMU_NFR
+            elif faulty_slots(source, trace, cfg):
+                verdict = ViolationType.COMU_FR if functional else ViolationType.COMU_NFR
             if verdict is not ViolationType.NONE:
                 break
         result[entity.name] = verdict
@@ -552,6 +550,8 @@ class AdaptationEngine:
     pool, the cycle counter and the last ``noise_window`` monitored states.
     Those suffice: every invariant is future-time and evaluated at the last
     state, which is all it reads there, and noise detection reads the window.
+    Each state keys its sensor instances by slot; a swap changes no kept
+    state, since noise detection stops at the slot's previous instance.
     """
 
     def __init__(self, specs: SpecDocument, cfg: EngineConfig, pool: ComponentPool):
@@ -591,24 +591,28 @@ class AdaptationEngine:
         report.verdicts = {goal: outcome.value for goal, outcome in verdicts.items()}
 
         try:
-            violations = diagnose(self.specs, readings, self.trace, self.cfg, verdicts)
+            violations = diagnose(self.specs, self.trace, self.cfg, verdicts)
         except EngineError as exc:
             report.errors.append(f"diagnosis failed: {exc}")
             self.cycle_index += 1
             return report
         report.violation = {goal: vt.value for goal, vt in violations.items()}
 
-        for entity, _ in affected_entities(self.specs):
+        for entity, sources in affected_entities(self.specs):
             goal = entity.name
             vt = violations[goal]
             if vt is ViolationType.NONE:
                 report.post_verdicts[goal] = ViolationType.NONE.value
                 continue
             failing: list[str] = []
-            if vt is ViolationType.COMU_FR:
-                failing = failed_slots(entity, readings)
-            elif vt is ViolationType.COMU_NFR:
-                failing = noisy_slots(entity, self.trace, readings, self.cfg)
+            if vt in (ViolationType.COMU_FR, ViolationType.COMU_NFR):
+                # the source that fired: no source before it reported a violation
+                failing = next(
+                    slots
+                    for source in sources
+                    if source.kind is EntityKind.COMPONENTS_UNCERTAINTY
+                    and (slots := faulty_slots(source, self.trace, self.cfg))
+                )
             calls = 0
             base_verifier = verifier_for(goal, vt)
 
@@ -629,9 +633,6 @@ class AdaptationEngine:
                 continue
             report.plan_iterations[goal] = calls
             report.reconfiguration[goal] = reconfiguration_to_dict(reconfig)
-            if isinstance(reconfig, Structural):
-                for slot, _ in reconfig.replacements:
-                    self._forget_window(slot)
             self.pool = execute(reconfig, effector, self.pool, self.cfg)
             report.post_verdicts[goal] = ViolationType.NONE.value
 
@@ -646,25 +647,18 @@ class AdaptationEngine:
         }
 
     def _append_state(self, target: ProbeSource, readings: Sequence[Reading]) -> None:
+        read = {r.variable: r.value for r in readings}
         values: dict[str, object] = dict(target.snapshot())
-        instances: dict[str, dict[str, Instance]] = {}
-        for entity in self.specs.of_kind(EntityKind.MONITOR):
-            for cls in entity.class_attributes():
-                members: dict[str, Instance] = {}
-                for slot, instance_id in target.instances(cls.name):
-                    reading = next((r for r in readings if r.variable == slot), None)
-                    value = reading.value if reading else None
-                    members[instance_id] = Instance(
-                        id=instance_id, value=value, select=True, gauge=value is not None
-                    )
-                instances[cls.name] = members
-        for r in readings:
-            values[r.variable] = r.value
+        values.update(read)
+        # each class's instances keyed by the slot they fill
+        instances = {
+            cls.name: {
+                slot: Instance(instance_id, read.get(slot), gauge=read.get(slot) is not None)
+                for slot, instance_id in target.instances(cls.name)
+            }
+            for entity in self.specs.of_kind(EntityKind.MONITOR)
+            for cls in entity.class_attributes()
+        }
         state = State(time=target.now(), values=values, instances=instances)
         kept = self.trace.states[1 - self.cfg.noise_window :]
         self.trace = Trace(kept + (state,))
-
-    def _forget_window(self, slot: str) -> None:
-        """Drop a replaced slot's history so noise detection restarts cleanly."""
-        for state in self.trace.states:
-            state.values.pop(slot, None)  # the dicts _append_state built

@@ -39,8 +39,6 @@ from .simulator import (
     vehicles_to_json,
 )
 
-STANDBY_PREFIXES = {"f": "ir", "e": "lux"}
-
 
 def contract_of(sim: Simulator) -> ProbeEffectorContract:
     """The probe/effector surface the simulator exposes to the engine."""

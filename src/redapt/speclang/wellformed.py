@@ -1,7 +1,8 @@
 """Static checks over a parsed document.
 
-Every variable used in an entity's formulas must be declared in that
-entity's attributes (or bound by an enclosing quantifier), quantifiers must
+Every variable used in an entity's formulas, and every ``input:`` and
+``output:`` name, must be declared in that entity's attributes (a formula
+variable may instead be bound by an enclosing quantifier), quantifiers must
 not shadow each other, and cross-entity references must resolve.
 """
 
@@ -84,6 +85,13 @@ def _check_entity(doc: SpecDocument, entity: EntitySpec) -> Iterator[Diagnostic]
             f"affected_goal {entity.affected_goal!r} names no entity",
             "affected_goal",
         )
+
+    for label, names in (("input", entity.input), ("output", entity.output)):
+        for name in names:
+            if not any(a.matches(name) for a in entity.attributes):
+                yield diag(
+                    "undeclared-io", f"{label} {name!r} is not declared in attributes", label
+                )
 
     class_names = {a.name for a in entity.class_attributes()}
     for label, formula in _formulas_of(entity):

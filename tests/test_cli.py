@@ -45,6 +45,17 @@ class TestCheck:
         assert "undeclared-symbol" in err[0]
         assert err[0].startswith(str(bad) + ":")
 
+    def test_undeclared_plan_output_exits_one(self, tmp_path, spec_path, capsys):
+        text = Path(spec_path).read_text()
+        assert text.count("output: t_dispatch_new") == 1
+        spec = tmp_path / "typo.agmspec"
+        spec.write_text(text.replace("output: t_dispatch_new", "output: t_dispatcf_new"))
+        assert run_cli("check", "--spec", str(spec)) == 1
+        (err,) = capsys.readouterr().err.strip().splitlines()
+        line = text[: text.index("output: t_dispatch_new")].count("\n") + 1
+        assert err.startswith(f"{spec}:{line}:3: undeclared-io: ")
+        assert "'t_dispatcf_new'" in err
+
     def test_parse_error_exits_one_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.agmspec"
         bad.write_text('goal "x" {\n  invariant: G(p >= )\n}\n')
@@ -112,11 +123,12 @@ class TestRun:
         assert any("plan failed" in line for line in cycles)
 
     def test_contract_violation_exits_one_without_traceback(self, tmp_path, spec_path):
-        # a plan output naming no effector passes check; run must reject it
+        # renamed everywhere, the plan output is declared and passes check,
+        # but it names no effector, so run must reject it
         text = Path(spec_path).read_text()
         assert "output: t_dispatch_new" in text
         spec = tmp_path / "typo.agmspec"
-        spec.write_text(text.replace("output: t_dispatch_new", "output: t_dispatcf_new"))
+        spec.write_text(text.replace("t_dispatch_new", "t_dispatcf_new"))
 
         assert run_process("check", "--spec", str(spec)).returncode == 0
         run = run_process("run", "--spec", str(spec), "--scenario",
@@ -125,6 +137,32 @@ class TestRun:
         assert run.stderr.startswith("error: ")
         assert "t_dispatcf" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_output_path_that_is_a_file_exits_one_without_traceback(self, tmp_path, spec_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        scenario = tmp_path / "scenario.json"
+        short = json.loads(redapt.data_path("experiment1.json").read_text())
+        short["duration_min"] = 2.0
+        scenario.write_text(json.dumps(short))
+        done = run_process("run", "--spec", spec_path, "--scenario", str(scenario),
+                           "--out", str(taken))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert taken.read_text() == ""
+
+    def test_output_directory_is_made_before_the_run(self, tmp_path, spec_path, scenario_path,
+                                                     monkeypatch):
+        from redapt import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        (tmp_path / "taken").write_text("")
+        assert run_cli("run", "--spec", spec_path, "--scenario", scenario_path,
+                       "--out", str(tmp_path / "taken" / "sub")) == 1
 
     @pytest.mark.parametrize("option", ["--spec", "--scenario", "--engine-config"])
     def test_non_utf8_input_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path,

@@ -12,16 +12,16 @@ from redapt.engine import (
     NoChange,
     Parametric,
     PlanFailedError,
-    Reading,
     Structural,
     ViolationType,
     diagnose,
     execute,
+    invariant_verdicts,
     monitor_step,
     plan,
     window_is_noisy,
 )
-from redapt.speclang import State, Trace, parse_document
+from redapt.speclang import Instance, State, Trace, parse_document
 
 NONE = ViolationType.NONE
 
@@ -92,30 +92,41 @@ plan "retime gates" {
 """
 
 
+LUX_MONITOR = """
+monitor "light monitor" {
+  from_goal: "keep safety utility"
+  attributes:
+    numeric e_i
+    class I_lux
+  output: e_i
+}
+"""
+
+
 @pytest.fixture(scope="module")
 def specs():
     return parse_document(ENGINE_SPEC)
-
-
-def state(time, **values):
-    return State(time=float(time), values=values)
 
 
 def trace_of(*states):
     return Trace(tuple(states))
 
 
-def readings(time, **slot_values):
-    return [
-        Reading(sensor_id=f"ir_{slot[2:]}", variable=slot, value=v, timestamp=float(time))
-        for slot, v in slot_values.items()
-    ]
-
-
 def healthy_state(time, **extra):
+    """A state as the engine keeps it: the slot readings are values and also
+    the ``I_sensor`` instances, keyed by the slot they fill."""
     base = {"p": 0.9, "n": 120, "U_safety": 1.0, "f_1": 15.0, "f_2": 15.0}
     base.update(extra)
-    return state(time, **base)
+    sensors = {
+        slot: Instance(f"ir_{slot[2:]}", v, gauge=v is not None)
+        for slot, v in base.items()
+        if slot.startswith("f_")
+    }
+    return State(time=float(time), values=base, instances={"I_sensor": sensors})
+
+
+def diagnosed(specs, trace):
+    return diagnose(specs, trace, EngineConfig(), invariant_verdicts(specs, trace))
 
 
 class TestEngineConfig:
@@ -167,7 +178,7 @@ class TestDetectNoise:
 class TestDiagnose:
     def test_everything_healthy_maps_to_none(self, specs):
         trace = trace_of(healthy_state(60))
-        out = diagnose(specs, readings(60, f_1=15.0, f_2=15.0), trace, EngineConfig())
+        out = diagnosed(specs, trace)
         assert out == {
             "hold p and n": NONE,
             "keep safety utility": NONE,
@@ -176,38 +187,33 @@ class TestDiagnose:
 
     def test_low_percentage_is_context_fr(self, specs):
         trace = trace_of(healthy_state(60, p=0.3877, n=360))
-        out = diagnose(specs, readings(60, f_1=15.0), trace, EngineConfig())
+        out = diagnosed(specs, trace)
         assert out["hold p and n"] is ViolationType.CONU_FR
 
     def test_low_utility_is_context_nfr(self, specs):
         # gates at their bright optimum while the light is gone
         trace = trace_of(healthy_state(60, U_safety=0.0))
-        out = diagnose(specs, readings(60, f_1=15.0), trace, EngineConfig())
+        out = diagnosed(specs, trace)
         assert out["keep safety utility"] is ViolationType.CONU_NFR
 
     def test_utility_at_threshold_is_healthy(self, specs):
         trace = trace_of(healthy_state(60, U_safety=0.7))
-        out = diagnose(specs, readings(60, f_1=15.0), trace, EngineConfig())
+        out = diagnosed(specs, trace)
         assert out["keep safety utility"] is NONE
 
     def test_absent_reading_is_components_fr(self, specs):
         trace = trace_of(healthy_state(60, f_2=None))
-        out = diagnose(specs, readings(60, f_1=15.0, f_2=None), trace, EngineConfig())
+        out = diagnosed(specs, trace)
         assert out["flow monitor"] is ViolationType.COMU_FR
 
     def test_noisy_window_is_components_nfr(self, specs):
         rows = [healthy_state(60 * (i + 1), f_2=v) for i, v in enumerate([5, 50, 5, 50, 5])]
-        out = diagnose(
-            specs,
-            readings(300, f_1=15.0, f_2=5.0),
-            trace_of(*rows),
-            EngineConfig(),
-        )
+        out = diagnosed(specs, trace_of(*rows))
         assert out["flow monitor"] is ViolationType.COMU_NFR
 
     def test_inconclusive_invariant_is_no_violation(self, specs):
         trace = trace_of(healthy_state(60))
-        out = diagnose(specs, readings(60, f_1=15.0), trace, EngineConfig())
+        out = diagnosed(specs, trace)
         assert out["hold p and n"] is NONE
 
 
@@ -378,10 +384,11 @@ class TestExecute:
 class FakeTarget:
     """Probe source and effector sink with scripted values."""
 
-    def __init__(self, values=None, slot_values=None):
+    def __init__(self, values=None, slot_values=None, lux_values=None):
         self.time = 60.0
         self.values = values or {"p": 0.9, "n": 100, "U_safety": 1.0, "t_dispatch": 5.0}
         self.slot_values = slot_values if slot_values is not None else {"f_1": 15.0, "f_2": 15.0}
+        self.lux_values = lux_values or {}
         self.parameters = {}
         self.bindings = {}
 
@@ -390,11 +397,15 @@ class FakeTarget:
 
     def instances(self, class_name):
         if class_name == "I_sensor":
-            return [(slot, f"ir_{slot[2:]}") for slot in sorted(self.slot_values)]
-        return []
+            slots, prefix = self.slot_values, "ir"
+        elif class_name == "I_lux":
+            slots, prefix = self.lux_values, "lux"
+        else:
+            return []
+        return [(slot, self.bindings.get(slot, f"{prefix}_{slot[2:]}")) for slot in sorted(slots)]
 
     def read(self, slot):
-        return self.slot_values[slot]
+        return {**self.slot_values, **self.lux_values}[slot]
 
     def snapshot(self):
         return dict(self.values)
@@ -525,3 +536,40 @@ class TestEngineCycle:
         goals = {e.name: e.invariant for e, _ in affected_entities(specs) if e.invariant is not None}
         assert goals and calls == list(goals.values())
         assert set(report.verdicts) == set(goals)
+
+    def test_swap_leaves_kept_states_unchanged(self, specs):
+        engine = self.engine(specs)
+        target = FakeTarget()
+        for k, reading in enumerate([5.0, 50.0], start=1):
+            target.time = 60.0 * k
+            target.slot_values["f_2"] = reading
+            report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert report.violation["flow monitor"] == "ComU_NFR"
+        assert target.bindings == {"f_2": "ir_12"}
+        # the states kept from before the swap still hold what ir_2 read
+        assert [s.values["f_2"] for s in engine.trace.states] == [5.0, 50.0]
+        assert [s.instances["I_sensor"]["f_2"] for s in engine.trace.states] == [
+            Instance("ir_2", 5.0), Instance("ir_2", 50.0)
+        ]
+
+    def test_replacement_is_not_judged_on_predecessor_readings(self, specs):
+        engine = self.engine(specs)
+        target = FakeTarget()
+        for k, reading in enumerate([5.0, 50.0], start=1):
+            target.time = 60.0 * k
+            target.slot_values["f_2"] = reading
+            engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        target.time = 180.0  # ir_12 reads 15.0, far from ir_2's 5.0 and 50.0
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert [s.values["f_2"] for s in engine.trace.states] == [5.0, 50.0, 15.0]
+        assert report.violation["flow monitor"] == "none"
+        assert report.reconfiguration == {}
+
+    def test_absent_lux_reading_does_not_fire_flow_sources(self):
+        specs = parse_document(ENGINE_SPEC + LUX_MONITOR)
+        engine = AdaptationEngine(specs, EngineConfig(), ComponentPool({}, {}))
+        target = FakeTarget(lux_values={"e_1": None, "e_2": 300.0})
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert ("e_1", None) in [(r.variable, r.value) for r in report.readings]
+        assert report.violation["flow monitor"] == "none"
+        assert report.reconfiguration == {} and report.errors == []

@@ -223,6 +223,25 @@ class TestWellformed:
         )
         assert check_wellformed(doc) == []
 
+    def test_input_and_output_must_be_declared(self):
+        doc = parse_document(
+            'goal "g" {\n}\n'
+            'plan "p" {\n  from_goal: "g"\n  attributes:\n    numeric f_i, x\n'
+            "  input: f_i, f_2, y\n  output: x_new\n}"
+        )
+        diags = check_wellformed(doc)
+        assert [(d.code, d.line, d.col) for d in diags] == [
+            ("undeclared-io", 7, 3), ("undeclared-io", 8, 3)
+        ]
+        assert "'y'" in diags[0].message and "'x_new'" in diags[1].message
+
+    def test_io_none_is_allowed(self):
+        doc = parse_document(
+            'goal "g" {\n}\nmonitor "m" {\n  from_goal: "g"\n  attributes:\n    numeric v\n'
+            "  input: none\n  output: v\n}"
+        )
+        assert check_wellformed(doc) == []
+
 
 class TestVariableNames:
     def test_every_operator_and_term_is_walked(self):
