@@ -15,13 +15,14 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Optional
 
 from .engine import EngineConfig, EngineError
-from .hrcs.runner import run_scenario, write_artifacts
+from .hrcs.runner import PLANNING_SETTINGS, run_scenario, write_artifacts
 from .hrcs.simulator import ScenarioConfig
 from .speclang import (
     INVARIANT_KINDS,
@@ -101,8 +102,11 @@ def cmd_run(
                 print(diag.render(spec_path), file=sys.stderr)
             return EXIT_DIAGNOSTICS
         scenario = ScenarioConfig.from_json(scenario_text)
-        engine_cfg = (
-            EngineConfig.from_dict(json.loads(engine_text)) if engine_text else EngineConfig()
+        if seed is not None:
+            scenario = replace(scenario, seed=seed)
+            scenario.validate()
+        engine_cfg = EngineConfig.from_dict(
+            json.loads(engine_text) if engine_text else {}, PLANNING_SETTINGS
         )
     except (SpecLangError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -116,7 +120,7 @@ def cmd_run(
 
     log.info("running scenario %s for %.0f min", scenario_path, scenario.duration_min)
     try:
-        result = run_scenario(specs, scenario, engine_cfg, seed=seed)
+        result = run_scenario(specs, scenario, engine_cfg)
         files = write_artifacts(result, out_dir)
     except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

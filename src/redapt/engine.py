@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .speclang import (
@@ -116,33 +117,45 @@ class ProbeEffectorContract:
     effectors: frozenset[str]  # parameter names and component slots
 
 
+def _is_finite(value: object) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    desired_utilities: Mapping[str, float] = field(
-        default_factory=lambda: {"U_safety": 0.7}
-    )
-    param_step: Mapping[str, float] = field(
-        default_factory=lambda: {"t_dispatch": 1.0, "t_close": -0.5, "t_open": 0.5}
-    )
-    param_domains: Mapping[str, tuple[float, float]] = field(
-        default_factory=lambda: {
-            "t_dispatch": (1.0, 30.0),
-            "t_close": (1.5, 4.0),
-            "t_open": (4.0, 6.5),
-        }
-    )
+    """How the engine plans and monitors.  The mappings are the managed
+    system's planning settings, empty unless given: desired utilities (by goal
+    or utility attribute) and each plan parameter's step and search domain."""
+
+    desired_utilities: Mapping[str, float] = field(default_factory=dict)
+    param_step: Mapping[str, float] = field(default_factory=dict)
+    param_domains: Mapping[str, tuple[float, float]] = field(default_factory=dict)
     max_plan_iterations: int = 32
     noise_window: int = 5
     noise_std_threshold: float = 3.0
     cycle_period_s: float = 60.0
 
     def __post_init__(self) -> None:
+        for name in ("desired_utilities", "param_step", "param_domains"):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping):
+                raise ValueError(f"{name} must be a mapping, not {value!r}")
         for name, threshold in self.desired_utilities.items():
-            if not 0.0 <= threshold <= 1.0:
+            if not _is_finite(threshold) or not 0.0 <= threshold <= 1.0:
                 raise ValueError(f"utility threshold for {name!r} must be in [0, 1]")
+        for name, step in self.param_step.items():
+            if not _is_finite(step):
+                raise ValueError(f"step for {name!r} must be a finite number, not {step!r}")
+        domains = {}
+        for name, domain in self.param_domains.items():
+            pair = tuple(domain) if isinstance(domain, (tuple, list)) else ()
+            if len(pair) != 2 or not all(map(_is_finite, pair)) or pair[0] > pair[1]:
+                raise ValueError(f"domain for {name!r} must be finite [low, high], low <= high")
+            domains[name] = (float(pair[0]), float(pair[1]))
+        object.__setattr__(self, "param_domains", domains)
         for name in ("noise_std_threshold", "cycle_period_s"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be a finite number, not {value!r}")
         for name in ("max_plan_iterations", "noise_window"):
             value = getattr(self, name)
@@ -156,13 +169,12 @@ class EngineConfig:
             raise ValueError("cycle_period_s must be positive")
 
     @staticmethod
-    def from_dict(data: Mapping) -> "EngineConfig":
-        kwargs = dict(data)
-        if "param_domains" in kwargs:
-            kwargs["param_domains"] = {
-                k: (float(v[0]), float(v[1])) for k, v in kwargs["param_domains"].items()
-            }
-        return EngineConfig(**kwargs)
+    def from_dict(data: object, defaults: Mapping = MappingProxyType({})) -> "EngineConfig":
+        """A configuration from parsed JSON, laid over ``defaults`` key by
+        key: a key ``data`` gives replaces that setting as a whole."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"engine config must be a JSON object, not {type(data).__name__}")
+        return EngineConfig(**{**defaults, **data})
 
 
 class ProbeSource(Protocol):
@@ -254,16 +266,11 @@ def window_is_noisy(values: Sequence[Optional[float]], cfg: EngineConfig) -> boo
 
 def affected_entities(specs: SpecDocument) -> list[tuple[EntitySpec, list[EntitySpec]]]:
     """Entities targeted by at least one uncertainty, with their sources in document order."""
-    out: list[tuple[EntitySpec, list[EntitySpec]]] = []
-    for entity in specs.entities:
-        sources = [
-            u
-            for u in specs.entities
-            if u.kind in UNCERTAINTY_KINDS and u.affected_goal == entity.name
-        ]
-        if sources:
-            out.append((entity, sources))
-    return out
+    sources: dict[str, list[EntitySpec]] = {}
+    for u in specs.entities:
+        if u.kind in UNCERTAINTY_KINDS:
+            sources.setdefault(u.affected_goal, []).append(u)
+    return [(e, sources[e.name]) for e in specs.entities if e.name in sources]
 
 
 def utility_attribute(entity: EntitySpec) -> Optional[str]:

@@ -1,17 +1,19 @@
 """Wires the adaptation engine to the crossing simulator.
 
 The runner owns the live simulator, builds the component pool from its
-sensor slots, and supplies the per-goal verifiers that close the
-plan/analyze loop: dispatch-interval candidates are verified by re-running
-the scenario model under the candidate value, gate retiming candidates by
-the closed-form utilities, and sensor replacements by the health of the
-standby instance.
+sensor slots, and supplies the verifiers that close the plan/analyze loop,
+chosen by the kind of violation: a functional context violation's
+candidates are verified by re-running the scenario model under the
+candidate dispatch interval, a non-functional one's by the closed-form
+utilities against the goal's utility threshold, and sensor replacements by
+the health of the standby instance.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from ..engine import (
@@ -25,10 +27,13 @@ from ..engine import (
     Reconfiguration,
     Structural,
     ViolationType,
+    utility_threshold,
     verify_contract,
 )
 from ..speclang import SpecDocument
 from .simulator import (
+    FLOW_CLASS,
+    LUX_CLASS,
     Metrics,
     ScenarioConfig,
     SimTrace,
@@ -38,19 +43,23 @@ from .simulator import (
     trace_to_csv,
     vehicles_to_json,
 )
+from .utilities import DomainError, eval_utilities
+
+# The crossing's planning settings: the safety utility's threshold and each
+# interval's step and search domain.  An engine config replaces them key by key.
+PLANNING_SETTINGS = {
+    "desired_utilities": {"U_safety": 0.7},
+    "param_step": {"t_dispatch": 1.0, "t_close": -0.5, "t_open": 0.5},
+    "param_domains": {"t_dispatch": (1.0, 30.0), "t_close": (1.5, 4.0), "t_open": (4.0, 6.5)},
+}
 
 
 def contract_of(sim: Simulator) -> ProbeEffectorContract:
     """The probe/effector surface the simulator exposes to the engine."""
-    probes = {
-        (instance_id, slot)
-        for class_name in ("I_sensor", "I_lux")
-        for slot, instance_id in sim.instances(class_name)
-    }
+    slots = [pair for class_name in (FLOW_CLASS, LUX_CLASS) for pair in sim.instances(class_name)]
+    probes = {(instance_id, slot) for slot, instance_id in slots}
     probes |= {("", name) for name in sim.snapshot()}  # derived variables
-    effectors = {"t_dispatch", "t_close", "t_open"}
-    effectors |= {slot for slot, _ in sim.instances("I_sensor")}
-    effectors |= {slot for slot, _ in sim.instances("I_lux")}
+    effectors = set(sim.parameters()) | {slot for slot, _ in slots}
     return ProbeEffectorContract(frozenset(probes), frozenset(effectors))
 
 
@@ -116,12 +125,12 @@ class _Verifiers:
         self._dispatch_cache: dict[tuple, ViolationType] = {}
 
     def for_goal(self, goal: str, violation: ViolationType):
-        if violation in (ViolationType.COMU_FR, ViolationType.COMU_NFR):
-            return self._verify_replacement
-        entity = self.specs.by_name(goal)
-        if entity is not None and "t_dispatch" in {a.name for a in entity.attributes}:
+        if violation is ViolationType.CONU_FR:
             return self._verify_dispatch
-        return self._verify_gate_timing
+        if violation is ViolationType.CONU_NFR:
+            threshold = utility_threshold(self.specs.by_name(goal), self.cfg)
+            return partial(self._verify_gate_timing, threshold=threshold)
+        return self._verify_replacement
 
     def _verify_dispatch(self, candidate: Reconfiguration) -> ViolationType:
         """Model-based verification: re-run the fault-free scenario under the
@@ -142,33 +151,27 @@ class _Verifiers:
             t_dispatch_min=overrides.get("t_dispatch", self.scenario.t_dispatch_min),
             sensor_faults=(),
         )
-        metrics = compute_metrics(simulate(model_cfg, record_rows=False), model_cfg)
-        ok = (
-            min(metrics.p_north, metrics.p_south) >= model_cfg.p_min
-            and metrics.n_peak <= model_cfg.n_limit
-        )
+        try:
+            metrics = compute_metrics(simulate(model_cfg, record_rows=False), model_cfg)
+            ok = (
+                min(metrics.p_north, metrics.p_south) >= model_cfg.p_min
+                and metrics.n_peak <= model_cfg.n_limit
+            )
+        except DomainError:  # the scenario does not admit the candidate
+            ok = False
         verdict = ViolationType.NONE if ok else ViolationType.CONU_FR
         self._dispatch_cache[key] = verdict
         return verdict
 
-    def _verify_gate_timing(self, candidate: Reconfiguration) -> ViolationType:
+    def _verify_gate_timing(self, candidate: Reconfiguration, threshold: float) -> ViolationType:
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_NFR
-        from .utilities import DomainError, eval_utilities
-
-        values = dict(candidate.changes)
-        t_close = values.get("t_close", self.sim.t_close_s)
-        t_open = values.get("t_open", self.sim.t_open_s)
-        threshold = self.cfg.desired_utilities.get("U_safety", 0.7)
+        values = {**self.sim.parameters(), **dict(candidate.changes)}
         try:
-            utilities = eval_utilities(t_close, t_open, self.sim.illuminance)
+            utilities = eval_utilities(values["t_close"], values["t_open"], self.sim.illuminance)
         except DomainError:
             return ViolationType.CONU_NFR
-        return (
-            ViolationType.NONE
-            if utilities.u_safety >= threshold
-            else ViolationType.CONU_NFR
-        )
+        return ViolationType.NONE if utilities.u_safety >= threshold else ViolationType.CONU_NFR
 
     def _verify_replacement(self, candidate: Reconfiguration) -> ViolationType:
         # standby instances are healthy by construction; a concrete
@@ -182,12 +185,10 @@ def run_scenario(
     specs: SpecDocument,
     scenario: ScenarioConfig,
     engine_cfg: Optional[EngineConfig] = None,
-    seed: Optional[int] = None,
 ) -> RunResult:
-    """Run the scenario under MAPE control for its configured duration."""
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    cfg = engine_cfg if engine_cfg is not None else EngineConfig()
+    """Run the scenario under MAPE control for its configured duration,
+    by default with the crossing's planning settings."""
+    cfg = engine_cfg if engine_cfg is not None else EngineConfig.from_dict({}, PLANNING_SETTINGS)
     sim = Simulator(scenario)
     problems = verify_contract(specs, contract_of(sim))
     if problems:
@@ -208,11 +209,7 @@ def run_scenario(
         reports=reports,
         trace=trace,
         metrics=compute_metrics(trace, scenario),
-        final_parameters={
-            "t_dispatch": sim.t_dispatch_min,
-            "t_close": sim.t_close_s,
-            "t_open": sim.t_open_s,
-        },
+        final_parameters=sim.parameters(),
         plan_failed=any("plan failed" in e for r in reports for e in r.errors),
     )
 

@@ -33,7 +33,9 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
-from .utilities import DARK_LUX_BOUND, DomainError, OPTIMAL_INTERVAL_S, eval_utilities
+from .utilities import (
+    DARK_LUX_BOUND, DomainError, OPTIMAL_INTERVAL_S, check_gate_timing, eval_utilities,
+)
 
 NORTH = "north"
 SOUTH = "south"
@@ -112,14 +114,15 @@ class ScenarioConfig:
             raise DomainError("geometry must be positive")
         if self.t_dispatch_min <= 0 or self.duration_min <= 0:
             raise DomainError("durations must be positive")
-        if not 1.0 < self.t_close_s <= 4.0:
-            raise DomainError(f"close interval {self.t_close_s!r} outside (1, 4] seconds")
-        if not 4.0 <= self.t_open_s < 7.0:
-            raise DomainError(f"open interval {self.t_open_s!r} outside [4, 7) seconds")
+        if not self.illuminance_profile or self.illuminance_profile[0][0] > 0.0:
+            raise DomainError("illuminance profile must start at time 0")
+        check_gate_timing(self.t_close_s, self.t_open_s, self.illuminance_profile[0][1])
         if self.discharge_rate <= 0:
             raise DomainError("discharge rate must be positive")
         if not self.sample_interval_s > 0:
             raise DomainError(f"sample interval {self.sample_interval_s!r} s must be positive")
+        if not self.flow_window_s > 0:
+            raise DomainError(f"flow window {self.flow_window_s!r} s must be positive")
         closed = self.warn_lead_time_s - self.t_close_s + self.train_pass_time_s + self.t_open_s
         if closed <= 0:
             raise DomainError("gate closure interval is empty; check warn lead and close delay")
@@ -128,8 +131,6 @@ class ScenarioConfig:
                 f"gate stays closed {closed:g} s per train, longer than the "
                 f"{self.t_dispatch_min:g} min dispatch interval"
             )
-        if not self.illuminance_profile or self.illuminance_profile[0][0] > 0.0:
-            raise DomainError("illuminance profile must start at time 0")
 
     @property
     def duration_s(self) -> float:
@@ -544,12 +545,6 @@ class Simulator:
             u.u_e, u.u_safety, u.u_pass,
         )
 
-    def flow_slots(self) -> list[str]:
-        return list(self._flow_slots)
-
-    def lux_slots(self) -> list[str]:
-        return list(self._lux_slots)
-
     # -- probe interface -------------------------------------------------------
 
     def now(self) -> float:
@@ -572,6 +567,10 @@ class Simulator:
         row = self.row()
         return {name: row[i] for i, name in self._derived}
 
+    def parameters(self) -> dict[str, float]:
+        """The current value of each parameter ``set_parameter`` accepts."""
+        return dict(t_dispatch=self.t_dispatch_min, t_close=self.t_close_s, t_open=self.t_open_s)
+
     # -- effector interface ------------------------------------------------------
 
     def set_parameter(self, name: str, value: float) -> None:
@@ -590,17 +589,11 @@ class Simulator:
                 self._schedule_train(base + self.t_dispatch_min * 60.0)
             return
         if name == "t_close":
-            if not 1.0 < value <= 4.0:
-                raise DomainError(f"close interval {value!r} outside (1, 4] seconds")
-            if self.illuminance > DARK_LUX_BOUND and value != OPTIMAL_INTERVAL_S:
-                raise DomainError("close interval is pinned at 4 s above 20 lx")
+            check_gate_timing(value, self.t_open_s, self.illuminance)
             self.t_close_s = float(value)
             return
         if name == "t_open":
-            if not 4.0 <= value < 7.0:
-                raise DomainError(f"open interval {value!r} outside [4, 7) seconds")
-            if self.illuminance > DARK_LUX_BOUND and value != OPTIMAL_INTERVAL_S:
-                raise DomainError("open interval is pinned at 4 s above 20 lx")
+            check_gate_timing(self.t_close_s, value, self.illuminance)
             self.t_open_s = float(value)
             return
         raise DomainError(f"unknown parameter {name!r}")

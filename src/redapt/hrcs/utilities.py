@@ -29,21 +29,24 @@ class Utilities:
     u_pass: float
 
 
-def eval_utilities(t_close: float, t_open: float, illuminance: float) -> Utilities:
-    """Satisfaction degrees for one gate timing under one light level."""
+def check_gate_timing(t_close: float, t_open: float, illuminance: float) -> None:
+    """Raise ``DomainError`` unless the gate timing is admissible under the light level."""
     if illuminance > DARK_LUX_BOUND:
         if t_close != OPTIMAL_INTERVAL_S or t_open != OPTIMAL_INTERVAL_S:
             raise DomainError(
                 f"above {DARK_LUX_BOUND:g} lx both intervals must be "
                 f"{OPTIMAL_INTERVAL_S:g} s, got close={t_close!r} open={t_open!r}"
             )
-        u_e = 1.0
-    else:
-        if not 1.0 < t_close <= 4.0:
-            raise DomainError(f"close interval {t_close!r} outside (1, 4] seconds")
-        if not 4.0 <= t_open < 7.0:
-            raise DomainError(f"open interval {t_open!r} outside [4, 7) seconds")
-        u_e = 0.0
+    elif not 1.0 < t_close <= 4.0:
+        raise DomainError(f"close interval {t_close!r} outside (1, 4] seconds")
+    elif not 4.0 <= t_open < 7.0:
+        raise DomainError(f"open interval {t_open!r} outside [4, 7) seconds")
+
+
+def eval_utilities(t_close: float, t_open: float, illuminance: float) -> Utilities:
+    """Satisfaction degrees for one gate timing under one light level."""
+    check_gate_timing(t_close, t_open, illuminance)
+    u_e = 1.0 if illuminance > DARK_LUX_BOUND else 0.0
     u_open = (7.0 - t_open) / 3.0
     u_close = (t_close - 1.0) / 3.0
     sgn = 1.0 if u_e > 0 else 0.0

@@ -187,6 +187,53 @@ class TestRun:
         cycles = (out / "cycles.jsonl").read_text().splitlines()
         assert json.loads(cycles[0])["sim_time"] == 120.0
 
+    def test_engine_config_keeps_the_crossing_settings_it_does_not_name(self, tmp_path, spec_path):
+        engine_cfg = tmp_path / "engine.json"
+        engine_cfg.write_text(json.dumps({"cycle_period_s": 120}))
+        out = tmp_path / "o"
+        assert run_cli("run", "--spec", spec_path,
+                       "--scenario", str(redapt.data_path("nfr_lowlight.json")),
+                       "--engine-config", str(engine_cfg), "--out", str(out)) == 0
+        changes = [
+            [(c["param"], c["value"]) for c in entry["changes"]]
+            for line in (out / "cycles.jsonl").read_text().splitlines()
+            for entry in json.loads(line)["reconfiguration"].values()
+        ]
+        assert changes and all(c == [("t_close", 1.5), ("t_open", 6.5)] for c in changes)
+
+    def test_retiming_is_verified_against_the_goals_own_threshold(self, tmp_path, spec_path):
+        # no gate timing within the search domains reaches 0.9 (the best is
+        # 5/6), so a threshold keyed by the goal's name ends in a plan failure
+        goal = "Keep safety efficiency above the desired level under low illuminance"
+        engine_cfg = tmp_path / "engine.json"
+        engine_cfg.write_text(json.dumps({"desired_utilities": {goal: 0.9}}))
+        assert run_cli("run", "--spec", spec_path,
+                       "--scenario", str(redapt.data_path("nfr_lowlight.json")),
+                       "--engine-config", str(engine_cfg), "--out", str(tmp_path / "o")) == 3
+
+    def test_dispatch_candidate_the_scenario_rejects_is_a_plan_failure(self, tmp_path, spec_path):
+        # stepping down, the interval soon gets shorter than the gate's
+        # closure, which the scenario does not admit; the first re-plan is at
+        # t = 2,520 s
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("experiment2.json").read_text())
+        base["duration_min"] = 45.0
+        scenario.write_text(json.dumps(base))
+        engine_cfg = tmp_path / "engine.json"
+        engine_cfg.write_text(json.dumps({"param_step": {"t_dispatch": -1.0}}))
+        done = run_process("run", "--spec", spec_path, "--scenario", str(scenario),
+                           "--engine-config", str(engine_cfg), "--out", str(tmp_path / "o"))
+        assert done.returncode == 3, done.stderr
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["plan_failures"] >= 1
+
+    def test_bad_seed_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path):
+        done = run_process("run", "--spec", spec_path, "--scenario", scenario_path,
+                           "--out", str(tmp_path / "o"), "--seed", "-1")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: seed -1 ")
+        assert "Traceback" not in done.stderr
+
 
 class TestVerify:
     @pytest.fixture()

@@ -21,6 +21,7 @@ from redapt.engine import (
     plan,
     window_is_noisy,
 )
+from redapt.hrcs.runner import PLANNING_SETTINGS
 from redapt.speclang import Instance, State, Trace, parse_document
 
 NONE = ViolationType.NONE
@@ -125,8 +126,13 @@ def healthy_state(time, **extra):
     return State(time=float(time), values=base, instances={"I_sensor": sensors})
 
 
+def crossing_config(**overrides):
+    """The crossing's planning settings, as ``redapt run`` lays a config over them."""
+    return EngineConfig.from_dict(overrides, PLANNING_SETTINGS)
+
+
 def diagnosed(specs, trace):
-    return diagnose(specs, trace, EngineConfig(), invariant_verdicts(specs, trace))
+    return diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
 
 
 class TestEngineConfig:
@@ -144,6 +150,14 @@ class TestEngineConfig:
         {"max_plan_iterations": 2.5},
         {"max_plan_iterations": True},
         {"noise_window": 5.0},
+        [],
+        {"desired_utilities": []},
+        {"desired_utilities": {"U_safety": "0.7"}},
+        {"param_step": {"t_dispatch": math.nan}},
+        {"param_domains": {"t_dispatch": [1]}},
+        {"param_domains": {"t_dispatch": [30.0, 1.0]}},
+        {"param_domains": {"t_dispatch": [1.0, math.inf]}},
+        {"param_domains": {"t_dispatch": "1-30"}},
     ])
     def test_bad_values_rejected(self, data):
         with pytest.raises(ValueError):
@@ -154,6 +168,20 @@ class TestEngineConfig:
             '{"cycle_period_s": 120, "noise_std_threshold": 2.5, "max_plan_iterations": 8}'
         ))
         assert (cfg.cycle_period_s, cfg.noise_std_threshold, cfg.max_plan_iterations) == (120, 2.5, 8)
+
+    def test_config_keys_replace_crossing_settings_one_by_one(self):
+        cfg = EngineConfig.from_dict({"cycle_period_s": 120}, PLANNING_SETTINGS)
+        assert cfg.cycle_period_s == 120
+        assert cfg.desired_utilities == {"U_safety": 0.7}
+        assert cfg.param_step == PLANNING_SETTINGS["param_step"]
+        assert cfg.param_domains == PLANNING_SETTINGS["param_domains"]
+        cfg = EngineConfig.from_dict({"param_domains": {"t_dispatch": [2, 9]}}, PLANNING_SETTINGS)
+        assert cfg.param_domains == {"t_dispatch": (2.0, 9.0)}
+        assert cfg.param_step == PLANNING_SETTINGS["param_step"]
+
+    def test_generic_defaults_name_no_parameter(self):
+        cfg = EngineConfig()
+        assert (cfg.desired_utilities, cfg.param_step, cfg.param_domains) == ({}, {}, {})
 
 
 class TestDetectNoise:
@@ -245,7 +273,7 @@ class TestPlan:
         verifier = FakeVerifier({(("t_dispatch", 6.0),)})
         out = plan(
             specs, "hold p and n", ViolationType.CONU_FR,
-            {"t_dispatch": 5.0}, ComponentPool({}, {}), verifier, EngineConfig(),
+            {"t_dispatch": 5.0}, ComponentPool({}, {}), verifier, crossing_config(),
         )
         assert out == Parametric((("t_dispatch", 6.0),))
         assert verifier.calls == 2  # current setting first, then one step
@@ -274,7 +302,7 @@ class TestPlan:
 
         out = plan(
             specs, "keep safety utility", ViolationType.CONU_NFR,
-            {"t_close": 4.0, "t_open": 4.0}, ComponentPool({}, {}), verifier, EngineConfig(),
+            {"t_close": 4.0, "t_open": 4.0}, ComponentPool({}, {}), verifier, crossing_config(),
         )
         assert out == Parametric((("t_close", 1.5), ("t_open", 6.5)))
         assert path == [
@@ -292,13 +320,13 @@ class TestPlan:
             plan(
                 specs, "hold p and n", ViolationType.CONU_FR,
                 {"t_dispatch": 5.0}, ComponentPool({}, {}), verifier,
-                EngineConfig(max_plan_iterations=4),
+                crossing_config(max_plan_iterations=4),
             )
         assert verifier.calls <= 4  # boundedness
 
     def test_clamped_at_both_ends_raises_plan_failed(self, specs):
         verifier = FakeVerifier(set())
-        cfg = EngineConfig(param_domains={"t_close": (1.5, 4.0), "t_open": (4.0, 6.5)})
+        cfg = crossing_config(param_domains={"t_close": (1.5, 4.0), "t_open": (4.0, 6.5)})
         with pytest.raises(PlanFailedError):
             plan(
                 specs, "keep safety utility", ViolationType.CONU_NFR,
@@ -352,7 +380,8 @@ class TestExecute:
     def test_out_of_domain_value_rejected(self):
         with pytest.raises(EffectorRejectedError):
             execute(
-                Parametric((("t_close", 0.25),)), FakeSink(), ComponentPool({}, {}), EngineConfig()
+                Parametric((("t_close", 0.25),)), FakeSink(), ComponentPool({}, {}),
+                crossing_config(),
             )
 
     def test_structural_swaps_pool_and_rebinds(self):

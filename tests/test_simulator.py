@@ -7,6 +7,7 @@ import pytest
 
 from redapt.cli import trace_from_csv
 from redapt.hrcs import (
+    FLOW_CLASS,
     NORTH,
     SOUTH,
     Metrics,
@@ -79,6 +80,8 @@ class TestBasics:
             {"sensor_faults": [{"slot": "f_99", "mode": "fail", "at_s": 60.0}]},
             {"sensor_faults": [{"slot": "e_4", "mode": "noise", "at_s": 60.0, "sigma": 1.0}]},
             {"sensor_faults": [{"slot": "f_1", "mode": "noise", "at_s": 60.0, "sigma": math.inf}]},
+            {"t_close_s": 3.5},  # the profile starts above 20 lx, which pins it at 4 s
+            {"flow_window_s": 0},  # the flow gauges would divide by it
         ],
     )
     def test_bad_values_rejected(self, override):
@@ -121,7 +124,7 @@ class TestSensors:
         cfg = quick_cfg()
         sim = Simulator(cfg)
         sim.run_until(300.0)
-        values = [sim.read(slot) for slot in sim.flow_slots()]
+        values = [sim.read(slot) for slot, _ in sim.instances(FLOW_CLASS)]
         assert len(values) == cfg.flow_sensor_count
         assert len(set(values)) == 1
         assert values[0] == pytest.approx(24.0, abs=8.0)
