@@ -226,6 +226,17 @@ def verify_contract(specs: SpecDocument, contract: ProbeEffectorContract) -> lis
     return problems
 
 
+def missing_plan_steps(specs: SpecDocument, cfg: EngineConfig) -> list[str]:
+    """Check that every planned parameter has a step size, without which
+    ``plan`` cannot move it; returns one message per parameter without one."""
+    return [
+        f"plan {entity.name!r} produces {name!r} but the engine config gives it no param_step"
+        for entity in specs.of_kind(EntityKind.PLAN)
+        for name in plan_parameters(entity)
+        if name not in cfg.param_step
+    ]
+
+
 # -- monitoring -----------------------------------------------------------
 
 

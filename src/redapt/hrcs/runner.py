@@ -27,6 +27,7 @@ from ..engine import (
     Reconfiguration,
     Structural,
     ViolationType,
+    missing_plan_steps,
     utility_threshold,
     verify_contract,
 )
@@ -67,13 +68,13 @@ def build_pool(cfg: ScenarioConfig) -> ComponentPool:
     """Active sensors plus per-slot standby spares with distinct serials."""
     active: dict[str, str] = {}
     standby: dict[str, list[str]] = {}
-    slots = [(f"f_{i}", "ir", i) for i in range(1, cfg.flow_sensor_count + 1)]
-    slots += [(f"e_{i}", "lux", i) for i in range(1, cfg.lux_sensor_count + 1)]
-    for slot, prefix, index in slots:
-        active[slot] = f"{prefix}_{index:02d}"
-        count = max(cfg.flow_sensor_count, cfg.lux_sensor_count)
+    names = cfg.sensor_names()
+    count = max(cfg.flow_sensor_count, cfg.lux_sensor_count)
+    for class_name, slot, index in names.slots():
+        active[slot] = names.instance(class_name, index)
         standby[slot] = [
-            f"{prefix}_{index + (k + 1) * count:02d}" for k in range(cfg.standby_per_slot)
+            names.instance(class_name, index + (k + 1) * count)
+            for k in range(cfg.standby_per_slot)
         ]
     return ComponentPool(active=active, standby=standby)
 
@@ -190,7 +191,7 @@ def run_scenario(
     by default with the crossing's planning settings."""
     cfg = engine_cfg if engine_cfg is not None else EngineConfig.from_dict({}, PLANNING_SETTINGS)
     sim = Simulator(scenario)
-    problems = verify_contract(specs, contract_of(sim))
+    problems = verify_contract(specs, contract_of(sim)) + missing_plan_steps(specs, cfg)
     if problems:
         raise ContractViolationError("; ".join(problems))
     engine = AdaptationEngine(specs, cfg, build_pool(scenario))

@@ -20,18 +20,31 @@ records.  At every sample instant a full run records the row.  A model run
 records counts, not rows: its verdict needs only the vehicles' crossing
 times and the occupancy peak, and the simulator keeps the running peak
 ``n_peak`` at the sample instants whether it records rows or not.
+
+The event loop is a heap of ``(time, seq, handler, payload)`` entries, and
+``run_until`` pops one and calls ``handler(self, *payload)``.  Events at the
+same instant run in the order they were pushed, since ``seq`` counts pushes
+and no two entries share one; the handler is therefore never compared.  A
+handler is the class's plain function (``Simulator._on_exit``), not a bound
+method: a bound method would hold the simulator from its own heap, so a
+finished run, rows and vehicles included, would wait for the cyclic garbage
+collector instead of being freed when its last reference goes.  Each
+direction's arrival gaps come from that direction's own generator, drawn in
+blocks of ``_GAP_BLOCK`` and consumed in order; as the stream serves nothing
+else, the gaps are those that one draw per arrival would give.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
+import itertools
 import json
 import math
 import numbers
 from collections import deque, namedtuple
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .utilities import (
     DARK_LUX_BOUND, DomainError, OPTIMAL_INTERVAL_S, check_gate_timing, eval_utilities,
@@ -44,9 +57,50 @@ DIRECTIONS = (NORTH, SOUTH)
 FLOW_CLASS = "I_sensor"
 LUX_CLASS = "I_lux"
 
+_GAP_BLOCK = 256  # arrival gaps drawn at once from a direction's generator
+
+# each sensor class's slot prefix and instance prefix
+_NAME_PREFIXES = {FLOW_CLASS: ("f", "ir"), LUX_CLASS: ("e", "lux")}
+
 
 class UnknownSensorError(KeyError):
     pass
+
+
+@dataclass(frozen=True)
+class SensorNames:
+    """The names of a scenario's sensor slots and of the instances that fill
+    them, spelled here and nowhere else.  Slot ``i`` (from 1) of the flow
+    class is ``f_<i>`` and of the lux class ``e_<i>``; the instance with
+    serial ``k`` is ``ir_<k>`` or ``lux_<k>``, ``k`` in at least two digits."""
+
+    counts: tuple[tuple[str, int], ...]  # (class, number of slots), flows first
+
+    def slots(self) -> Iterator[tuple[str, str, int]]:
+        """``(class, slot, index)`` of every slot, flows first, each class in
+        index order."""
+        for class_name, count in self.counts:
+            prefix = _NAME_PREFIXES[class_name][0]
+            for i in range(1, count + 1):
+                yield class_name, f"{prefix}_{i}", i
+
+    @staticmethod
+    def instance(class_name: str, serial: int) -> str:
+        return f"{_NAME_PREFIXES[class_name][1]}_{serial:02d}"
+
+    def fills(self, slot: object) -> bool:
+        """Whether a sensor fills ``slot``, read from the name itself rather
+        than looked up among every slot's."""
+        if not isinstance(slot, str):
+            return False
+        prefix, _, digits = slot.partition("_")
+        for class_name, count in self.counts:
+            if _NAME_PREFIXES[class_name][0] == prefix:
+                return (
+                    digits.isascii() and digits.isdigit() and not digits.startswith("0")
+                    and len(digits) <= len(str(count)) and int(digits) <= count
+                )
+        return False
 
 
 @dataclass(frozen=True)
@@ -96,13 +150,16 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if not isinstance(value, tuple):
                 _require_finite(f.name, value)
+        for name in ("flow_sensor_count", "lux_sensor_count", "standby_per_slot"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise DomainError(f"{name} {value!r} must be a non-negative integer")
         for t, lux in self.illuminance_profile:
             _require_finite("illuminance profile time", t)
             _require_finite("illuminance", lux)
-        slots = {f"f_{i}" for i in range(1, self.flow_sensor_count + 1)}
-        slots |= {f"e_{i}" for i in range(1, self.lux_sensor_count + 1)}
+        names = self.sensor_names()
         for fault in self.sensor_faults:
-            if fault.slot not in slots:
+            if not names.fills(fault.slot):
                 raise DomainError(f"sensor fault names slot {fault.slot!r}, which no sensor fills")
             _require_finite("fault time", fault.at_s)
             _require_finite("fault sigma", fault.sigma)
@@ -135,6 +192,11 @@ class ScenarioConfig:
     @property
     def duration_s(self) -> float:
         return self.duration_min * 60.0
+
+    def sensor_names(self) -> SensorNames:
+        return SensorNames(
+            ((FLOW_CLASS, self.flow_sensor_count), (LUX_CLASS, self.lux_sensor_count))
+        )
 
     @staticmethod
     def from_dict(data: Mapping) -> "ScenarioConfig":
@@ -246,8 +308,15 @@ class Simulator:
         self.cfg = cfg
         self.record_rows = record_rows
         self.clock = 0.0
-        self._heap: list[tuple[float, int, str, tuple]] = []
-        self._seq = 0
+        self._heap: list[tuple] = []  # (time, seq, handler, payload)
+        self._next_seq = itertools.count(1).__next__
+        # read on every event of their kind, so computed once
+        self._duration_s = cfg.duration_s
+        self._half_travel_s = (cfg.highway_length_m / 2.0) / cfg.free_speed_ms
+        self._service_gap_s = 1.0 / cfg.discharge_rate
+        self._sample_interval_s = cfg.sample_interval_s
+        self._p_threshold_s = cfg.p_time_threshold_s
+        self._flow_window_s = cfg.flow_window_s
 
         import numpy as np  # here, not at the top: `check` and `verify` never build a simulator
 
@@ -257,6 +326,11 @@ class Simulator:
             SOUTH: np.random.Generator(np.random.PCG64(streams[1])),
         }
         self._rng_noise = np.random.Generator(np.random.PCG64(streams[2]))
+        # mean gap of each direction that has arrivals, and its undrawn gaps,
+        # last first
+        rates = {NORTH: cfg.lambda_north / 60.0, SOUTH: cfg.lambda_south / 60.0}
+        self._gap_scale = {d: 1.0 / rate for d, rate in rates.items() if rate > 0}
+        self._gaps: dict[str, list[float]] = {d: [] for d in self._gap_scale}
 
         self.gate_open = True
         self._service_version = {d: 0 for d in DIRECTIONS}
@@ -265,6 +339,7 @@ class Simulator:
         self._next_vehicle = 0
         self.entered = {d: 0 for d in DIRECTIONS}
         self.exited = {d: 0 for d in DIRECTIONS}
+        self._occupancy = 0  # vehicles entered and not exited
         self.completed: list[VehicleRecord] = []
         self._completed_total = {d: 0 for d in DIRECTIONS}
         self._completed_fast = {d: 0 for d in DIRECTIONS}
@@ -288,14 +363,11 @@ class Simulator:
 
         self.illuminance = cfg.illuminance_profile[0][1]
 
-        self.flow_sensors = {
-            f"f_{i}": _SensorState(f"f_{i}", f"ir_{i:02d}")
-            for i in range(1, cfg.flow_sensor_count + 1)
-        }
-        self.lux_sensors = {
-            f"e_{i}": _SensorState(f"e_{i}", f"lux_{i:02d}")
-            for i in range(1, cfg.lux_sensor_count + 1)
-        }
+        names = cfg.sensor_names()
+        sensors: dict[str, dict[str, _SensorState]] = {FLOW_CLASS: {}, LUX_CLASS: {}}
+        for class_name, slot, index in names.slots():
+            sensors[class_name][slot] = _SensorState(slot, names.instance(class_name, index))
+        self.flow_sensors, self.lux_sensors = sensors[FLOW_CLASS], sensors[LUX_CLASS]
         # slots are rebound in place, never added, so their order is fixed
         self._flow_slots = tuple(self.flow_sensors)
         self._lux_slots = tuple(self.lux_sensors)
@@ -305,6 +377,8 @@ class Simulator:
         # the readings of every sensor at the instant ``_gauged_at``
         self._gauged_at: Optional[float] = None
         self._gauged: tuple[Optional[float], ...] = ()
+        # no sensor failed or noisy: every gauge reads the truth, no noise drawn
+        self._all_healthy = True
 
         # the one place the columns are named; ``row()`` fills them in order
         self.columns = (
@@ -322,66 +396,67 @@ class Simulator:
         self._rows: list[tuple] = []
         self.n_peak = 0
 
-        for direction in DIRECTIONS:
+        for direction in self._gap_scale:  # a direction without arrivals schedules none
             self._schedule_arrival(direction, 0.0)
         self._schedule_train(self.t_dispatch_min * 60.0)
         for t, lux in cfg.illuminance_profile[1:]:
-            self._push(t, "profile", (lux,))
+            self._push(t, Simulator._on_profile, (lux,))
         for fault in cfg.sensor_faults:
-            self._push(fault.at_s, "fault", (fault,))
-        self._push(0.0, "sample", ())
+            self._push(fault.at_s, Simulator._on_fault, (fault,))
+        self._push(0.0, Simulator._on_sample, ())
 
     # -- event machinery ---------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: tuple) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+    def _push(self, time: float, handler, payload: tuple) -> None:
+        heapq.heappush(self._heap, (time, self._next_seq(), handler, payload))
 
     def run_until(self, t_end: float) -> None:
-        t_end = min(t_end, self.cfg.duration_s)
-        while self._heap and self._heap[0][0] <= t_end:
-            time, _, kind, payload = heapq.heappop(self._heap)
+        t_end = min(t_end, self._duration_s)
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            time, _, handler, payload = pop(heap)
             self.clock = time
-            getattr(self, f"_on_{kind}")(*payload)
+            handler(self, *payload)
         self.clock = max(self.clock, t_end)
 
     def run_to_end(self) -> None:
-        self.run_until(self.cfg.duration_s)
+        self.run_until(self._duration_s)
 
     # -- handlers ------------------------------------------------------------
+    # ``run_until`` never pops an event past the end of the run, so no
+    # handler runs after it
 
     def _schedule_arrival(self, direction: str, now: float) -> None:
-        rate = {NORTH: self.cfg.lambda_north, SOUTH: self.cfg.lambda_south}[direction] / 60.0
-        if rate <= 0:
-            return
-        gap = float(self._rng_arrivals[direction].exponential(1.0 / rate))
-        self._push(now + gap, "arrival", (direction,))
+        gaps = self._gaps[direction]
+        if not gaps:
+            block = self._rng_arrivals[direction].exponential(
+                self._gap_scale[direction], _GAP_BLOCK
+            ).tolist()
+            block.reverse()
+            gaps.extend(block)
+        self._push(now + gaps.pop(), Simulator._on_arrival, (direction,))
 
     def _on_arrival(self, direction: str) -> None:
-        if self.clock > self.cfg.duration_s:
-            return
+        clock = self.clock
         vehicle = self._next_vehicle
         self._next_vehicle += 1
-        self._vehicles[vehicle] = (direction, self.clock)
+        self._vehicles[vehicle] = (direction, clock)
         self.entered[direction] += 1
-        self._entry_window.append(self.clock)
-        self._push(self.clock + self._half_travel(), "reach_gate", (vehicle,))
-        self._schedule_arrival(direction, self.clock)
+        self._occupancy += 1
+        self._entry_window.append(clock)
+        self._push(clock + self._half_travel_s, Simulator._on_reach_gate, (vehicle, direction))
+        self._schedule_arrival(direction, clock)
 
-    def _half_travel(self) -> float:
-        return (self.cfg.highway_length_m / 2.0) / self.cfg.free_speed_ms
-
-    def _on_reach_gate(self, vehicle: int) -> None:
-        direction, _ = self._vehicles[vehicle]
+    def _on_reach_gate(self, vehicle: int, direction: str) -> None:
         queue = self._queues[direction]
         if self.gate_open and not queue:
-            self._push(self.clock + self._half_travel(), "exit", (vehicle,))
+            self._push(self.clock + self._half_travel_s, Simulator._on_exit, (vehicle,))
             return
         queue.append((vehicle, self.clock))
         if self.gate_open and len(queue) == 1:
             self._push(
-                self.clock + 1.0 / self.cfg.discharge_rate,
-                "service",
+                self.clock + self._service_gap_s,
+                Simulator._on_service,
                 (direction, self._service_version[direction]),
             )
 
@@ -392,16 +467,20 @@ class Simulator:
         if not queue:
             return
         vehicle, _ = queue.popleft()
-        self._push(self.clock + self._half_travel(), "exit", (vehicle,))
+        self._push(self.clock + self._half_travel_s, Simulator._on_exit, (vehicle,))
         if queue:
-            self._push(self.clock + 1.0 / self.cfg.discharge_rate, "service", (direction, version))
+            self._push(
+                self.clock + self._service_gap_s, Simulator._on_service, (direction, version)
+            )
 
     def _on_exit(self, vehicle: int) -> None:
         direction, entry = self._vehicles.pop(vehicle)
+        clock = self.clock
         self.exited[direction] += 1
-        self.completed.append(VehicleRecord(entry, self.clock, direction))
+        self._occupancy -= 1
+        self.completed.append(VehicleRecord(entry, clock, direction))
         self._completed_total[direction] += 1
-        if self.clock - entry < self.cfg.p_time_threshold_s:
+        if clock - entry < self._p_threshold_s:
             self._completed_fast[direction] += 1
 
     def _schedule_train(self, arrival: float) -> None:
@@ -410,7 +489,7 @@ class Simulator:
         self._pending_detected = False
         self._push(
             max(self.clock, arrival - self.cfg.warn_lead_time_s),
-            "train_detect",
+            Simulator._on_train_detect,
             (self._train_version, arrival),
         )
 
@@ -420,9 +499,11 @@ class Simulator:
         # gate timings are captured at detection for the whole cycle; the
         # physical close/pass/open chain runs regardless of rescheduling
         self._pending_detected = True
-        self._push(self.clock + self.t_close_s, "gate_close", ())
-        self._push(arrival, "train_arrive", (version, arrival))
-        self._push(arrival + self.cfg.train_pass_time_s, "train_clear", (self.t_open_s,))
+        self._push(self.clock + self.t_close_s, Simulator._on_gate_close, ())
+        self._push(arrival, Simulator._on_train_arrive, (version, arrival))
+        self._push(
+            arrival + self.cfg.train_pass_time_s, Simulator._on_train_clear, (self.t_open_s,)
+        )
 
     def _on_train_arrive(self, version: int, arrival: float) -> None:
         self._last_train_arrival = arrival
@@ -431,7 +512,7 @@ class Simulator:
         self._schedule_train(arrival + self.t_dispatch_min * 60.0)
 
     def _on_train_clear(self, t_open: float) -> None:
-        self._push(self.clock + t_open, "gate_open", ())
+        self._push(self.clock + t_open, Simulator._on_gate_open, ())
 
     def _on_gate_close(self) -> None:
         self.gate_open = False
@@ -444,8 +525,8 @@ class Simulator:
             self._service_version[d] += 1
             if self._queues[d]:
                 self._push(
-                    self.clock + 1.0 / self.cfg.discharge_rate,
-                    "service",
+                    self.clock + self._service_gap_s,
+                    Simulator._on_service,
                     (d, self._service_version[d]),
                 )
 
@@ -462,19 +543,18 @@ class Simulator:
             sensor.failed = True
         else:
             sensor.noise_sigma = fault.sigma
+        self._all_healthy = False
         self._gauged_at = None
 
-    def _on_sample(self, *_: object) -> None:
-        if self.clock > self.cfg.duration_s:
-            return
-        n = self.occupancy()
+    def _on_sample(self) -> None:
+        n = self._occupancy
         if n > self.n_peak:
             self.n_peak = n
         if self.record_rows:
             self._rows.append(self.row())
-        nxt = self.clock + self.cfg.sample_interval_s
-        if nxt <= self.cfg.duration_s:
-            self._push(nxt, "sample", ())
+        nxt = self.clock + self._sample_interval_s
+        if nxt <= self._duration_s:
+            self._push(nxt, Simulator._on_sample, ())
 
     # -- derived state -------------------------------------------------------
 
@@ -486,13 +566,14 @@ class Simulator:
         raise UnknownSensorError(slot)
 
     def occupancy(self) -> int:
-        return sum(self.entered.values()) - sum(self.exited.values())
+        return self._occupancy
 
     def flow_per_min(self) -> float:
-        horizon = self.clock - self.cfg.flow_window_s
-        while self._entry_window and self._entry_window[0] < horizon:
-            self._entry_window.popleft()
-        return len(self._entry_window) * 60.0 / self.cfg.flow_window_s
+        horizon = self.clock - self._flow_window_s
+        window = self._entry_window
+        while window and window[0] < horizon:
+            window.popleft()
+        return len(window) * 60.0 / self._flow_window_s
 
     def percentage_fast(self, direction: str) -> float:
         done = self._completed_total[direction]
@@ -516,11 +597,15 @@ class Simulator:
         is the order of the noise draws.  A fault or a replacement changes
         what a sensor reads, so either gauges the instant afresh."""
         if self._gauged_at != self.clock:
-            flow, lux, gauge = self.flow_per_min(), self.illuminance, self._gauge
-            self._gauged = tuple(
-                [gauge(sensor, flow) for sensor in self.flow_sensors.values()]
-                + [gauge(sensor, lux) for sensor in self.lux_sensors.values()]
-            )
+            flow, lux = self.flow_per_min(), self.illuminance
+            if self._all_healthy:
+                self._gauged = (flow,) * len(self._flow_slots) + (lux,) * len(self._lux_slots)
+            else:
+                gauge = self._gauge
+                self._gauged = tuple(
+                    [gauge(sensor, flow) for sensor in self.flow_sensors.values()]
+                    + [gauge(sensor, lux) for sensor in self.lux_sensors.values()]
+                )
             self._gauged_at = self.clock
         return self._gauged
 
@@ -538,7 +623,7 @@ class Simulator:
         p_north = self.percentage_fast(NORTH)
         p_south = self.percentage_fast(SOUTH)
         return self._row_type(
-            self.clock, self.illuminance, self.occupancy(),
+            self.clock, self.illuminance, self._occupancy,
             "open" if self.gate_open else "closed", self.flow_per_min(), *self._gauges(),
             p_north, p_south, min(p_north, p_south),
             self.t_dispatch_min, self.t_close_s, self.t_open_s,
@@ -603,6 +688,10 @@ class Simulator:
         sensor.instance_id = instance_id
         sensor.failed = False
         sensor.noise_sigma = 0.0
+        self._all_healthy = not any(
+            s.failed or s.noise_sigma > 0
+            for s in (*self.flow_sensors.values(), *self.lux_sensors.values())
+        )
         self._gauged_at = None
 
     # -- trace export ------------------------------------------------------------
@@ -671,11 +760,12 @@ def vehicles_to_json(trace: SimTrace) -> str:
     def nine(value: float) -> str:
         return repr(float(f"{value:.9g}"))  # json writes a float as its repr
 
+    quoted = {d: json.dumps(d) for d in {v.direction for v in trace.vehicles}}
     records = [
         '    {\n'
         f'      "entry_time": {nine(v.entry_time)},\n'
         f'      "exit_time": {"null" if v.exit_time is None else nine(v.exit_time)},\n'
-        f'      "direction": {json.dumps(v.direction)}\n'
+        f'      "direction": {quoted[v.direction]}\n'
         '    }'
         for v in sorted(trace.vehicles, key=lambda v: (v.entry_time, v.direction))
     ]

@@ -220,12 +220,47 @@ class TestRun:
         base["duration_min"] = 45.0
         scenario.write_text(json.dumps(base))
         engine_cfg = tmp_path / "engine.json"
-        engine_cfg.write_text(json.dumps({"param_step": {"t_dispatch": -1.0}}))
+        # the step mapping replaces the crossing's whole, so it names all three
+        steps = {"t_dispatch": -1.0, "t_close": -0.5, "t_open": 0.5}
+        engine_cfg.write_text(json.dumps({"param_step": steps}))
         done = run_process("run", "--spec", spec_path, "--scenario", str(scenario),
                            "--engine-config", str(engine_cfg), "--out", str(tmp_path / "o"))
         assert done.returncode == 3, done.stderr
         assert "Traceback" not in done.stderr
         assert json.loads(done.stdout)["plan_failures"] >= 1
+
+    def test_plan_parameter_without_a_step_exits_one_before_the_run(self, tmp_path, spec_path):
+        # the mapping replaces the crossing's whole, so t_close and t_open
+        # are left without a step, which the planner would meet only in the
+        # first dark cycle
+        engine_cfg = tmp_path / "engine.json"
+        engine_cfg.write_text(json.dumps({"param_step": {"t_dispatch": 2}}))
+        done = run_process("run", "--spec", spec_path,
+                           "--scenario", str(redapt.data_path("nfr_lowlight.json")),
+                           "--engine-config", str(engine_cfg), "--out", str(tmp_path / "o"))
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "'t_close'" in done.stderr and "'t_open'" in done.stderr
+        assert "'t_dispatch'" not in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+        assert not (tmp_path / "o" / "cycles.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"standby_per_slot": 1.5}, {"flow_sensor_count": 2.5}, {"lux_sensor_count": -3}],
+    )
+    def test_fractional_or_negative_sensor_count_exits_one(self, tmp_path, spec_path, override,
+                                                           capsys):
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("sensor_failure.json").read_text())
+        scenario.write_text(json.dumps({**base, **override}))
+        assert run_cli("run", "--spec", spec_path, "--scenario", str(scenario),
+                       "--out", str(tmp_path / "o")) == 1
+        (name,) = override
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} ") and "must be a non-negative integer" in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_seed_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path):
         done = run_process("run", "--spec", spec_path, "--scenario", scenario_path,

@@ -6,9 +6,9 @@ Four inputs are mutated: the bundled spec (one-character edits, through
 (through ``verify``), the engine configuration (through ``from_dict`` laid
 over the crossing's settings) and a scenario (through
 ``ScenarioConfig.from_dict``; an accepted one must build a simulator that
-describes t = 0).  The generated numbers stay small: ``validate()`` admits
-any finite arrival rate and sensor count, and the simulator allocates in
-proportion to them.
+describes t = 0 and a component pool that matches its sensors).  The
+generated numbers stay small: ``validate()`` admits any finite arrival rate
+and sensor count, and the simulator allocates in proportion to them.
 """
 
 import json
@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 import redapt
 from redapt import cli
 from redapt.engine import EngineConfig
-from redapt.hrcs import ScenarioConfig, Simulator, run_scenario, trace_to_csv
-from redapt.hrcs.runner import PLANNING_SETTINGS
+from redapt.hrcs import (
+    FLOW_CLASS, LUX_CLASS, ScenarioConfig, Simulator, run_scenario, trace_to_csv,
+)
+from redapt.hrcs.runner import PLANNING_SETTINGS, build_pool
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_DIAGNOSTICS, cli.EXIT_IO, cli.EXIT_PLAN_FAILED}
 DOCUMENTED = (ValueError, TypeError, KeyError)
@@ -137,5 +139,7 @@ def test_accepted_scenario_describes_its_first_instant(edits):
         scenario = ScenarioConfig.from_dict({**SCENARIO, **edits})
     except DOCUMENTED:
         return
-    row = Simulator(scenario).row()
-    assert row.time == 0.0
+    sim = Simulator(scenario)
+    assert sim.row().time == 0.0
+    bound = {slot: instance for c in (FLOW_CLASS, LUX_CLASS) for slot, instance in sim.instances(c)}
+    assert build_pool(scenario).active == bound

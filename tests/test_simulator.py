@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ import pytest
 from redapt.cli import trace_from_csv
 from redapt.hrcs import (
     FLOW_CLASS,
+    LUX_CLASS,
     NORTH,
     SOUTH,
     Metrics,
@@ -82,6 +85,12 @@ class TestBasics:
             {"sensor_faults": [{"slot": "f_1", "mode": "noise", "at_s": 60.0, "sigma": math.inf}]},
             {"t_close_s": 3.5},  # the profile starts above 20 lx, which pins it at 4 s
             {"flow_window_s": 0},  # the flow gauges would divide by it
+            {"standby_per_slot": 1.5},  # the component pool counts spares with it
+            {"flow_sensor_count": 2.5},
+            {"lux_sensor_count": -3},
+            {"sensor_faults": [{"slot": "f_01", "mode": "fail", "at_s": 60.0}]},
+            {"sensor_faults": [{"slot": "f_0", "mode": "fail", "at_s": 60.0}]},
+            {"sensor_faults": [{"slot": 1, "mode": "fail", "at_s": 60.0}]},
         ],
     )
     def test_bad_values_rejected(self, override):
@@ -96,6 +105,95 @@ class TestBasics:
             ScenarioConfig.from_dict(
                 {"lambda_north": 10.0, "lambda_south": 10.0, "sample_interval_s": interval}
             )
+
+
+class TestSensorNames:
+    def test_a_slot_is_filled_exactly_when_it_is_listed(self):
+        names = quick_cfg(flow_sensor_count=12, lux_sensor_count=0).sensor_names()
+        listed = {slot for _, slot, _ in names.slots()}
+        assert len(listed) == 12 and "f_12" in listed and "f_9" in listed
+        candidates = {f"{p}_{i}" for p in "fex" for i in range(-2, 130)}
+        candidates |= {"f_01", "f_", "f", "_1", "f_1_", "F_1", "f_ 1", "f_\u0661", "f_1e1"}
+        assert {slot for slot in candidates if names.fills(slot)} == listed
+
+    def test_instances_have_two_digits_at_least(self):
+        names = quick_cfg().sensor_names()
+        assert names.instance(FLOW_CLASS, 4) == "ir_04"
+        assert names.instance(LUX_CLASS, 123) == "lux_123"
+
+
+class TestEventLoop:
+    def test_arrival_gaps_are_one_scalar_draw_per_arrival(self):
+        import numpy as np
+
+        cfg = quick_cfg(lambda_north=12.0, lambda_south=20.0, duration_min=60.0)
+        trace = simulate(cfg, record_rows=False)
+        streams = np.random.SeedSequence(cfg.seed).spawn(3)
+        for stream, direction, rate in ((0, NORTH, 12.0), (1, SOUTH, 20.0)):
+            rng = np.random.Generator(np.random.PCG64(streams[stream]))
+            expected, t = [], 0.0
+            while True:
+                t += float(rng.exponential(1.0 / (rate / 60.0)))  # the mean gap in s
+                if t > cfg.duration_s:
+                    break
+                expected.append(t)
+            entries = sorted(v.entry_time for v in trace.vehicles if v.direction == direction)
+            assert len(entries) > 600  # more than two blocks of gaps
+            assert entries == expected
+
+    def test_a_direction_without_arrivals_schedules_none(self):
+        trace = simulate(quick_cfg(lambda_north=0.0, duration_min=10.0), record_rows=False)
+        assert trace.vehicles and all(v.direction == SOUTH for v in trace.vehicles)
+
+    def test_finished_simulator_is_freed_without_the_collector(self):
+        cfg = quick_cfg(
+            duration_min=10.0,
+            illuminance_profile=((0.0, 100.0), (200.0, 10.0)),
+            sensor_faults=(SensorFault("f_2", "noise", 100.0, sigma=2.0),),
+        )
+        gc.disable()
+        try:
+            sim = Simulator(cfg)
+            sim.run_to_end()
+            freed = weakref.ref(sim)
+            trace = sim.trace()
+            del sim
+            assert freed() is None
+            assert trace.rows
+        finally:
+            gc.enable()
+
+    def test_occupancy_is_entered_less_exited_across_a_closure(self):
+        sim = Simulator(quick_cfg(lambda_north=20.0, lambda_south=20.0, duration_min=8.0))
+        closed = False
+        for t in range(1, 481):
+            sim.run_until(float(t))
+            closed |= not sim.gate_open
+            assert sim.occupancy() == sum(sim.entered.values()) - sum(sim.exited.values())
+        assert closed and sum(sim.exited.values()) > 0
+
+    def test_healed_sensors_are_gauged_as_one_by_one(self):
+        cfg = quick_cfg(sensor_faults=(
+            SensorFault("f_2", "fail", 100.0), SensorFault("e_1", "fail", 100.0),
+        ))
+        sim = Simulator(cfg)
+
+        def one_by_one():
+            flow = sim.flow_per_min()
+            return tuple(
+                [sim._gauge(s, flow) for s in sim.flow_sensors.values()]
+                + [sim._gauge(s, sim.illuminance) for s in sim.lux_sensors.values()]
+            )
+
+        sim.run_until(50.0)
+        assert sim._gauges() == one_by_one() and None not in sim._gauges()
+        sim.run_until(200.0)
+        assert sim._gauges() == one_by_one() and sim._gauges().count(None) == 2
+        sim.bind_instance("f_2", "ir_12")
+        assert sim._gauges() == one_by_one() and sim._gauges().count(None) == 1
+        sim.bind_instance("e_1", "lux_11")
+        assert sim._gauges() == one_by_one() and None not in sim._gauges()
+        assert sim._all_healthy  # every sensor healed: gauged without a per-sensor pass
 
 
 class TestFluidStability:
