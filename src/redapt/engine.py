@@ -117,8 +117,13 @@ class ProbeEffectorContract:
     effectors: frozenset[str]  # parameter names and component slots
 
 
-def _is_finite(value: object) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+def is_finite(value: object) -> bool:
+    """Whether ``value`` is a finite number, not a bool.  An integer too large
+    for a float is not: ``math.isfinite`` raises ``OverflowError`` on it."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -141,21 +146,21 @@ class EngineConfig:
             if not isinstance(value, Mapping):
                 raise ValueError(f"{name} must be a mapping, not {value!r}")
         for name, threshold in self.desired_utilities.items():
-            if not _is_finite(threshold) or not 0.0 <= threshold <= 1.0:
+            if not is_finite(threshold) or not 0.0 <= threshold <= 1.0:
                 raise ValueError(f"utility threshold for {name!r} must be in [0, 1]")
         for name, step in self.param_step.items():
-            if not _is_finite(step):
+            if not is_finite(step):
                 raise ValueError(f"step for {name!r} must be a finite number, not {step!r}")
         domains = {}
         for name, domain in self.param_domains.items():
             pair = tuple(domain) if isinstance(domain, (tuple, list)) else ()
-            if len(pair) != 2 or not all(map(_is_finite, pair)) or pair[0] > pair[1]:
+            if len(pair) != 2 or not all(map(is_finite, pair)) or pair[0] > pair[1]:
                 raise ValueError(f"domain for {name!r} must be finite [low, high], low <= high")
             domains[name] = (float(pair[0]), float(pair[1]))
         object.__setattr__(self, "param_domains", domains)
         for name in ("noise_std_threshold", "cycle_period_s"):
             value = getattr(self, name)
-            if not _is_finite(value):
+            if not is_finite(value):
                 raise ValueError(f"{name} must be a finite number, not {value!r}")
         for name in ("max_plan_iterations", "noise_window"):
             value = getattr(self, name)
@@ -342,19 +347,22 @@ def diagnose(
     trace: Trace,
     cfg: EngineConfig,
     verdicts: Mapping[str, Verdict],
-) -> dict[str, ViolationType]:
-    """Classify each affected goal's state into the violation taxonomy.
+) -> dict[str, tuple[ViolationType, list[str]]]:
+    """Classify each affected goal's state into the violation taxonomy, with
+    the slots that fail it.
 
     The case split follows the affecting uncertainty's category and
     requirement kind; the first source reporting a violation wins, and an
     inconclusive invariant verdict counts as no violation.  ``verdicts`` are
     the invariant verdicts at the last state, as ``invariant_verdicts``
     gives them.  Components uncertainty is read from the kept states'
-    sensor instances (``faulty_slots``).
+    sensor instances (``faulty_slots``); the failing slots are those of the
+    components source that fired, in the target's order, and empty for any
+    other violation.
     """
-    result: dict[str, ViolationType] = {}
+    result: dict[str, tuple[ViolationType, list[str]]] = {}
     for entity, sources in affected_entities(specs):
-        verdict = ViolationType.NONE
+        verdict, failing = ViolationType.NONE, []
         for source in sources:
             context = source.kind is EntityKind.CONTEXT_UNCERTAINTY
             functional = source.affected_violation_kind == "FR"
@@ -368,11 +376,11 @@ def diagnose(
                     value = trace.states[-1].values.get(attr)
                     if value is not None and float(value) < threshold:
                         verdict = ViolationType.CONU_NFR
-            elif faulty_slots(source, trace, cfg):
+            elif failing := faulty_slots(source, trace, cfg):
                 verdict = ViolationType.COMU_FR if functional else ViolationType.COMU_NFR
             if verdict is not ViolationType.NONE:
                 break
-        result[entity.name] = verdict
+        result[entity.name] = (verdict, failing)
     return result
 
 
@@ -614,23 +622,12 @@ class AdaptationEngine:
             report.errors.append(f"diagnosis failed: {exc}")
             self.cycle_index += 1
             return report
-        report.violation = {goal: vt.value for goal, vt in violations.items()}
+        report.violation = {goal: vt.value for goal, (vt, _) in violations.items()}
 
-        for entity, sources in affected_entities(self.specs):
-            goal = entity.name
-            vt = violations[goal]
+        for goal, (vt, failing) in violations.items():
             if vt is ViolationType.NONE:
                 report.post_verdicts[goal] = ViolationType.NONE.value
                 continue
-            failing: list[str] = []
-            if vt in (ViolationType.COMU_FR, ViolationType.COMU_NFR):
-                # the source that fired: no source before it reported a violation
-                failing = next(
-                    slots
-                    for source in sources
-                    if source.kind is EntityKind.COMPONENTS_UNCERTAINTY
-                    and (slots := faulty_slots(source, self.trace, self.cfg))
-                )
             calls = 0
             base_verifier = verifier_for(goal, vt)
 

@@ -85,7 +85,11 @@ class RunResult:
     trace: SimTrace
     metrics: Metrics
     final_parameters: dict[str, float]
-    plan_failed: bool
+    plan_failures: int  # cycle errors that record a failed plan
+
+    @property
+    def plan_failed(self) -> bool:
+        return self.plan_failures > 0
 
     def adaptation_counts(self) -> dict[str, int]:
         parametric = structural = 0
@@ -104,9 +108,7 @@ class RunResult:
     def metrics_json(self) -> str:
         doc = dict(self.metrics.to_json_dict())
         doc.update(self.adaptation_counts())
-        doc["plan_failures"] = sum(
-            1 for r in self.reports for e in r.errors if "plan failed" in e
-        )
+        doc["plan_failures"] = self.plan_failures
         doc["final_parameters"] = self.final_parameters
         return json.dumps(doc, indent=2) + "\n"
 
@@ -137,8 +139,8 @@ class _Verifiers:
         """Model-based verification: re-run the fault-free scenario under the
         candidate and check p and the occupancy peak against their limits.
 
-        The model run records counts, not rows: its verdict needs only the
-        vehicles' crossing times and the simulator's running ``n_peak``.  The
+        The model run keeps counts only, no rows and no vehicle records: its
+        verdict reads the simulator's fast and exit counts and ``n_peak``.  The
         model is a pure function of the candidate, so verdicts are cached.
         """
         if not isinstance(candidate, Parametric):
@@ -211,7 +213,7 @@ def run_scenario(
         trace=trace,
         metrics=compute_metrics(trace, scenario),
         final_parameters=sim.parameters(),
-        plan_failed=any("plan failed" in e for r in reports for e in r.errors),
+        plan_failures=sum(1 for r in reports for e in r.errors if "plan failed" in e),
     )
 
 

@@ -16,10 +16,14 @@ One instant is described by one row: the value of every column in
 ``Simulator.columns``, as ``Simulator.row()`` gives it.  ``snapshot()`` is
 the row's derived columns and ``read()`` its sensor columns, and a sensor is
 gauged at most once per instant, so the engine sees what ``trace.csv``
-records.  At every sample instant a full run records the row.  A model run
-records counts, not rows: its verdict needs only the vehicles' crossing
-times and the occupancy peak, and the simulator keeps the running peak
-``n_peak`` at the sample instants whether it records rows or not.
+records.  At every sample instant a full run records the row.
+
+As it goes, a run counts by direction the vehicles that ``entered``, those
+that ``exited`` and those that exited ``fast`` (in under
+``p_time_threshold_s``), and keeps the occupancy peak ``n_peak`` over the
+sample instants.  The rows' ``p`` columns and ``compute_metrics`` read these
+counts.  A full run also keeps one record per vehicle for ``vehicles.json``;
+a model run (``record_rows=False``) keeps the counts only.
 
 The event loop is a heap of ``(time, seq, handler, payload)`` entries, and
 ``run_until`` pops one and calls ``handler(self, *payload)``.  Events at the
@@ -40,12 +44,12 @@ import heapq
 import io
 import itertools
 import json
-import math
 import numbers
 from collections import deque, namedtuple
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Optional
 
+from ..engine import is_finite
 from .utilities import (
     DARK_LUX_BOUND, DomainError, OPTIMAL_INTERVAL_S, check_gate_timing, eval_utilities,
 )
@@ -116,7 +120,7 @@ class SensorFault:
 
 
 def _require_finite(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not is_finite(value):
         raise DomainError(f"{name} must be a finite number, not {value!r}")
 
 
@@ -233,15 +237,13 @@ class VehicleRecord:
 @dataclass(frozen=True)
 class SimTrace:
     rows: tuple[tuple, ...]  # one per sample instant, in ``columns`` order
-    vehicles: tuple[VehicleRecord, ...]
+    vehicles: tuple[VehicleRecord, ...]  # empty for a model run
     columns: tuple[str, ...]
-    # the simulator's running peak, set even when no rows were recorded
-    n_peak: Optional[int] = None
-
-    def occupancy_peak(self) -> int:
-        if self.n_peak is not None:
-            return self.n_peak
-        return max((row.n for row in self.rows), default=0)
+    # what the simulator counted, kept whether rows were recorded or not
+    n_peak: int
+    entered: Mapping[str, int]  # by direction
+    exited: Mapping[str, int]
+    fast: Mapping[str, int]  # exited in under ``p_time_threshold_s``
 
 
 @dataclass(frozen=True)
@@ -262,29 +264,23 @@ class Metrics:
         }
 
 
+def fast_share(fast: int, exited: int) -> float:
+    """The share of exited vehicles that crossed fast; 1.0 when none has
+    exited: nothing finished, nothing late."""
+    return fast / exited if exited else 1.0
+
+
 def compute_metrics(trace: SimTrace, cfg: ScenarioConfig) -> Metrics:
-    """Per-direction crossing-time percentages, occupancy peak and mean flow."""
-    p: dict[str, float] = {}
-    for direction in DIRECTIONS:
-        completed = [
-            v for v in trace.vehicles if v.direction == direction and v.exit_time is not None
-        ]
-        if not completed:
-            p[direction] = 1.0  # nothing finished, nothing late
-            continue
-        fast = sum(
-            1 for v in completed if v.exit_time - v.entry_time < cfg.p_time_threshold_s
-        )
-        p[direction] = fast / len(completed)
-    entered = {
-        d: sum(1 for v in trace.vehicles if v.direction == d) for d in DIRECTIONS
-    }
+    """Per-direction crossing-time percentages, occupancy peak and mean flow,
+    from the counts the simulator kept.  The shares are counted at the
+    ``p_time_threshold_s`` of the scenario that was simulated; ``cfg`` gives
+    only the duration the flows are averaged over."""
     return Metrics(
-        p_north=p[NORTH],
-        p_south=p[SOUTH],
-        n_peak=trace.occupancy_peak(),
-        mean_f_north=entered[NORTH] / cfg.duration_min,
-        mean_f_south=entered[SOUTH] / cfg.duration_min,
+        p_north=fast_share(trace.fast[NORTH], trace.exited[NORTH]),
+        p_south=fast_share(trace.fast[SOUTH], trace.exited[SOUTH]),
+        n_peak=trace.n_peak,
+        mean_f_north=trace.entered[NORTH] / cfg.duration_min,
+        mean_f_south=trace.entered[SOUTH] / cfg.duration_min,
     )
 
 
@@ -300,7 +296,8 @@ class Simulator:
     """One crossing, advanced by an event heap up to a requested time.
 
     ``record_rows=False`` is for model runs: sample instants then update
-    ``n_peak`` only, so no sensor is read and no row is built.
+    ``n_peak`` only, so no sensor is read and no row is built, and no
+    vehicle record is kept.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -334,15 +331,15 @@ class Simulator:
 
         self.gate_open = True
         self._service_version = {d: 0 for d in DIRECTIONS}
-        self._queues: dict[str, deque[tuple[int, float]]] = {d: deque() for d in DIRECTIONS}
+        self._queues: dict[str, deque[int]] = {d: deque() for d in DIRECTIONS}
+        # direction and entry time of each vehicle on the highway, by id
         self._vehicles: dict[int, tuple[str, float]] = {}
         self._next_vehicle = 0
         self.entered = {d: 0 for d in DIRECTIONS}
         self.exited = {d: 0 for d in DIRECTIONS}
+        self.fast = {d: 0 for d in DIRECTIONS}
         self._occupancy = 0  # vehicles entered and not exited
-        self.completed: list[VehicleRecord] = []
-        self._completed_total = {d: 0 for d in DIRECTIONS}
-        self._completed_fast = {d: 0 for d in DIRECTIONS}
+        self.completed: list[VehicleRecord] = []  # kept only when recording
         # flow sensors average over a trailing window; seed it at the steady
         # arrival rate so gauges start saturated instead of ramping up
         self._entry_window: deque[float] = deque()
@@ -452,7 +449,7 @@ class Simulator:
         if self.gate_open and not queue:
             self._push(self.clock + self._half_travel_s, Simulator._on_exit, (vehicle,))
             return
-        queue.append((vehicle, self.clock))
+        queue.append(vehicle)
         if self.gate_open and len(queue) == 1:
             self._push(
                 self.clock + self._service_gap_s,
@@ -466,7 +463,7 @@ class Simulator:
         queue = self._queues[direction]
         if not queue:
             return
-        vehicle, _ = queue.popleft()
+        vehicle = queue.popleft()
         self._push(self.clock + self._half_travel_s, Simulator._on_exit, (vehicle,))
         if queue:
             self._push(
@@ -478,10 +475,10 @@ class Simulator:
         clock = self.clock
         self.exited[direction] += 1
         self._occupancy -= 1
-        self.completed.append(VehicleRecord(entry, clock, direction))
-        self._completed_total[direction] += 1
         if clock - entry < self._p_threshold_s:
-            self._completed_fast[direction] += 1
+            self.fast[direction] += 1
+        if self.record_rows:
+            self.completed.append(VehicleRecord(entry, clock, direction))
 
     def _schedule_train(self, arrival: float) -> None:
         arrival = max(arrival, self.clock)
@@ -576,10 +573,7 @@ class Simulator:
         return len(window) * 60.0 / self._flow_window_s
 
     def percentage_fast(self, direction: str) -> float:
-        done = self._completed_total[direction]
-        if done == 0:
-            return 1.0
-        return self._completed_fast[direction] / done
+        return fast_share(self.fast[direction], self.exited[direction])
 
     def utilities(self):
         # recomputed only when an input changes; a rejected timing raises on
@@ -697,23 +691,25 @@ class Simulator:
     # -- trace export ------------------------------------------------------------
 
     def trace(self) -> SimTrace:
-        pending = tuple(
-            VehicleRecord(entry, None, direction)
-            for direction, entry in self._vehicles.values()
+        pending = (
+            VehicleRecord(entry, None, direction) for direction, entry in self._vehicles.values()
         )
         return SimTrace(
             rows=tuple(self._rows),
-            vehicles=tuple(self.completed) + pending,
+            vehicles=(*self.completed, *pending) if self.record_rows else (),
             columns=self.columns,
             n_peak=self.n_peak,
+            entered=dict(self.entered),
+            exited=dict(self.exited),
+            fast=dict(self.fast),
         )
 
 
 def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
     """Run one scenario start to finish without an adaptation engine.
 
-    ``record_rows=False`` (for model runs) returns a trace without rows
-    whose vehicles and ``n_peak`` are those of the full run."""
+    ``record_rows=False`` (for model runs) returns a trace without rows or
+    vehicles whose counts are those of the full run."""
     sim = Simulator(cfg, record_rows=record_rows)
     sim.run_to_end()
     return sim.trace()

@@ -85,3 +85,21 @@ def test_tracer_sees_one_read_and_one_evaluation_per_invariant(tmp_path, spec_pa
     assert names.count("cli.evaluate") == len(invariants) == 3
     [(_, start, end, _)] = [span for span in tracer.spans if span[0] == "cli.trace_from_csv"]
     assert end > start
+
+
+def test_a_default_simulation_keeps_the_vehicles_model_vehicles_reads():
+    # `benchmarks/run.py` scores experiment 2's model runs from `simulate(cfg).vehicles`
+    scenario = json.loads(redapt.data_path("experiment2.json").read_text())
+    cfg = simulator.ScenarioConfig.from_dict({**scenario, "duration_min": 10.0})
+    vehicles = simulator.simulate(cfg).vehicles
+    assert vehicles
+    assert all(v.direction in simulator.DIRECTIONS and v.entry_time >= 0.0 for v in vehicles)
+    assert any(v.exit_time is not None and v.exit_time > v.entry_time for v in vehicles)
+
+
+def test_a_live_run_keeps_a_record_of_every_vehicle_that_entered():
+    # the tracer's `sim.vehicles` is `len(result.trace.vehicles)`
+    scenario = json.loads(redapt.data_path("sensor_failure.json").read_text())
+    cfg = simulator.ScenarioConfig.from_dict({**scenario, "duration_min": 10.0})
+    result = runner.run_scenario(redapt.load_bundled_spec(), cfg)
+    assert len(result.trace.vehicles) == sum(result.trace.entered.values()) > 0

@@ -25,6 +25,7 @@ def run_process(*argv):
 
 
 NOT_UTF8 = b"\xff\xfe"
+HUGE = 10**400  # an integer too large for a float
 
 
 @pytest.fixture()
@@ -268,6 +269,38 @@ class TestRun:
         assert done.returncode == 1
         assert done.stderr.startswith("error: seed -1 ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "where, doc",
+        [
+            ("scenario", {"seed": HUGE}),
+            ("scenario", {"duration_min": HUGE}),
+            ("seed", None),
+            ("engine", {"cycle_period_s": HUGE}),
+            ("engine", {"param_step": {"t_dispatch": HUGE}}),
+        ],
+    )
+    def test_integer_too_large_for_a_float_exits_one_without_traceback(
+        self, tmp_path, spec_path, where, doc
+    ):
+        # math.isfinite raises OverflowError on such an integer
+        scenario = json.loads(redapt.data_path("experiment1.json").read_text())
+        argv = ["--out", str(tmp_path / "o")]
+        if where == "scenario":
+            scenario.update(doc)
+        elif where == "seed":
+            argv += ["--seed", str(HUGE)]
+        else:
+            engine_cfg = tmp_path / "engine.json"
+            engine_cfg.write_text(json.dumps(doc))
+            argv += ["--engine-config", str(engine_cfg)]
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(scenario))
+        done = run_process("run", "--spec", spec_path, "--scenario", str(scenario_file), *argv)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerify:

@@ -132,7 +132,9 @@ def crossing_config(**overrides):
 
 
 def diagnosed(specs, trace):
-    return diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
+    """Each goal's violation, without its failing slots."""
+    out = diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
+    return {goal: violation for goal, (violation, _) in out.items()}
 
 
 class TestEngineConfig:
@@ -243,6 +245,20 @@ class TestDiagnose:
         trace = trace_of(healthy_state(60))
         out = diagnosed(specs, trace)
         assert out["hold p and n"] is NONE
+
+    def test_failing_slots_come_from_the_source_that_fired(self, specs):
+        rows = [
+            healthy_state(60 * (i + 1), f_1=v, f_2=v, f_3=15.0)
+            for i, v in enumerate([5, 50, 5, 50, None])
+        ]
+        trace = trace_of(*rows)
+        out = diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
+        # f_1 and f_2 are noisy as well, but the failure source comes first
+        assert out["flow monitor"] == (ViolationType.COMU_FR, ["f_1", "f_2"])
+        assert out["hold p and n"] == (NONE, [])
+        noisy = trace_of(*rows[:-1])
+        out = diagnose(specs, noisy, crossing_config(), invariant_verdicts(specs, noisy))
+        assert out["flow monitor"] == (ViolationType.COMU_NFR, ["f_1", "f_2"])
 
 
 class FakeVerifier:
@@ -514,6 +530,36 @@ class TestEngineCycle:
         assert report.reconfiguration["flow monitor"]["kind"] == "structural"
         assert target.bindings == {"f_2": "ir_12"}
         assert report.post_verdicts["flow monitor"] == "none"
+
+    def test_failing_slots_are_found_once_and_replaced(self, specs, monkeypatch):
+        import redapt.engine as engine_module
+
+        calls = []
+        diagnosed_slots = []
+        original_slots, original_diagnose = engine_module.faulty_slots, engine_module.diagnose
+
+        def counted(source, *args, **kwargs):
+            calls.append(source.name)
+            return original_slots(source, *args, **kwargs)
+
+        def kept(*args, **kwargs):
+            out = original_diagnose(*args, **kwargs)
+            diagnosed_slots.append(out["flow monitor"][1])
+            return out
+
+        monkeypatch.setattr(engine_module, "faulty_slots", counted)
+        monkeypatch.setattr(engine_module, "diagnose", kept)
+        target = FakeTarget(slot_values={"f_1": None, "f_2": 15.0, "f_3": None})
+        engine = AdaptationEngine(specs, EngineConfig(), ComponentPool(
+            {"f_1": "ir_1", "f_2": "ir_2", "f_3": "ir_3"},
+            {"f_1": ["ir_11"], "f_2": ["ir_12"], "f_3": ["ir_13"]},
+        ))
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert calls.count("gauge failure") == 1
+        assert diagnosed_slots == [["f_1", "f_3"]]
+        replaced = [r["slot"] for r in report.reconfiguration["flow monitor"]["replacements"]]
+        assert replaced == diagnosed_slots[0]
+        assert target.bindings == {"f_1": "ir_11", "f_3": "ir_13"}
 
     def test_plan_failure_is_recorded_not_raised(self, specs):
         target = FakeTarget(slot_values={"f_1": 15.0, "f_2": None})

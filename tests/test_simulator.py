@@ -2,7 +2,6 @@ import gc
 import json
 import math
 import weakref
-from collections import namedtuple
 from dataclasses import replace
 
 import pytest
@@ -127,7 +126,7 @@ class TestEventLoop:
         import numpy as np
 
         cfg = quick_cfg(lambda_north=12.0, lambda_south=20.0, duration_min=60.0)
-        trace = simulate(cfg, record_rows=False)
+        trace = simulate(cfg)
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
         for stream, direction, rate in ((0, NORTH, 12.0), (1, SOUTH, 20.0)):
             rng = np.random.Generator(np.random.PCG64(streams[stream]))
@@ -142,7 +141,7 @@ class TestEventLoop:
             assert entries == expected
 
     def test_a_direction_without_arrivals_schedules_none(self):
-        trace = simulate(quick_cfg(lambda_north=0.0, duration_min=10.0), record_rows=False)
+        trace = simulate(quick_cfg(lambda_north=0.0, duration_min=10.0))
         assert trace.vehicles and all(v.direction == SOUTH for v in trace.vehicles)
 
     def test_finished_simulator_is_freed_without_the_collector(self):
@@ -331,33 +330,77 @@ def _closure_starts(trace):
     return starts
 
 
-class TestMetrics:
-    def hand_trace(self, rows=(), vehicles=()):
-        return SimTrace(rows=tuple(rows), vehicles=tuple(vehicles), columns=("time", "n"))
+def counted_trace(entered=(0, 0), exited=(0, 0), fast=(0, 0), n_peak=0, vehicles=()):
+    """A trace without rows holding the given (north, south) counts."""
 
-    def hand_row(self, time, n):
-        return namedtuple("Row", ("time", "n"))(time, n)
+    def by_direction(pair):
+        return dict(zip((NORTH, SOUTH), pair))
 
-    def test_percentage_counts_strictly_under_threshold(self):
-        vehicles = [
-            VehicleRecord(0.0, 100.0, NORTH),
-            VehicleRecord(0.0, 200.0, NORTH),
-            VehicleRecord(0.0, 500.0, NORTH),
-            VehicleRecord(0.0, 600.0, NORTH),
+    return SimTrace(
+        rows=(), vehicles=tuple(vehicles), columns=(), n_peak=n_peak,
+        entered=by_direction(entered), exited=by_direction(exited), fast=by_direction(fast),
+    )
+
+
+def reference_metrics(trace, cfg):
+    """The metrics counted from the vehicle records and rows of a full run:
+    a vehicle is fast when its exit less its entry is strictly under the
+    threshold."""
+    p = {}
+    for direction in (NORTH, SOUTH):
+        completed = [
+            v for v in trace.vehicles if v.direction == direction and v.exit_time is not None
         ]
-        metrics = compute_metrics(self.hand_trace(vehicles=vehicles), quick_cfg())
+        if not completed:
+            p[direction] = 1.0  # nothing finished, nothing late
+            continue
+        fast = sum(
+            1 for v in completed if v.exit_time - v.entry_time < cfg.p_time_threshold_s
+        )
+        p[direction] = fast / len(completed)
+    entered = {d: sum(1 for v in trace.vehicles if v.direction == d) for d in (NORTH, SOUTH)}
+    return Metrics(
+        p_north=p[NORTH],
+        p_south=p[SOUTH],
+        n_peak=max((row.n for row in trace.rows), default=0),
+        mean_f_north=entered[NORTH] / cfg.duration_min,
+        mean_f_south=entered[SOUTH] / cfg.duration_min,
+    )
+
+
+class TestMetrics:
+    def test_percentage_counts_strictly_under_threshold(self):
+        # four northbound exits after 100, 200, 500 and 600 s; two under 400 s
+        trace = counted_trace(entered=(4, 0), exited=(4, 0), fast=(2, 0))
+        metrics = compute_metrics(trace, quick_cfg())
         assert metrics.p_north == 0.5
         assert metrics.p_south == 1.0  # no southbound completions
 
     def test_no_completions_convention(self):
-        pending = [VehicleRecord(10.0, None, SOUTH)]
-        metrics = compute_metrics(self.hand_trace(vehicles=pending), quick_cfg())
+        pending = counted_trace(entered=(0, 1))
+        metrics = compute_metrics(pending, quick_cfg())
         assert metrics.p_south == 1.0
 
-    def test_occupancy_peak_matches_hand_count(self):
-        rows = [self.hand_row(float(t), n) for t, n in ((0, 0), (1, 2), (2, 5), (3, 3), (4, 1))]
-        metrics = compute_metrics(self.hand_trace(rows=rows), quick_cfg())
-        assert metrics.n_peak == 5
+    @pytest.mark.parametrize(
+        "name", ["experiment1", "experiment2", "nfr_lowlight", "sensor_failure", "sensor_noise"]
+    )
+    def test_counts_match_the_records_of_a_bundled_run(self, name):
+        import redapt
+
+        cfg = ScenarioConfig.from_json(redapt.data_path(f"{name}.json").read_text())
+        trace = simulate(cfg)
+        assert compute_metrics(trace, cfg) == reference_metrics(trace, cfg)
+
+    @pytest.mark.parametrize("threshold", [300.0, 400.0])
+    @pytest.mark.parametrize("seed", [1, 5, 99])
+    def test_counts_match_the_records_at_either_threshold(self, threshold, seed):
+        # long closures, so crossing times spread on both sides of either threshold
+        cfg = quick_cfg(lambda_north=25.0, lambda_south=20.0, train_pass_time_s=150.0,
+                        duration_min=60.0, p_time_threshold_s=threshold, seed=seed)
+        trace = simulate(cfg)
+        metrics = compute_metrics(trace, cfg)
+        assert metrics == reference_metrics(trace, cfg)
+        assert 0.0 < metrics.p_north < 1.0 and 0.0 < metrics.p_south < 1.0
 
 
 class TestTraceExport:
@@ -379,7 +422,8 @@ class TestTraceExport:
 
 
 class TestModelRuns:
-    """A run that records counts, not rows, scores exactly like a full run."""
+    """A run that keeps counts only, no rows and no vehicle records, scores
+    exactly like a full run."""
 
     @pytest.mark.parametrize(
         "name, t_dispatch",
@@ -394,11 +438,8 @@ class TestModelRuns:
             cfg = replace(cfg, t_dispatch_min=t_dispatch)
         full = compute_metrics(simulate(cfg), cfg)
         counted = simulate(cfg, record_rows=False)
-        assert counted.rows == ()
-        model = compute_metrics(counted, cfg)
-        assert (model.p_north, model.p_south, model.n_peak) == (
-            full.p_north, full.p_south, full.n_peak
-        )
+        assert counted.rows == () and counted.vehicles == ()
+        assert compute_metrics(counted, cfg) == full
 
     def test_running_peak_is_the_row_maximum(self):
         sim = Simulator(quick_cfg())
@@ -434,7 +475,7 @@ class TestVehiclesJson:
 
     @staticmethod
     def of(*vehicles):
-        return SimTrace(rows=(), vehicles=tuple(vehicles), columns=())
+        return counted_trace(vehicles=vehicles)
 
     def test_empty_vehicle_list(self):
         trace = self.of()
