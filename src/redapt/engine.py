@@ -8,7 +8,10 @@ document: context uncertainty is diagnosed through invariants (functional)
 or utility thresholds (non-functional); components uncertainty through the
 instances of the sensor class the source declares, as the monitored states
 hold them: an absent reading (failure) or unstable readings since the
-instance was bound (noise).  Monitored states are never changed once built.
+instance was bound (noise).  Each cycle observes the target once, in
+``monitor_step``, and the monitored ``State`` it builds is the cycle's one
+record of what it observed: diagnosis reads it, and the cycle report's
+readings are written from it.  Monitored states are never changed once built.
 Planning is intertwined with analysis: every candidate reconfiguration is
 re-checked through a caller-supplied verifier before it is returned.
 """
@@ -61,18 +64,6 @@ class ViolationType(Enum):
     CONU_NFR = "ConU_NFR"
     COMU_FR = "ComU_FR"
     COMU_NFR = "ComU_NFR"
-
-
-@dataclass(frozen=True)
-class Reading:
-    sensor_id: str
-    variable: str
-    value: Optional[float]  # None records a failed sensor
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError("reading timestamps cannot be negative")
 
 
 class Reconfiguration:
@@ -245,10 +236,12 @@ def missing_plan_steps(specs: SpecDocument, cfg: EngineConfig) -> list[str]:
 # -- monitoring -----------------------------------------------------------
 
 
-def monitor_step(specs: SpecDocument, target: ProbeSource) -> list[Reading]:
-    """Gauge every monitor entity's numeric variables through its sensor class."""
-    readings: list[Reading] = []
-    now = target.now()
+def monitor_step(specs: SpecDocument, target: ProbeSource) -> State:
+    """Observe the target once, as the cycle's ``State``: its derived variables,
+    and each slot of the monitored classes, in the target's order, read once
+    into both ``values[slot]`` and the slot's ``Instance``."""
+    values: dict[str, object] = dict(target.snapshot())
+    instances: dict[str, dict[str, Instance]] = {}
     for entity in specs.of_kind(EntityKind.MONITOR):
         classes = entity.class_attributes()
         if not classes:
@@ -256,15 +249,19 @@ def monitor_step(specs: SpecDocument, target: ProbeSource) -> list[Reading]:
                 f"monitor {entity.name!r} declares no sensor class to gauge through"
             )
         for cls in classes:
+            if cls.name in instances:
+                continue
             pairs = target.instances(cls.name)
             if not pairs:
                 raise ContractViolationError(
                     f"target exposes no instances of class {cls.name!r} "
                     f"required by monitor {entity.name!r}"
                 )
+            members = instances[cls.name] = {}
             for slot, instance_id in pairs:
-                readings.append(Reading(instance_id, slot, target.read(slot), now))
-    return readings
+                value = values[slot] = target.read(slot)
+                members[slot] = Instance(instance_id, value, gauge=value is not None)
+    return State(time=target.now(), values=values, instances=instances)
 
 
 def window_is_noisy(values: Sequence[Optional[float]], cfg: EngineConfig) -> bool:
@@ -521,7 +518,8 @@ def execute(
 class CycleReport:
     cycle_index: int
     sim_time: float
-    readings: list[Reading]
+    # the monitored state's instances, class -> slot -> Instance; each a cycles.jsonl reading
+    instances: Mapping[str, Mapping[str, Instance]]
     verdicts: dict[str, str]
     violation: dict[str, str]
     reconfiguration: dict[str, object]
@@ -535,12 +533,13 @@ class CycleReport:
             "sim_time": self.sim_time,
             "readings": [
                 {
-                    "sensor_id": r.sensor_id,
-                    "variable": r.variable,
-                    "value": r.value,
-                    "timestamp": r.timestamp,
+                    "sensor_id": instance.id,
+                    "variable": slot,
+                    "value": instance.value,
+                    "timestamp": self.sim_time,
                 }
-                for r in self.readings
+                for members in self.instances.values()
+                for slot, instance in members.items()
             ],
             "verdicts": dict(self.verdicts),
             "violation": dict(self.violation),
@@ -578,6 +577,8 @@ class AdaptationEngine:
     state, which is all it reads there, and noise detection reads the window.
     Each state keys its sensor instances by slot; a swap changes no kept
     state, since noise detection stops at the slot's previous instance.
+    A cycle's monitored state, built by ``monitor_step``, is its one record
+    of what it observed; its report holds that state's sensor instances.
     """
 
     def __init__(self, specs: SpecDocument, cfg: EngineConfig, pool: ComponentPool):
@@ -596,7 +597,7 @@ class AdaptationEngine:
         report = CycleReport(
             cycle_index=self.cycle_index,
             sim_time=target.now(),
-            readings=[],
+            instances={},
             verdicts={},
             violation={},
             reconfiguration={},
@@ -605,13 +606,13 @@ class AdaptationEngine:
         )
         # stage failures are data for the report, not reasons to stop looping
         try:
-            readings = monitor_step(self.specs, target)
-            self._append_state(target, readings)
+            state = monitor_step(self.specs, target)
         except EngineError as exc:
             report.errors.append(f"monitoring failed: {exc}")
             self.cycle_index += 1
             return report
-        report.readings = readings
+        self.trace = Trace(self.trace.states[1 - self.cfg.noise_window :] + (state,))
+        report.instances = state.instances
 
         verdicts = invariant_verdicts(self.specs, self.trace)
         report.verdicts = {goal: outcome.value for goal, outcome in verdicts.items()}
@@ -660,20 +661,3 @@ class AdaptationEngine:
             for k, v in target.snapshot().items()
             if isinstance(v, (int, float)) and not isinstance(v, bool)
         }
-
-    def _append_state(self, target: ProbeSource, readings: Sequence[Reading]) -> None:
-        read = {r.variable: r.value for r in readings}
-        values: dict[str, object] = dict(target.snapshot())
-        values.update(read)
-        # each class's instances keyed by the slot they fill
-        instances = {
-            cls.name: {
-                slot: Instance(instance_id, read.get(slot), gauge=read.get(slot) is not None)
-                for slot, instance_id in target.instances(cls.name)
-            }
-            for entity in self.specs.of_kind(EntityKind.MONITOR)
-            for cls in entity.class_attributes()
-        }
-        state = State(time=target.now(), values=values, instances=instances)
-        kept = self.trace.states[1 - self.cfg.noise_window :]
-        self.trace = Trace(kept + (state,))

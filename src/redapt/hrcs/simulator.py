@@ -63,6 +63,11 @@ LUX_CLASS = "I_lux"
 
 _GAP_BLOCK = 256  # arrival gaps drawn at once from a direction's generator
 
+# what a scenario may make the simulator allocate before its run: the flow
+# window is pre-filled with its expected arrivals, and each sensor and spare
+_MAX_WINDOW_ARRIVALS = 1_000_000
+_MAX_COUNTS = {"flow_sensor_count": 1_000, "lux_sensor_count": 1_000, "standby_per_slot": 100}
+
 # each sensor class's slot prefix and instance prefix
 _NAME_PREFIXES = {FLOW_CLASS: ("f", "ir"), LUX_CLASS: ("e", "lux")}
 
@@ -154,10 +159,12 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if not isinstance(value, tuple):
                 _require_finite(f.name, value)
-        for name in ("flow_sensor_count", "lux_sensor_count", "standby_per_slot"):
+        for name, bound in _MAX_COUNTS.items():
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 0:
                 raise DomainError(f"{name} {value!r} must be a non-negative integer")
+            if value > bound:
+                raise DomainError(f"{name} {value} exceeds {bound}")
         for t, lux in self.illuminance_profile:
             _require_finite("illuminance profile time", t)
             _require_finite("illuminance", lux)
@@ -184,6 +191,11 @@ class ScenarioConfig:
             raise DomainError(f"sample interval {self.sample_interval_s!r} s must be positive")
         if not self.flow_window_s > 0:
             raise DomainError(f"flow window {self.flow_window_s!r} s must be positive")
+        arrivals = (self.lambda_north + self.lambda_south) / 60.0 * self.flow_window_s
+        if arrivals > _MAX_WINDOW_ARRIVALS:
+            raise DomainError(
+                f"{arrivals:g} arrivals expected in the flow window exceed {_MAX_WINDOW_ARRIVALS}"
+            )
         closed = self.warn_lead_time_s - self.t_close_s + self.train_pass_time_s + self.t_open_s
         if closed <= 0:
             raise DomainError("gate closure interval is empty; check warn lead and close delay")

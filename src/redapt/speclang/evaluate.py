@@ -84,7 +84,7 @@ def kleene_or(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.VIOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """One class-attribute instance as seen by the monitor."""
 
@@ -105,7 +105,7 @@ class Instance:
         raise UnboundVariableError(f"instance field {name!r} does not exist")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     time: float
     values: Mapping[str, Value] = field(default_factory=dict)

@@ -18,6 +18,7 @@ from redapt.cli import main as cli_main
 from redapt.engine import EngineConfig
 from redapt.goalmodel import DecompositionMode, MapeRole, NodeKind
 from redapt.hrcs import (
+    FLOW_CLASS,
     ScenarioConfig,
     compute_metrics,
     derive_goal_model,
@@ -165,7 +166,7 @@ def test_criterion_5_structural_adaptation_replaces_sensors(bundled_spec):
     ]
     for later in result.reports:
         if later.cycle_index > report.cycle_index:
-            values = [r.value for r in later.readings if r.variable == "f_3"]
+            values = [i.value for slot, i in later.instances[FLOW_CLASS].items() if slot == "f_3"]
             assert values and values[0] is not None
 
     noise = ScenarioConfig.from_json(redapt.data_path("sensor_noise.json").read_text())
@@ -182,7 +183,7 @@ def test_criterion_5_structural_adaptation_replaces_sensors(bundled_spec):
         r for r in result.reports
         if report.sim_time < r.sim_time <= report.sim_time + window * 60.0
     ]
-    values = [next(x.value for x in r.readings if x.variable == "f_5") for r in refill]
+    values = [r.instances[FLOW_CLASS]["f_5"].value for r in refill]
     assert all(v is not None for v in values)
     mean = sum(values) / len(values)
     std = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))

@@ -103,3 +103,41 @@ def test_a_live_run_keeps_a_record_of_every_vehicle_that_entered():
     cfg = simulator.ScenarioConfig.from_dict({**scenario, "duration_min": 10.0})
     result = runner.run_scenario(redapt.load_bundled_spec(), cfg)
     assert len(result.trace.vehicles) == sum(result.trace.entered.values()) > 0
+
+
+def test_cycle_readings_keep_the_fields_the_fault_check_reads(tmp_path, spec_path):
+    # `benchmarks/checks.py` follows swaps through each reading's `sensor_id`
+    # and compares its `value` with `trace.csv`; 12 minutes take in the fault
+    # at 600 s and its swap
+    scenario = json.loads(redapt.data_path("sensor_failure.json").read_text())
+    scenario["duration_min"] = 12.0
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    code = cli.main([
+        "run", "--spec", spec_path, "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+
+    cfg = simulator.ScenarioConfig.from_dict(scenario)
+    slots = {slot for _, slot, _ in cfg.sensor_names().slots()}
+    in_columns = [c for c in simulator.Simulator(cfg).columns if c in slots]
+    lines = (tmp_path / "out" / "cycles.jsonl").read_text().splitlines()
+    cycles = [json.loads(line) for line in lines]
+    header, *rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    cells = {float(row.split(",")[0]): dict(zip(header.split(","), row.split(","))) for row in rows}
+    assert [c["sim_time"] for c in cycles] == [60.0 * k for k in range(1, 13)]
+    for cycle in cycles:
+        readings = cycle["readings"]
+        assert all(list(r) == ["sensor_id", "variable", "value", "timestamp"] for r in readings)
+        assert [r["variable"] for r in readings] == in_columns
+        assert all(r["timestamp"] == cycle["sim_time"] for r in readings)
+        row = cells[cycle["sim_time"]]
+        assert all(
+            row[r["variable"]] == ("" if r["value"] is None else f"{r['value']:.9g}")
+            for r in readings
+        )
+    f_3 = {c["sim_time"]: next(r for r in c["readings"] if r["variable"] == "f_3") for c in cycles}
+    assert f_3[540.0]["sensor_id"] == "ir_03"
+    assert f_3[600.0]["sensor_id"] == "ir_03" and f_3[600.0]["value"] is None
+    assert f_3[660.0]["sensor_id"] == "ir_13" and f_3[660.0]["value"] is not None
+    assert f_3[720.0]["sensor_id"] == "ir_13"

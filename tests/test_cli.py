@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -262,6 +263,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} ") and "must be a non-negative integer" in err
         assert not (tmp_path / "o").exists()
+
+    def test_scenario_too_large_to_allocate_exits_one(self, tmp_path, spec_path):
+        # the flow window would be pre-filled with 10**13 expected arrivals; the
+        # address-space cap turns a run that allocates them into a MemoryError
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("sensor_failure.json").read_text())
+        scenario.write_text(json.dumps({**base, "lambda_north": 1e12}))
+        cap = 1 << 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(redapt.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "redapt.cli", "run", "--spec", spec_path,
+             "--scenario", str(scenario), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ") and "flow window" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_bad_seed_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path):
         done = run_process("run", "--spec", spec_path, "--scenario", scenario_path,

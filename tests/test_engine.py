@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -25,6 +26,8 @@ from redapt.hrcs.runner import PLANNING_SETTINGS
 from redapt.speclang import Instance, State, Trace, parse_document
 
 NONE = ViolationType.NONE
+
+Reading = namedtuple("Reading", "sensor_id variable value timestamp")
 
 ENGINE_SPEC = """
 adaptive_goal "hold p and n" {
@@ -104,6 +107,17 @@ monitor "light monitor" {
 """
 
 
+SECOND_FLOW_MONITOR = """
+monitor "flow cross-check" {
+  from_goal: "hold p and n"
+  attributes:
+    numeric f_i
+    class I_sensor
+  output: f_i
+}
+"""
+
+
 @pytest.fixture(scope="module")
 def specs():
     return parse_document(ENGINE_SPEC)
@@ -124,6 +138,17 @@ def healthy_state(time, **extra):
         if slot.startswith("f_")
     }
     return State(time=float(time), values=base, instances={"I_sensor": sensors})
+
+
+def readings_of(observed):
+    """The readings of a monitored ``State`` or a ``CycleReport``, one per
+    slot as ``cycles.jsonl`` lists them."""
+    time = observed.time if isinstance(observed, State) else observed.sim_time
+    return [
+        Reading(instance.id, slot, instance.value, time)
+        for members in observed.instances.values()
+        for slot, instance in members.items()
+    ]
 
 
 def crossing_config(**overrides):
@@ -463,6 +488,26 @@ class FakeTarget:
         self.slot_values[slot] = 15.0
 
 
+class CountingTarget(FakeTarget):
+    """A ``FakeTarget`` that counts the probe calls made on it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = Counter()
+
+    def instances(self, class_name):
+        self.calls["instances", class_name] += 1
+        return super().instances(class_name)
+
+    def read(self, slot):
+        self.calls["read", slot] += 1
+        return super().read(slot)
+
+    def snapshot(self):
+        self.calls["snapshot"] += 1
+        return super().snapshot()
+
+
 class TestContract:
     def test_bundled_spec_matches_simulator_surface(self):
         import redapt
@@ -489,13 +534,13 @@ class TestContract:
 class TestMonitorStep:
     def test_one_reading_per_slot(self, specs):
         target = FakeTarget()
-        out = monitor_step(specs, target)
+        out = readings_of(monitor_step(specs, target))
         assert [(r.variable, r.value) for r in out] == [("f_1", 15.0), ("f_2", 15.0)]
         assert all(r.timestamp == 60.0 for r in out)
 
     def test_failed_slot_reads_absent(self, specs):
         target = FakeTarget(slot_values={"f_1": 15.0, "f_3": None})
-        out = monitor_step(specs, target)
+        out = readings_of(monitor_step(specs, target))
         assert ("f_3", None) in [(r.variable, r.value) for r in out]
 
     def test_missing_instances_violate_contract(self, specs):
@@ -505,7 +550,7 @@ class TestMonitorStep:
 
     def test_document_without_monitors_reads_nothing(self):
         doc = parse_document('goal "g" {\n  attributes:\n    numeric x\n}')
-        assert monitor_step(doc, FakeTarget()) == []
+        assert readings_of(monitor_step(doc, FakeTarget())) == []
 
 
 class TestEngineCycle:
@@ -574,7 +619,7 @@ class TestEngineCycle:
         engine = self.engine(specs)
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
         assert any("monitoring failed" in e for e in report.errors)
-        assert report.readings == [] and report.violation == {}
+        assert readings_of(report) == [] and report.violation == {}
 
     def test_identical_inputs_produce_identical_reports(self, specs):
         def run():
@@ -640,11 +685,29 @@ class TestEngineCycle:
         assert report.violation["flow monitor"] == "none"
         assert report.reconfiguration == {}
 
+    def test_a_cycle_gauges_each_class_and_slot_once(self):
+        specs = parse_document(ENGINE_SPEC + LUX_MONITOR)
+        engine = AdaptationEngine(specs, EngineConfig(), ComponentPool({}, {}))
+        target = CountingTarget(lux_values={"e_1": 300.0})
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert set(report.violation.values()) == {"none"}
+        assert target.calls == Counter({
+            ("instances", "I_sensor"): 1, ("instances", "I_lux"): 1,
+            ("read", "f_1"): 1, ("read", "f_2"): 1, ("read", "e_1"): 1, "snapshot": 1,
+        })
+
+    def test_a_class_two_monitors_share_is_read_once(self):
+        doc = parse_document(ENGINE_SPEC + SECOND_FLOW_MONITOR)
+        engine = AdaptationEngine(doc, EngineConfig(), ComponentPool({}, {}))
+        report = engine.cycle(FakeTarget(), FakeTarget(), lambda g, v: FakeVerifier(set()))
+        readings = report.to_json_dict()["readings"]
+        assert [r["variable"] for r in readings] == ["f_1", "f_2"]
+
     def test_absent_lux_reading_does_not_fire_flow_sources(self):
         specs = parse_document(ENGINE_SPEC + LUX_MONITOR)
         engine = AdaptationEngine(specs, EngineConfig(), ComponentPool({}, {}))
         target = FakeTarget(lux_values={"e_1": None, "e_2": 300.0})
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
-        assert ("e_1", None) in [(r.variable, r.value) for r in report.readings]
+        assert ("e_1", None) in [(r.variable, r.value) for r in readings_of(report)]
         assert report.violation["flow monitor"] == "none"
         assert report.reconfiguration == {} and report.errors == []

@@ -7,8 +7,9 @@ Four inputs are mutated: the bundled spec (one-character edits, through
 over the crossing's settings) and a scenario (through
 ``ScenarioConfig.from_dict``; an accepted one must build a simulator that
 describes t = 0 and a component pool that matches its sensors).  The
-generated numbers stay small: ``validate()`` admits any finite arrival rate
-and sensor count, and the simulator allocates in proportion to them.
+generated numbers stay small, so that each accepted scenario builds quickly;
+``validate()`` bounds the arrivals in the flow window, the sensor counts and
+the standby spares, in proportion to which the simulator allocates.
 """
 
 import json

@@ -90,12 +90,27 @@ class TestBasics:
             {"sensor_faults": [{"slot": "f_01", "mode": "fail", "at_s": 60.0}]},
             {"sensor_faults": [{"slot": "f_0", "mode": "fail", "at_s": 60.0}]},
             {"sensor_faults": [{"slot": 1, "mode": "fail", "at_s": 60.0}]},
+            # the simulator would allocate in proportion to these before the run
+            {"lambda_north": 1e12},  # the flow window is pre-filled with its arrivals
+            {"flow_window_s": 1e15},
+            {"lambda_north": 1e308, "lambda_south": 1e308},  # their sum overflows
+            {"flow_sensor_count": 10**8},  # one sensor and one column per slot
+            {"lux_sensor_count": 1001},
+            {"standby_per_slot": 10**9},  # the pool makes one serial per spare
         ],
     )
     def test_bad_values_rejected(self, override):
         # only validated: a run is never started on these
         with pytest.raises(DomainError):
             ScenarioConfig.from_dict({"lambda_north": 10.0, "lambda_south": 10.0, **override})
+
+    def test_allocation_bounds_admit_their_limits(self):
+        # 50,000 + 50,000 veh/min over a 600 s window is 1,000,000 arrivals
+        cfg = ScenarioConfig.from_dict({
+            "lambda_north": 50_000.0, "lambda_south": 50_000.0, "flow_sensor_count": 1000,
+            "lux_sensor_count": 1000, "standby_per_slot": 100,
+        })
+        assert cfg.flow_sensor_count == 1000 and cfg.standby_per_slot == 100
 
     @pytest.mark.parametrize("interval", [0, -1])
     def test_non_positive_sample_interval_rejected(self, interval):
@@ -232,13 +247,13 @@ class TestSensors:
         cfg = quick_cfg(sensor_faults=(SensorFault("f_3", "fail", 100.0),))
         sim = Simulator(cfg)
         sim.run_until(200.0)
-        readings = monitor_step(bundled_spec, sim)
-        by_slot = {r.variable: r for r in readings}
-        assert len(readings) == cfg.flow_sensor_count + cfg.lux_sensor_count
+        state = monitor_step(bundled_spec, sim)
+        by_slot = {slot: i for members in state.instances.values() for slot, i in members.items()}
+        assert len(by_slot) == cfg.flow_sensor_count + cfg.lux_sensor_count
         assert by_slot["f_3"].value is None
         assert by_slot["f_4"].value is not None
         assert by_slot["e_1"].value == 100.0
-        assert by_slot["f_4"].sensor_id == "ir_04"
+        assert by_slot["f_4"].id == "ir_04"
 
     def test_failed_sensor_reads_absent(self):
         cfg = quick_cfg(sensor_faults=(SensorFault("f_3", "fail", 100.0),))

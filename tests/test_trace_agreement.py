@@ -45,17 +45,18 @@ def test_every_reading_is_its_trace_cell(recorded):
     checked = 0
     for report in result.reports:
         row = cells[f"{report.sim_time:.9g}"]
-        for reading in report.readings:
-            written = "" if reading.value is None else f"{reading.value:.9g}"
-            assert row[reading.variable] == written, (report.sim_time, reading.variable)
-            checked += 1
+        for members in report.instances.values():
+            for slot, reading in members.items():
+                written = "" if reading.value is None else f"{reading.value:.9g}"
+                assert row[slot] == written, (report.sim_time, slot)
+                checked += 1
     assert checked == len(result.reports) * (scenario.flow_sensor_count + scenario.lux_sensor_count)
 
 
 def test_snapshot_is_the_rows_derived_columns(recorded):
     _, result, snapshots = recorded
     rows = {row.time: row for row in result.trace.rows}
-    slots = {reading.variable for reading in result.reports[0].readings}
+    slots = {slot for members in result.reports[0].instances.values() for slot in members}
     assert len(snapshots) == len(result.reports)
     for time, snapshot in snapshots:
         row = rows[time]
