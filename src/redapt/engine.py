@@ -104,7 +104,7 @@ class ComponentPool:
 
 @dataclass(frozen=True)
 class ProbeEffectorContract:
-    probes: frozenset[tuple[str, str]]  # (sensor instance, variable); "" for derived
+    probes: frozenset[str]  # the variables the target can be probed for
     effectors: frozenset[str]  # parameter names and component slots
 
 
@@ -200,10 +200,9 @@ def verify_contract(specs: SpecDocument, contract: ProbeEffectorContract) -> lis
     """Check that every monitored variable has a probe and every planned
     parameter has an effector; returns one message per breach."""
     problems: list[str] = []
-    probe_vars = {variable for _, variable in contract.probes}
 
     def probed(attr) -> bool:
-        return any(attr.matches(v) for v in probe_vars)
+        return any(attr.matches(v) for v in contract.probes)
 
     for entity in specs.of_kind(EntityKind.MONITOR):
         for attr in entity.numeric_attributes():
@@ -625,10 +624,17 @@ class AdaptationEngine:
             return report
         report.violation = {goal: vt.value for goal, (vt, _) in violations.items()}
 
+        params: Optional[dict[str, float]] = None  # built for the first violated goal
         for goal, (vt, failing) in violations.items():
             if vt is ViolationType.NONE:
                 report.post_verdicts[goal] = ViolationType.NONE.value
                 continue
+            if params is None:
+                # the parameters as observed, kept current as this cycle's plans are applied
+                params = {
+                    k: float(v) for k, v in state.values.items()
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)
+                }
             calls = 0
             base_verifier = verifier_for(goal, vt)
 
@@ -639,7 +645,7 @@ class AdaptationEngine:
 
             try:
                 reconfig = plan(
-                    self.specs, goal, vt, self._parameters(target), self.pool,
+                    self.specs, goal, vt, params, self.pool,
                     counted, self.cfg, failing,
                 )
             except PlanFailedError as exc:
@@ -650,14 +656,9 @@ class AdaptationEngine:
             report.plan_iterations[goal] = calls
             report.reconfiguration[goal] = reconfiguration_to_dict(reconfig)
             self.pool = execute(reconfig, effector, self.pool, self.cfg)
+            if isinstance(reconfig, Parametric):
+                params.update(reconfig.changes)
             report.post_verdicts[goal] = ViolationType.NONE.value
 
         self.cycle_index += 1
         return report
-
-    def _parameters(self, target: ProbeSource) -> dict[str, float]:
-        return {
-            k: float(v)  # type: ignore[arg-type]
-            for k, v in target.snapshot().items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }

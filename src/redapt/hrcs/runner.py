@@ -57,11 +57,11 @@ PLANNING_SETTINGS = {
 
 def contract_of(sim: Simulator) -> ProbeEffectorContract:
     """The probe/effector surface the simulator exposes to the engine."""
-    slots = [pair for class_name in (FLOW_CLASS, LUX_CLASS) for pair in sim.instances(class_name)]
-    probes = {(instance_id, slot) for slot, instance_id in slots}
-    probes |= {("", name) for name in sim.snapshot()}  # derived variables
-    effectors = set(sim.parameters()) | {slot for slot, _ in slots}
-    return ProbeEffectorContract(frozenset(probes), frozenset(effectors))
+    sensors = {slot for name in (FLOW_CLASS, LUX_CLASS) for slot, _ in sim.instances(name)}
+    return ProbeEffectorContract(
+        frozenset(sensors | set(sim.snapshot())),  # the derived variables too
+        frozenset(sensors | set(sim.parameters())),
+    )
 
 
 def build_pool(cfg: ScenarioConfig) -> ComponentPool:

@@ -22,8 +22,9 @@ As it goes, a run counts by direction the vehicles that ``entered``, those
 that ``exited`` and those that exited ``fast`` (in under
 ``p_time_threshold_s``), and keeps the occupancy peak ``n_peak`` over the
 sample instants.  The rows' ``p`` columns and ``compute_metrics`` read these
-counts.  A full run also keeps one record per vehicle for ``vehicles.json``;
-a model run (``record_rows=False``) keeps the counts only.
+counts.  Every run keeps its vehicles in one store indexed by id, ids given
+in arrival order.  A full run's trace returns them for ``vehicles.json``; a
+model run (``record_rows=False``) keeps the store but returns no vehicles.
 
 The event loop is a heap of ``(time, seq, handler, payload)`` entries, and
 ``run_until`` pops one and calls ``handler(self, *payload)``.  Events at the
@@ -98,18 +99,9 @@ class SensorNames:
         return f"{_NAME_PREFIXES[class_name][1]}_{serial:02d}"
 
     def fills(self, slot: object) -> bool:
-        """Whether a sensor fills ``slot``, read from the name itself rather
-        than looked up among every slot's."""
-        if not isinstance(slot, str):
-            return False
-        prefix, _, digits = slot.partition("_")
-        for class_name, count in self.counts:
-            if _NAME_PREFIXES[class_name][0] == prefix:
-                return (
-                    digits.isascii() and digits.isdigit() and not digits.startswith("0")
-                    and len(digits) <= len(str(count)) and int(digits) <= count
-                )
-        return False
+        """Whether a sensor fills ``slot``: whether it is one of the names
+        ``slots()`` gives, of which ``validate()`` bounds the number."""
+        return isinstance(slot, str) and slot in {name for _, name, _ in self.slots()}
 
 
 @dataclass(frozen=True)
@@ -239,17 +231,14 @@ class ScenarioConfig:
         return ScenarioConfig.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class VehicleRecord:
-    entry_time: float
-    exit_time: Optional[float]
-    direction: str
+# one vehicle of a run; ``exit_time`` is None for one still on the highway
+VehicleRecord = namedtuple("VehicleRecord", "entry_time exit_time direction")
 
 
 @dataclass(frozen=True)
 class SimTrace:
     rows: tuple[tuple, ...]  # one per sample instant, in ``columns`` order
-    vehicles: tuple[VehicleRecord, ...]  # empty for a model run
+    vehicles: tuple[VehicleRecord, ...]  # in arrival order; empty for a model run
     columns: tuple[str, ...]
     # what the simulator counted, kept whether rows were recorded or not
     n_peak: int
@@ -296,8 +285,9 @@ def compute_metrics(trace: SimTrace, cfg: ScenarioConfig) -> Metrics:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _SensorState:
+    class_name: str
     slot: str
     instance_id: str
     failed: bool = False
@@ -308,8 +298,8 @@ class Simulator:
     """One crossing, advanced by an event heap up to a requested time.
 
     ``record_rows=False`` is for model runs: sample instants then update
-    ``n_peak`` only, so no sensor is read and no row is built, and no
-    vehicle record is kept.
+    ``n_peak`` only, so no sensor is read and no row is built; the run keeps
+    its per-id vehicle store all the same, but its trace returns no vehicles.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -344,14 +334,14 @@ class Simulator:
         self.gate_open = True
         self._service_version = {d: 0 for d in DIRECTIONS}
         self._queues: dict[str, deque[int]] = {d: deque() for d in DIRECTIONS}
-        # direction and entry time of each vehicle on the highway, by id
-        self._vehicles: dict[int, tuple[str, float]] = {}
-        self._next_vehicle = 0
+        # by vehicle id: entry time, exit time (None while on the highway), direction
+        self._entries: list[float] = []
+        self._exits: list[Optional[float]] = []
+        self._directions: list[str] = []
         self.entered = {d: 0 for d in DIRECTIONS}
         self.exited = {d: 0 for d in DIRECTIONS}
         self.fast = {d: 0 for d in DIRECTIONS}
         self._occupancy = 0  # vehicles entered and not exited
-        self.completed: list[VehicleRecord] = []  # kept only when recording
         # flow sensors average over a trailing window; seed it at the steady
         # arrival rate so gauges start saturated instead of ramping up
         self._entry_window: deque[float] = deque()
@@ -373,14 +363,12 @@ class Simulator:
         self.illuminance = cfg.illuminance_profile[0][1]
 
         names = cfg.sensor_names()
-        sensors: dict[str, dict[str, _SensorState]] = {FLOW_CLASS: {}, LUX_CLASS: {}}
-        for class_name, slot, index in names.slots():
-            sensors[class_name][slot] = _SensorState(slot, names.instance(class_name, index))
-        self.flow_sensors, self.lux_sensors = sensors[FLOW_CLASS], sensors[LUX_CLASS]
-        # slots are rebound in place, never added, so their order is fixed
-        self._flow_slots = tuple(self.flow_sensors)
-        self._lux_slots = tuple(self.lux_sensors)
-        self._slot_index = {slot: i for i, slot in enumerate(self._flow_slots + self._lux_slots)}
+        # every slot in column order, flows first; rebound in place, never added
+        self._sensors = tuple(
+            _SensorState(class_name, slot, names.instance(class_name, index))
+            for class_name, slot, index in names.slots()
+        )
+        self._slot_index = {sensor.slot: i for i, sensor in enumerate(self._sensors)}
         self._utilities_key: Optional[tuple[float, float, float]] = None
         self._utilities = None
         # the readings of every sensor at the instant ``_gauged_at``
@@ -391,7 +379,7 @@ class Simulator:
 
         # the one place the columns are named; ``row()`` fills them in order
         self.columns = (
-            "time", "E", "n", "gate", "F", *self._flow_slots, *self._lux_slots,
+            "time", "E", "n", "gate", "F", *self._slot_index,
             "p_north", "p_south", "p", "t_dispatch", "t_close", "t_open",
             "U_E", "U_safety", "U_pass",
         )
@@ -447,9 +435,10 @@ class Simulator:
 
     def _on_arrival(self, direction: str) -> None:
         clock = self.clock
-        vehicle = self._next_vehicle
-        self._next_vehicle += 1
-        self._vehicles[vehicle] = (direction, clock)
+        vehicle = len(self._entries)
+        self._entries.append(clock)
+        self._exits.append(None)
+        self._directions.append(direction)
         self.entered[direction] += 1
         self._occupancy += 1
         self._entry_window.append(clock)
@@ -483,14 +472,12 @@ class Simulator:
             )
 
     def _on_exit(self, vehicle: int) -> None:
-        direction, entry = self._vehicles.pop(vehicle)
-        clock = self.clock
+        direction = self._directions[vehicle]
+        clock = self._exits[vehicle] = self.clock
         self.exited[direction] += 1
         self._occupancy -= 1
-        if clock - entry < self._p_threshold_s:
+        if clock - self._entries[vehicle] < self._p_threshold_s:
             self.fast[direction] += 1
-        if self.record_rows:
-            self.completed.append(VehicleRecord(entry, clock, direction))
 
     def _schedule_train(self, arrival: float) -> None:
         arrival = max(arrival, self.clock)
@@ -568,11 +555,9 @@ class Simulator:
     # -- derived state -------------------------------------------------------
 
     def _sensor(self, slot: str) -> _SensorState:
-        if slot in self.flow_sensors:
-            return self.flow_sensors[slot]
-        if slot in self.lux_sensors:
-            return self.lux_sensors[slot]
-        raise UnknownSensorError(slot)
+        if slot not in self._slot_index:
+            raise UnknownSensorError(slot)
+        return self._sensors[self._slot_index[slot]]
 
     def occupancy(self) -> int:
         return self._occupancy
@@ -605,13 +590,14 @@ class Simulator:
         if self._gauged_at != self.clock:
             flow, lux = self.flow_per_min(), self.illuminance
             if self._all_healthy:
-                self._gauged = (flow,) * len(self._flow_slots) + (lux,) * len(self._lux_slots)
+                cfg = self.cfg
+                self._gauged = (flow,) * cfg.flow_sensor_count + (lux,) * cfg.lux_sensor_count
             else:
                 gauge = self._gauge
-                self._gauged = tuple(
-                    [gauge(sensor, flow) for sensor in self.flow_sensors.values()]
-                    + [gauge(sensor, lux) for sensor in self.lux_sensors.values()]
-                )
+                self._gauged = tuple([
+                    gauge(sensor, flow if sensor.class_name == FLOW_CLASS else lux)
+                    for sensor in self._sensors
+                ])
             self._gauged_at = self.clock
         return self._gauged
 
@@ -642,11 +628,7 @@ class Simulator:
         return self.clock
 
     def instances(self, class_name: str) -> list[tuple[str, str]]:
-        if class_name == FLOW_CLASS:
-            return [(slot, self.flow_sensors[slot].instance_id) for slot in self._flow_slots]
-        if class_name == LUX_CLASS:
-            return [(slot, self.lux_sensors[slot].instance_id) for slot in self._lux_slots]
-        return []
+        return [(s.slot, s.instance_id) for s in self._sensors if s.class_name == class_name]
 
     def read(self, slot: str) -> Optional[float]:
         index = self._slot_index.get(slot)
@@ -694,21 +676,16 @@ class Simulator:
         sensor.instance_id = instance_id
         sensor.failed = False
         sensor.noise_sigma = 0.0
-        self._all_healthy = not any(
-            s.failed or s.noise_sigma > 0
-            for s in (*self.flow_sensors.values(), *self.lux_sensors.values())
-        )
+        self._all_healthy = not any(s.failed or s.noise_sigma > 0 for s in self._sensors)
         self._gauged_at = None
 
     # -- trace export ------------------------------------------------------------
 
     def trace(self) -> SimTrace:
-        pending = (
-            VehicleRecord(entry, None, direction) for direction, entry in self._vehicles.values()
-        )
+        vehicles = map(VehicleRecord, self._entries, self._exits, self._directions)
         return SimTrace(
             rows=tuple(self._rows),
-            vehicles=(*self.completed, *pending) if self.record_rows else (),
+            vehicles=tuple(vehicles) if self.record_rows else (),
             columns=self.columns,
             n_peak=self.n_peak,
             entered=dict(self.entered),

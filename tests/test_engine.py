@@ -118,6 +118,29 @@ monitor "flow cross-check" {
 """
 
 
+SECOND_DISPATCH_GOAL = """
+adaptive_goal "hold p" {
+  attributes:
+    numeric t_dispatch, p
+  invariant: G(p >= 50%)
+}
+
+context_uncertainty "demand growth" {
+  affected_goal: "hold p" FR
+  attributes:
+    numeric p
+  violation: exists F in flow_levels . p(F) < 50%
+}
+
+plan "step dispatch again" {
+  from_goal: "hold p"
+  attributes:
+    numeric t_dispatch, t_dispatch_new
+  output: t_dispatch_new
+}
+"""
+
+
 @pytest.fixture(scope="module")
 def specs():
     return parse_document(ENGINE_SPEC)
@@ -523,7 +546,7 @@ class TestContract:
     def test_missing_probe_and_effector_reported(self, specs):
         from redapt.engine import ProbeEffectorContract, verify_contract
 
-        contract = ProbeEffectorContract(frozenset({("ir_01", "f_1")}), frozenset())
+        contract = ProbeEffectorContract(frozenset({"f_1"}), frozenset())
         problems = verify_contract(specs, contract)
         assert any("effector" in p for p in problems)
         assert not any("'f_i'" in p for p in problems)  # the family is probed
@@ -695,6 +718,31 @@ class TestEngineCycle:
             ("instances", "I_sensor"): 1, ("instances", "I_lux"): 1,
             ("read", "f_1"): 1, ("read", "f_2"): 1, ("read", "e_1"): 1, "snapshot": 1,
         })
+
+    def test_a_components_violation_observes_the_target_once(self, specs):
+        target = CountingTarget(slot_values={"f_1": 15.0, "f_2": None})
+        report = self.engine(specs).cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert report.violation["flow monitor"] == "ComU_FR"
+        assert target.bindings == {"f_2": "ir_12"}
+        assert target.calls["snapshot"] == 1
+
+    def test_a_later_plan_starts_from_an_earlier_plans_change(self):
+        class LiveTarget(FakeTarget):
+            def set_parameter(self, name, value):
+                super().set_parameter(name, value)
+                self.values[name] = value  # as a fresh snapshot would show it
+
+        doc = parse_document(ENGINE_SPEC + SECOND_DISPATCH_GOAL)
+        cfg = EngineConfig(param_step={"t_dispatch": 1.0})
+        engine = AdaptationEngine(doc, cfg, ComponentPool({}, {}))
+        target = LiveTarget(values={"p": 0.3, "n": 100, "U_safety": 1.0, "t_dispatch": 5.0})
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier({(("t_dispatch", 6.0),)}))
+        assert report.violation["hold p and n"] == report.violation["hold p"] == "ConU_FR"
+        first = report.reconfiguration["hold p and n"]
+        assert first["changes"] == [{"param": "t_dispatch", "value": 6.0}]
+        # the second plan finds 6 already applied and keeps it, instead of stepping 5 again
+        assert report.reconfiguration["hold p"] == {"kind": "no_change"}
+        assert target.parameters == {"t_dispatch": 6.0}
 
     def test_a_class_two_monitors_share_is_read_once(self):
         doc = parse_document(ENGINE_SPEC + SECOND_FLOW_MONITOR)

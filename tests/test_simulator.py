@@ -60,7 +60,7 @@ class TestBasics:
         sim.run_to_end()
         entered = sum(sim.entered.values())
         exited = sum(sim.exited.values())
-        assert entered == exited + len(sim._vehicles)
+        assert entered == exited + sim._exits.count(None)
         assert all(row.n >= 0 for row in sim.trace().rows)
         assert sim.trace().rows[-1].n == entered - exited
 
@@ -195,8 +195,8 @@ class TestEventLoop:
         def one_by_one():
             flow = sim.flow_per_min()
             return tuple(
-                [sim._gauge(s, flow) for s in sim.flow_sensors.values()]
-                + [sim._gauge(s, sim.illuminance) for s in sim.lux_sensors.values()]
+                sim._gauge(s, flow if s.class_name == FLOW_CLASS else sim.illuminance)
+                for s in sim._sensors
             )
 
         sim.run_until(50.0)
@@ -290,7 +290,35 @@ class TestSensors:
         assert sim.read("f_3") is None
         sim.bind_instance("f_3", "ir_13")
         assert sim.read("f_3") is not None
-        assert sim.flow_sensors["f_3"].instance_id == "ir_13"
+        assert sim._sensor("f_3").instance_id == "ir_13"
+
+
+class TestTables:
+    """Each sensor slot and each vehicle is kept once, in one table."""
+
+    def test_vehicles_are_in_arrival_order(self):
+        trace = simulate(quick_cfg())
+        entries = [v.entry_time for v in trace.vehicles]
+        assert len(entries) == sum(trace.entered.values())
+        assert entries == sorted(entries)
+        on_highway = sum(v.exit_time is None for v in trace.vehicles)
+        assert on_highway == sum(trace.entered.values()) - sum(trace.exited.values()) > 0
+
+    def test_instances_list_the_sensor_columns_in_order(self):
+        sim = Simulator(quick_cfg(sensor_faults=(SensorFault("e_2", "fail", 60.0),)))
+        columns = sim.columns[sim.columns.index("F") + 1 : sim.columns.index("p_north")]
+
+        def listed():
+            return tuple(slot for c in (FLOW_CLASS, LUX_CLASS) for slot, _ in sim.instances(c))
+
+        assert listed() == columns and len(columns) == 13
+        flows, lux = sim.instances(FLOW_CLASS), dict(sim.instances(LUX_CLASS))
+        sim.run_until(120.0)
+        sim.bind_instance("e_2", "lux_12")
+        assert listed() == columns
+        assert sim.instances(FLOW_CLASS) == flows
+        assert dict(sim.instances(LUX_CLASS)) == {**lux, "e_2": "lux_12"}
+        assert sim.instances("I_other") == []
 
 
 class TestEffectors:
