@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import weakref
@@ -208,6 +209,66 @@ class TestEventLoop:
         sim.bind_instance("e_1", "lux_11")
         assert sim._gauges() == one_by_one() and None not in sim._gauges()
         assert sim._all_healthy  # every sensor healed: gauged without a per-sensor pass
+
+    @pytest.mark.parametrize("interval, trace_sha256, n_peak", [
+        (1.0, "3dfc822e9df885615b3dbfd680fc4c186a2203d7d683a0ca372407b247e7e97e", 230),
+        # a gate closes 4 s after its train is detected, on a sample instant
+        # that was scheduled 6 s before: the sample still sees the gate open
+        (6.0, "1047dfed17051ff9d4a2710600568fd30513796c7ba94fb0624014a6c27c2414", 227),
+    ])
+    def test_events_on_sample_instants_keep_their_order(self, interval, trace_sha256, n_peak):
+        # with one discharge per second and 100 s per half of the crossing,
+        # every queued vehicle exits on a whole second, often a sample instant
+        cfg = quick_cfg(
+            lambda_north=30.0, lambda_south=24.0, duration_min=30.0, seed=7,
+            discharge_rate=1.0, sample_interval_s=interval,
+        )
+        trace = simulate(cfg)
+        on_samples = [v for v in trace.vehicles if v.exit_time is not None and v.exit_time % 1 == 0]
+        assert len(on_samples) > 300
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(trace_to_csv(trace)) == trace_sha256
+        assert digest(vehicles_to_json(trace)) == (
+            "d3388c5365435bb75c6366c7d60177de9ed3b55ff29b36a494627fd633afc202"
+        )
+        assert trace.n_peak == n_peak
+        assert simulate(cfg, record_rows=False).n_peak == max(row.n for row in trace.rows)
+
+    @pytest.mark.parametrize("t_set", [None, 412.5, 413.5])
+    def test_a_run_in_uneven_steps_matches_one_run(self, t_set):
+        cfg = quick_cfg(
+            lambda_north=20.0, lambda_south=16.0, sample_interval_s=2.5,
+            sensor_faults=(SensorFault("f_3", "noise", 200.0, sigma=2.0),),
+        )
+
+        def finish(sim):
+            trace = sim.trace()
+            return trace.rows, trace.vehicles, trace.n_peak, trace.entered, trace.exited, trace.fast
+
+        whole = Simulator(cfg)
+        if t_set is not None:
+            whole.run_until(t_set)
+            whole.set_parameter("t_dispatch", 4.0)
+        whole.run_to_end()
+        unchanged = simulate(cfg)
+        assert (whole.trace() == unchanged) == (t_set is None)
+
+        steps = Simulator(cfg)
+        # steps ending on a sample instant (a multiple of 2.5 s), between two
+        # of them, and one that does not move the clock
+        for t in (0.0, 0.0, 7.5, 8.1, 37.0, 37.5, 120.0, 199.9, 200.0, 301.2, t_set or 405.0):
+            steps.run_until(t)
+        if t_set is not None:
+            # a step that ends on a sample instant takes its sample first
+            assert steps.trace().rows[-1].time == 412.5 and steps.trace().rows[-1].t_dispatch == 5.0
+            steps.set_parameter("t_dispatch", 4.0)
+        for t in (415.0, 600.0, 602.4, 900.0, 1000.3, 1200.0, 2000.0):
+            steps.run_until(t)
+        assert steps.clock == whole.clock == cfg.duration_s
+        assert finish(steps) == finish(whole)
 
 
 class TestFluidStability:
