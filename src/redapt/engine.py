@@ -301,15 +301,39 @@ def utility_threshold(entity: EntitySpec, cfg: EngineConfig) -> Optional[float]:
     return None
 
 
+# fewer present readings than this in a state, and two sensors moving
+# together outvote the rest on what the class reads
+_CONSENSUS_MIN_READINGS = 4
+
+
+def _class_median(state: State, class_name: str) -> Optional[float]:
+    """The median of a class's present readings in ``state``, or None when
+    fewer than ``_CONSENSUS_MIN_READINGS`` are present.  Worked out here:
+    ``statistics`` would import ``fractions`` and ``decimal`` at every start."""
+    present = [m.value for m in state.instances.get(class_name, {}).values()]
+    present = [v for v in present if v is not None]
+    if len(present) < _CONSENSUS_MIN_READINGS:
+        return None
+    present.sort()
+    half = len(present) // 2
+    return present[half] if len(present) % 2 else (present[half - 1] + present[half]) / 2
+
+
 def faulty_slots(source: EntitySpec, trace: Trace, cfg: EngineConfig) -> list[str]:
     """Slots, in the target's order, of the classes a components-uncertainty
     source declares whose instance has failed (FR: it reads absent) or is
-    noisy (NFR: its readings since it was bound fail ``window_is_noisy``)."""
+    noisy (NFR: its readings since it was bound fail ``window_is_noisy``).
+
+    A real change in what the class gauges spreads every healthy sensor's
+    window alike.  So a window that fails is tested again on its residuals
+    from the class's median reading in each state, when every one of those
+    states has enough readings for a consensus; the residuals decide."""
     if not trace.states:
         return []
     window = trace.states[-cfg.noise_window :]
     out: list[str] = []
     for cls in source.class_attributes():
+        medians: Optional[list[Optional[float]]] = None  # by window position, once one fires
         for slot, instance in window[-1].instances.get(cls.name, {}).items():
             if source.affected_violation_kind == "FR":
                 faulty = instance.value is None
@@ -320,7 +344,15 @@ def faulty_slots(source: EntitySpec, trace: Trace, cfg: EngineConfig) -> list[st
                     if held is None or held.id != instance.id:
                         break
                     values.append(held.value)
-                faulty = window_is_noisy(values[::-1], cfg)
+                values.reverse()
+                faulty = window_is_noisy(values, cfg)
+                if faulty:
+                    if medians is None:
+                        medians = [_class_median(state, cls.name) for state in window]
+                    consensus = medians[len(window) - len(values) :]
+                    if None not in consensus:
+                        residuals = [v if v is None else v - m for v, m in zip(values, consensus)]
+                        faulty = window_is_noisy(residuals, cfg)
             if faulty:
                 out.append(slot)
     return out

@@ -26,28 +26,35 @@ counts.  Every run keeps its vehicles in one store indexed by id, ids given
 in arrival order.  A full run's trace returns them for ``vehicles.json``; a
 model run (``record_rows=False``) keeps the store but returns no vehicles.
 
-The event loop is a heap of ``(time, seq, handler, payload)`` entries, and
-``run_until`` pops one and calls ``handler(self, *payload)``.  Events at the
-same instant run in the order they were pushed, since ``seq`` counts pushes
-and no two entries share one; the handler is therefore never compared.  A
-handler is the class's plain function (``Simulator._on_exit``), not a bound
-method: a bound method would hold the simulator from its own heap, so a
-finished run, rows and vehicles included, would wait for the cyclic garbage
-collector instead of being freed when its last reference goes.  Each
-direction's arrival gaps come from that direction's own generator, drawn in
-blocks of ``_GAP_BLOCK`` and consumed in order; as the stream serves nothing
-else, the gaps are those that one draw per arrival would give.
+Events are ordered by ``(time, seq)``, where ``seq`` counts the events as
+they are scheduled and no two share one: events at the same instant run in
+the order they were scheduled.  Every event but the sample instants is an
+entry ``(time, seq, handler, payload)`` of a heap, and ``run_until`` pops
+one and calls ``handler(self, *payload)``.  The sample instants are not
+heap entries.  The simulator keeps the next one as a pair ``(time, seq)``,
+its ``seq`` drawn where a heap entry's would be, after the first events are
+scheduled and then right after each sample is taken.  ``run_until`` pops
+the entries that order before that pair, takes the sample, and so runs each
+sample exactly where its heap entry would have run.  A pair decides every
+comparison, so a handler is never compared.  A handler is the class's plain
+function (``Simulator._on_exit``), not a bound method: a bound method would
+hold the simulator from its own heap, so a finished run, rows and vehicles
+included, would wait for the cyclic garbage collector instead of being freed
+when its last reference goes.  Each direction's arrival gaps come from that
+direction's own generator, drawn in blocks of ``_GAP_BLOCK`` and consumed in
+order; as the stream serves nothing else, the gaps are those that one draw
+per arrival would give.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 import itertools
 import json
 import numbers
 from collections import deque, namedtuple
 from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 from typing import Iterator, Mapping, Optional
 
 from ..engine import is_finite
@@ -63,6 +70,7 @@ FLOW_CLASS = "I_sensor"
 LUX_CLASS = "I_lux"
 
 _GAP_BLOCK = 256  # arrival gaps drawn at once from a direction's generator
+_NO_SAMPLE = (float("inf"), 0)  # the next sample instant once the run has taken its last
 
 # what a scenario may make the simulator allocate before its run: the flow
 # window is pre-filled with its expected arrivals, and each sensor and spare
@@ -295,11 +303,14 @@ class _SensorState:
 
 
 class Simulator:
-    """One crossing, advanced by an event heap up to a requested time.
+    """One crossing, advanced up to a requested time by an event heap and
+    the next sample instant, which ``run_until`` takes in its place among
+    the heap's events.
 
-    ``record_rows=False`` is for model runs: sample instants then update
-    ``n_peak`` only, so no sensor is read and no row is built; the run keeps
-    its per-id vehicle store all the same, but its trace returns no vehicles.
+    Every sample instant updates ``n_peak``.  A full run also records the
+    instant's row.  ``record_rows=False`` is for model runs: a sample builds
+    no row, so no sensor is read; the run keeps its per-id vehicle store all
+    the same, but its trace returns no vehicles.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -394,22 +405,39 @@ class Simulator:
         self.n_peak = 0
 
         for direction in self._gap_scale:  # a direction without arrivals schedules none
-            self._schedule_arrival(direction, 0.0)
+            self._push(self._next_gap(direction), Simulator._on_arrival, (direction,))
         self._schedule_train(self.t_dispatch_min * 60.0)
         for t, lux in cfg.illuminance_profile[1:]:
             self._push(t, Simulator._on_profile, (lux,))
         for fault in cfg.sensor_faults:
             self._push(fault.at_s, Simulator._on_fault, (fault,))
-        self._push(0.0, Simulator._on_sample, ())
+        # the next sample instant and its place in the order of events
+        self._sample_at = (0.0, self._next_seq())
 
     # -- event machinery ---------------------------------------------------
 
     def _push(self, time: float, handler, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time, self._next_seq(), handler, payload))
+        heappush(self._heap, (time, self._next_seq(), handler, payload))
 
     def run_until(self, t_end: float) -> None:
         t_end = min(t_end, self._duration_s)
-        heap, pop = self._heap, heapq.heappop
+        heap, pop = self._heap, heappop
+        sample_at = self._sample_at
+        while sample_at[0] <= t_end:
+            # ``(time, seq, ...) < (time, seq)`` decides on the pair alone
+            while heap and heap[0] < sample_at:
+                time, _, handler, payload = pop(heap)
+                self.clock = time
+                handler(self, *payload)
+            self.clock = time = sample_at[0]
+            n = self._occupancy
+            if n > self.n_peak:
+                self.n_peak = n
+            if self.record_rows:
+                self._rows.append(self.row())
+            time += self._sample_interval_s
+            sample_at = (time, self._next_seq()) if time <= self._duration_s else _NO_SAMPLE
+            self._sample_at = sample_at
         while heap and heap[0][0] <= t_end:
             time, _, handler, payload = pop(heap)
             self.clock = time
@@ -423,7 +451,7 @@ class Simulator:
     # ``run_until`` never pops an event past the end of the run, so no
     # handler runs after it
 
-    def _schedule_arrival(self, direction: str, now: float) -> None:
+    def _next_gap(self, direction: str) -> float:
         gaps = self._gaps[direction]
         if not gaps:
             block = self._rng_arrivals[direction].exponential(
@@ -431,7 +459,10 @@ class Simulator:
             ).tolist()
             block.reverse()
             gaps.extend(block)
-        self._push(now + gaps.pop(), Simulator._on_arrival, (direction,))
+        return gaps.pop()
+
+    # nearly every event is one of the three below, so they push their
+    # successors with ``heappush`` itself rather than through ``_push``
 
     def _on_arrival(self, direction: str) -> None:
         clock = self.clock
@@ -442,21 +473,24 @@ class Simulator:
         self.entered[direction] += 1
         self._occupancy += 1
         self._entry_window.append(clock)
-        self._push(clock + self._half_travel_s, Simulator._on_reach_gate, (vehicle, direction))
-        self._schedule_arrival(direction, clock)
+        heap, seq = self._heap, self._next_seq
+        reach_at = clock + self._half_travel_s
+        heappush(heap, (reach_at, seq(), Simulator._on_reach_gate, (vehicle, direction)))
+        gaps = self._gaps[direction]
+        gap = gaps.pop() if gaps else self._next_gap(direction)
+        heappush(heap, (clock + gap, seq(), Simulator._on_arrival, (direction,)))
 
     def _on_reach_gate(self, vehicle: int, direction: str) -> None:
         queue = self._queues[direction]
         if self.gate_open and not queue:
-            self._push(self.clock + self._half_travel_s, Simulator._on_exit, (vehicle,))
+            exit_at = self.clock + self._half_travel_s
+            heappush(self._heap, (exit_at, self._next_seq(), Simulator._on_exit, (vehicle,)))
             return
         queue.append(vehicle)
         if self.gate_open and len(queue) == 1:
-            self._push(
-                self.clock + self._service_gap_s,
-                Simulator._on_service,
-                (direction, self._service_version[direction]),
-            )
+            service_at = self.clock + self._service_gap_s
+            payload = (direction, self._service_version[direction])
+            heappush(self._heap, (service_at, self._next_seq(), Simulator._on_service, payload))
 
     def _on_service(self, direction: str, version: int) -> None:
         if not self.gate_open or version != self._service_version[direction]:
@@ -465,11 +499,11 @@ class Simulator:
         if not queue:
             return
         vehicle = queue.popleft()
-        self._push(self.clock + self._half_travel_s, Simulator._on_exit, (vehicle,))
+        clock, heap, seq = self.clock, self._heap, self._next_seq
+        heappush(heap, (clock + self._half_travel_s, seq(), Simulator._on_exit, (vehicle,)))
         if queue:
-            self._push(
-                self.clock + self._service_gap_s, Simulator._on_service, (direction, version)
-            )
+            payload = (direction, version)
+            heappush(heap, (clock + self._service_gap_s, seq(), Simulator._on_service, payload))
 
     def _on_exit(self, vehicle: int) -> None:
         direction = self._directions[vehicle]
@@ -541,16 +575,6 @@ class Simulator:
             sensor.noise_sigma = fault.sigma
         self._all_healthy = False
         self._gauged_at = None
-
-    def _on_sample(self) -> None:
-        n = self._occupancy
-        if n > self.n_peak:
-            self.n_peak = n
-        if self.record_rows:
-            self._rows.append(self.row())
-        nxt = self.clock + self._sample_interval_s
-        if nxt <= self._duration_s:
-            self._push(nxt, Simulator._on_sample, ())
 
     # -- derived state -------------------------------------------------------
 

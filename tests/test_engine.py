@@ -289,6 +289,29 @@ class TestDiagnose:
         out = diagnosed(specs, trace_of(*rows))
         assert out["flow monitor"] is ViolationType.COMU_NFR
 
+    def test_a_real_change_in_flow_is_not_noise(self, specs):
+        # F falls 8 veh/min over five cycles: each healthy sensor's window
+        # spreads past the threshold, but none strays from what the others read
+        falling = [38.8, 36.8, 34.8, 32.8, 30.8]
+        assert window_is_noisy(falling, crossing_config())
+        slots = [f"f_{i}" for i in range(1, 11)]
+
+        def diagnosed_flow(**strays):
+            rows = [
+                healthy_state(
+                    60 * (i + 1),
+                    **{slot: flow + strays.get(slot, (0,) * 5)[i] for slot in slots},
+                )
+                for i, flow in enumerate(falling)
+            ]
+            trace = trace_of(*rows)
+            return diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
+
+        assert diagnosed_flow()["flow monitor"] == (NONE, [])
+        # a noisy sensor still stands out from the others
+        out = diagnosed_flow(f_4=(20, -20, 20, -20, 20))
+        assert out["flow monitor"] == (ViolationType.COMU_NFR, ["f_4"])
+
     def test_inconclusive_invariant_is_no_violation(self, specs):
         trace = trace_of(healthy_state(60))
         out = diagnosed(specs, trace)
