@@ -17,8 +17,11 @@ from .simulator import (
     VehicleRecord,
     compute_metrics,
     simulate,
+    VehicleView,
     trace_to_csv,
     vehicles_to_json,
+    write_trace_csv,
+    write_vehicles_json,
 )
 from .utilities import DARK_LUX_BOUND, DomainError, Utilities, eval_utilities
 
@@ -26,7 +29,8 @@ __all__ = [
     "DARK_LUX_BOUND", "DIRECTIONS", "DomainError", "FLOW_CLASS", "LUX_CLASS",
     "Metrics", "NORTH", "RunResult", "SOUTH", "ScenarioConfig",
     "SensorFault", "SimTrace", "Simulator", "UnknownSensorError", "Utilities",
-    "VehicleRecord", "build_pool", "compute_metrics", "derive_goal_model",
+    "VehicleRecord", "VehicleView", "build_pool", "compute_metrics", "derive_goal_model",
     "eval_utilities", "initial_model", "run_scenario", "simulate",
-    "trace_to_csv", "vehicles_to_json", "write_artifacts",
+    "trace_to_csv", "vehicles_to_json", "write_artifacts", "write_trace_csv",
+    "write_vehicles_json",
 ]

@@ -11,10 +11,13 @@ the health of the standby instance.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
+from pathlib import Path
+from typing import Optional, TextIO
 
 from ..engine import (
     AdaptationEngine,
@@ -41,8 +44,9 @@ from .simulator import (
     Simulator,
     compute_metrics,
     simulate,
-    trace_to_csv,
-    vehicles_to_json,
+    write_in_blocks,
+    write_trace_csv,
+    write_vehicles_json,
 )
 from .utilities import DomainError, eval_utilities
 
@@ -112,8 +116,13 @@ class RunResult:
         doc["final_parameters"] = self.final_parameters
         return json.dumps(doc, indent=2) + "\n"
 
+    def write_cycles_jsonl(self, out: TextIO) -> None:
+        write_in_blocks(out, (json.dumps(r.to_json_dict()) + "\n" for r in self.reports))
+
     def cycles_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_json_dict()) + "\n" for r in self.reports)
+        out = io.StringIO()
+        self.write_cycles_jsonl(out)
+        return out.getvalue()
 
 
 class _Verifiers:
@@ -218,17 +227,29 @@ def run_scenario(
 
 
 def write_artifacts(result: RunResult, out_dir) -> dict[str, str]:
-    """Write cycles.jsonl, trace.csv, vehicles.json and metrics.json."""
-    from pathlib import Path
+    """Write cycles.jsonl, trace.csv, vehicles.json and metrics.json.
 
+    Each is streamed to ``<name>.part`` and renamed to its name once whole;
+    a write that fails removes its ``.part`` file and raises, so no artifact
+    is left cut short."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {
-        "cycles.jsonl": result.cycles_jsonl(),
-        "trace.csv": trace_to_csv(result.trace),
-        "vehicles.json": vehicles_to_json(result.trace),
-        "metrics.json": result.metrics_json(),
+    writers = {
+        "cycles.jsonl": result.write_cycles_jsonl,
+        "trace.csv": partial(write_trace_csv, result.trace),
+        "vehicles.json": partial(write_vehicles_json, result.trace),
+        "metrics.json": lambda f: f.write(result.metrics_json()),
     }
-    for name, content in files.items():
-        (out / name).write_text(content, encoding="utf-8")
-    return {name: str(out / name) for name in files}
+    paths = {}
+    for name, write in writers.items():
+        path = out / name
+        part = out / f"{name}.part"
+        try:
+            with open(part, "w", encoding="utf-8") as f:
+                write(f)
+            os.replace(part, path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        paths[name] = str(path)
+    return paths

@@ -23,8 +23,9 @@ that ``exited`` and those that exited ``fast`` (in under
 ``p_time_threshold_s``), and keeps the occupancy peak ``n_peak`` over the
 sample instants.  The rows' ``p`` columns and ``compute_metrics`` read these
 counts.  Every run keeps its vehicles in one store indexed by id, ids given
-in arrival order.  A full run's trace returns them for ``vehicles.json``; a
-model run (``record_rows=False``) keeps the store but returns no vehicles.
+in arrival order.  A full run's trace returns no records but a view of that
+store (``VehicleView``), which ``vehicles.json`` is written from; a model
+run (``record_rows=False``) keeps the store but returns no vehicles.
 
 Events are ordered by ``(time, seq)``, where ``seq`` counts the events as
 they are scheduled and no two share one: events at the same instant run in
@@ -52,10 +53,12 @@ import io
 import itertools
 import json
 import numbers
+import operator
 from collections import deque, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from ..engine import is_finite
 from .utilities import (
@@ -243,10 +246,49 @@ class ScenarioConfig:
 VehicleRecord = namedtuple("VehicleRecord", "entry_time exit_time direction")
 
 
+class VehicleView(Sequence):
+    """A run's vehicles, read in place from the simulator's per-id lists:
+    a read-only sequence of ``VehicleRecord``, in id (arrival) order, whose
+    length is the number of vehicles when the view was made.  It equals
+    another view or a tuple holding the same records."""
+
+    __slots__ = ("_entries", "_exits", "_directions", "_n")
+
+    def __init__(self, entries: list, exits: list, directions: list):
+        self._entries, self._exits, self._directions = entries, exits, directions
+        self._n = len(entries)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(self._n)))
+        i = index + self._n if index < 0 else index
+        if not 0 <= i < self._n:
+            raise IndexError("vehicle index out of range")
+        return VehicleRecord(self._entries[i], self._exits[i], self._directions[i])
+
+    def __iter__(self) -> Iterator[VehicleRecord]:
+        return map(VehicleRecord, *self.columns())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (VehicleView, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def columns(self) -> tuple[Sequence, Sequence, Sequence]:
+        """The entry times, exit times and directions by id, each of the
+        view's length: the store's own lists once nothing has been added."""
+        n = self._n
+        return tuple(c if len(c) == n else c[:n]
+                     for c in (self._entries, self._exits, self._directions))
+
+
 @dataclass(frozen=True)
 class SimTrace:
     rows: tuple[tuple, ...]  # one per sample instant, in ``columns`` order
-    vehicles: tuple[VehicleRecord, ...]  # in arrival order; empty for a model run
+    vehicles: Sequence[VehicleRecord]  # in arrival order; empty for a model run
     columns: tuple[str, ...]
     # what the simulator counted, kept whether rows were recorded or not
     n_peak: int
@@ -308,9 +350,10 @@ class Simulator:
     the heap's events.
 
     Every sample instant updates ``n_peak``.  A full run also records the
-    instant's row.  ``record_rows=False`` is for model runs: a sample builds
-    no row, so no sensor is read; the run keeps its per-id vehicle store all
-    the same, but its trace returns no vehicles.
+    instant's row, and its trace returns the per-id vehicle store as a
+    ``VehicleView``, not as records.  ``record_rows=False`` is for model
+    runs: a sample builds no row, so no sensor is read; the run keeps its
+    per-id vehicle store all the same, but its trace returns no vehicles.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -706,10 +749,17 @@ class Simulator:
     # -- trace export ------------------------------------------------------------
 
     def trace(self) -> SimTrace:
-        vehicles = map(VehicleRecord, self._entries, self._exits, self._directions)
+        vehicles: Sequence[VehicleRecord] = ()
+        if self.record_rows:
+            # entries and directions are only appended to, and no vehicle
+            # exits once the run has ended, so a finished run's view reads
+            # the store itself; one taken earlier copies the exit times, as
+            # vehicles on the highway have yet to exit
+            exits = self._exits if self.clock >= self._duration_s else self._exits[:]
+            vehicles = VehicleView(self._entries, exits, self._directions)
         return SimTrace(
             rows=tuple(self._rows),
-            vehicles=tuple(vehicles) if self.record_rows else (),
+            vehicles=vehicles,
             columns=self.columns,
             n_peak=self.n_peak,
             entered=dict(self.entered),
@@ -729,6 +779,28 @@ def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
 
 
 # -- trace serialization ----------------------------------------------------
+# Each artifact has one writer, which streams it to an open text file a
+# block of lines at a time; ``trace_to_csv`` and ``vehicles_to_json`` give
+# the same text as a string.
+
+_BLOCK_CHARS = 1 << 18  # about the text joined into one write
+
+
+def write_in_blocks(out: TextIO, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``out`` a block at a time: never the whole text as
+    one string, nor one call per line.  A block is cut by its length, not
+    its line count: a line of ``cycles.jsonl`` is over ten times as long as
+    one of ``trace.csv``."""
+    block: list[str] = []
+    size = 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK_CHARS:
+            out.write("".join(block))
+            block.clear()
+            size = 0
+    out.write("".join(block))
 
 
 def _fmt(value: object) -> str:
@@ -753,31 +825,81 @@ def _fmt_cells(values: tuple) -> list[str]:
     return cells
 
 
+def write_trace_csv(trace: SimTrace, out: TextIO) -> None:
+    out.write(",".join(trace.columns) + "\n")
+    write_in_blocks(out, (",".join(_fmt_cells(row)) + "\n" for row in trace.rows))
+
+
 def trace_to_csv(trace: SimTrace) -> str:
     out = io.StringIO()
-    out.write(",".join(trace.columns) + "\n")
-    for row in trace.rows:
-        out.write(",".join(_fmt_cells(row)) + "\n")
+    write_trace_csv(trace, out)
     return out.getvalue()
 
 
-def vehicles_to_json(trace: SimTrace) -> str:
+def _nine_digits(value: float) -> str:
+    """``repr(float(f"{value:.9g}"))``: a time rounded to nine significant
+    digits as json writes a float.  Where ``%.9g`` writes no exponent, its
+    digits are repr's (nine digits or fewer name one float, and repr gives
+    the shortest text that does), and so is its notation but for the
+    ``.0`` repr adds to a whole number."""
+    text = "%.9g" % value
+    if "e" in text or "n" in text:  # an exponent, inf or nan
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
+def _entry_order(entries: Sequence[float], directions: Sequence[str]) -> Iterable[int]:
+    """The vehicle ids in ``(entry_time, direction)`` order, in id order
+    within one entry time and direction.
+
+    A run gives ids in arrival order, so its entry times never decrease with
+    the id and only a run of equal entry times is reordered, by direction.
+    A hand-built trace out of order is sorted whole."""
+    ids = range(len(entries))
+    if not all(map(operator.le, entries, itertools.islice(entries, 1, None))):
+        return sorted(ids, key=lambda k: (entries[k], directions[k]))
+    if not any(map(operator.eq, entries, itertools.islice(entries, 1, None))):
+        return ids
+    return (
+        k for _, same in itertools.groupby(ids, entries.__getitem__)
+        for k in sorted(same, key=directions.__getitem__)
+    )
+
+
+def _vehicle_records(trace: SimTrace) -> Iterator[str]:
+    """Each record of ``vehicles.json`` with the separator before it."""
+    if isinstance(trace.vehicles, VehicleView):  # a run's: read its store
+        entries, exits, directions = trace.vehicles.columns()
+    else:
+        entries, exits, directions = zip(*trace.vehicles)
+    quoted = {d: json.dumps(d) for d in set(directions)}
+    separator = "\n"
+    for k in _entry_order(entries, directions):
+        exit_time = exits[k]
+        yield (
+            f'{separator}    {{\n'
+            f'      "entry_time": {_nine_digits(entries[k])},\n'
+            f'      "exit_time": {"null" if exit_time is None else _nine_digits(exit_time)},\n'
+            f'      "direction": {quoted[directions[k]]}\n'
+            '    }'
+        )
+        separator = ",\n"
+
+
+def write_vehicles_json(trace: SimTrace, out: TextIO) -> None:
     """The vehicles as ``json.dumps({"vehicles": [...]}, indent=2)`` writes
-    them, times rounded to nine significant digits.  Written out by hand:
-    ``indent`` would send every record through json's pure-Python encoder."""
+    them, sorted by ``(entry_time, direction)``, times rounded to nine
+    significant digits.  Written out by hand: ``indent`` would send every
+    record through json's pure-Python encoder."""
+    if not trace.vehicles:
+        out.write('{\n  "vehicles": []\n}\n')
+        return
+    out.write('{\n  "vehicles": [')
+    write_in_blocks(out, _vehicle_records(trace))
+    out.write("\n  ]\n}\n")
 
-    def nine(value: float) -> str:
-        return repr(float(f"{value:.9g}"))  # json writes a float as its repr
 
-    quoted = {d: json.dumps(d) for d in {v.direction for v in trace.vehicles}}
-    records = [
-        '    {\n'
-        f'      "entry_time": {nine(v.entry_time)},\n'
-        f'      "exit_time": {"null" if v.exit_time is None else nine(v.exit_time)},\n'
-        f'      "direction": {quoted[v.direction]}\n'
-        '    }'
-        for v in sorted(trace.vehicles, key=lambda v: (v.entry_time, v.direction))
-    ]
-    if not records:
-        return '{\n  "vehicles": []\n}\n'
-    return '{\n  "vehicles": [\n' + ",\n".join(records) + '\n  ]\n}\n'
+def vehicles_to_json(trace: SimTrace) -> str:
+    out = io.StringIO()
+    write_vehicles_json(trace, out)
+    return out.getvalue()

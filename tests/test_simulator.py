@@ -6,6 +6,8 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from redapt.cli import trace_from_csv
 from redapt.hrcs import (
@@ -19,11 +21,13 @@ from redapt.hrcs import (
     SimTrace,
     Simulator,
     VehicleRecord,
+    VehicleView,
     compute_metrics,
     simulate,
     trace_to_csv,
     vehicles_to_json,
 )
+from redapt.hrcs.simulator import _nine_digits
 from redapt.hrcs.utilities import DomainError
 
 
@@ -606,3 +610,100 @@ class TestVehiclesJson:
         trace = simulate(quick_cfg())
         assert any(v.exit_time is None for v in trace.vehicles)
         assert vehicles_to_json(trace) == self.reference(trace)
+
+
+class TestVehicleStore:
+    """A run's trace reads its vehicles in place from the per-id store."""
+
+    def test_view_is_a_sequence_of_records(self):
+        view = simulate(quick_cfg()).vehicles
+        records = tuple(view)
+        assert isinstance(view, VehicleView)
+        assert len(view) == len(records) > 5
+        assert all(type(v) is VehicleRecord for v in records)
+        assert (view[0], view[-1], view[2:5]) == (records[0], records[-1], records[2:5])
+        with pytest.raises(IndexError):
+            view[len(records)]
+        assert view == records and records == view
+        assert view != records[:-1] and view != list(records)
+
+    def test_trace_taken_mid_run_keeps_its_vehicles(self):
+        sim = Simulator(quick_cfg())
+        sim.run_until(300.0)
+        early = sim.trace()
+        records = tuple(early.vehicles)
+        assert any(v.exit_time is None for v in records)
+        sim.run_to_end()
+        assert len(early.vehicles) == len(records) < len(sim.trace().vehicles)
+        assert early.vehicles == records
+        assert vehicles_to_json(early) == vehicles_to_json(replace(early, vehicles=records))
+
+    def test_a_run_writes_vehicles_from_its_store(self, monkeypatch):
+        trace = simulate(quick_cfg())
+        expected = TestVehiclesJson.reference(trace)
+
+        def no_records(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(VehicleView, "__iter__", no_records)
+        monkeypatch.setattr(VehicleView, "__getitem__", no_records)
+        assert vehicles_to_json(trace) == expected
+
+
+class TestVehiclesJsonOrder:
+    """Records are written in ``(entry_time, direction)`` order, in id order
+    within one entry time and direction, on the store path and on a
+    hand-built trace alike."""
+
+    # ids 1 to 4 enter at once, from both directions
+    ENTRIES = [1.0, 2.5, 2.5, 2.5, 2.5, 4.0]
+    EXITS = [10.0, 11.0, 12.0, 13.0, None, 14.0]
+    DIRECTIONS = [NORTH, SOUTH, NORTH, SOUTH, NORTH, SOUTH]
+    WRITTEN = [
+        (1.0, NORTH, 10.0), (2.5, NORTH, 12.0), (2.5, NORTH, None),
+        (2.5, SOUTH, 11.0), (2.5, SOUTH, 13.0), (4.0, SOUTH, 14.0),
+    ]
+
+    @staticmethod
+    def written(trace):
+        text = vehicles_to_json(trace)
+        assert text == TestVehiclesJson.reference(trace)
+        return [(v["entry_time"], v["direction"], v["exit_time"])
+                for v in json.loads(text)["vehicles"]]
+
+    def test_equal_entry_times_on_the_store_path(self):
+        view = VehicleView(self.ENTRIES, self.EXITS, self.DIRECTIONS)
+        assert self.written(replace(counted_trace(), vehicles=view)) == self.WRITTEN
+
+    def records(self, *ids):
+        return [VehicleRecord(self.ENTRIES[k], self.EXITS[k], self.DIRECTIONS[k]) for k in ids]
+
+    def test_hand_built_records_in_order(self):
+        assert self.written(counted_trace(vehicles=self.records(*range(6)))) == self.WRITTEN
+
+    def test_hand_built_records_out_of_order_are_sorted(self):
+        # in the order given within one entry time and direction
+        trace = counted_trace(vehicles=self.records(5, 3, 0, 4, 1, 2))
+        assert self.written(trace) == [
+            (1.0, NORTH, 10.0), (2.5, NORTH, None), (2.5, NORTH, 12.0),
+            (2.5, SOUTH, 13.0), (2.5, SOUTH, 11.0), (4.0, SOUTH, 14.0),
+        ]
+
+
+def _around(magnitude):
+    return st.floats(min_value=magnitude / 100, max_value=magnitude * 100)
+
+
+@given(st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=0, max_value=2**70),
+    _around(1e-4), _around(1e9), _around(1e16),
+))
+@example(0)
+@example(7)
+@example(1e-7 / 3)
+@example(123456789012.0)
+@example(1e-4)
+@example(999999999.5)
+def test_time_formatter_matches_repr_of_the_rounded_float(value):
+    assert _nine_digits(value) == repr(float(f"{value:.9g}"))
