@@ -196,11 +196,6 @@ class GoalModel:
         parents = {d.parent for d in self.decompositions}
         return tuple(n.id for n in self.nodes if n.id not in parents)
 
-    @property
-    def roots(self) -> frozenset[str]:
-        children = {c for d in self.decompositions for c in d.children}
-        return frozenset(n.id for n in self.nodes if n.id not in children)
-
     # -- transformations -------------------------------------------------
 
     def add_node(self, node: GoalNode) -> "GoalModel":

@@ -1,6 +1,8 @@
-"""Highway-rail crossing scenario: utilities, simulator, fixture and runner."""
+"""Highway-rail crossing scenario: utilities, simulator and runner.
 
-from .fixture import derive_goal_model, initial_model
+The goal-model fixture is imported from ``redapt.hrcs.fixture``, so that
+importing the package leaves ``redapt.goalmodel`` unloaded."""
+
 from .runner import RunResult, build_pool, run_scenario, write_artifacts
 from .simulator import (
     DIRECTIONS,
@@ -29,8 +31,8 @@ __all__ = [
     "DARK_LUX_BOUND", "DIRECTIONS", "DomainError", "FLOW_CLASS", "LUX_CLASS",
     "Metrics", "NORTH", "RunResult", "SOUTH", "ScenarioConfig",
     "SensorFault", "SimTrace", "Simulator", "UnknownSensorError", "Utilities",
-    "VehicleRecord", "VehicleView", "build_pool", "compute_metrics", "derive_goal_model",
-    "eval_utilities", "initial_model", "run_scenario", "simulate",
+    "VehicleRecord", "VehicleView", "build_pool", "compute_metrics",
+    "eval_utilities", "run_scenario", "simulate",
     "trace_to_csv", "vehicles_to_json", "write_artifacts", "write_trace_csv",
     "write_vehicles_json",
 ]

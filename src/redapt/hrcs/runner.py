@@ -11,7 +11,6 @@ the health of the standby instance.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import dataclass, replace
@@ -25,6 +24,7 @@ from ..engine import (
     ContractViolationError,
     CycleReport,
     EngineConfig,
+    EngineError,
     Parametric,
     ProbeEffectorContract,
     Reconfiguration,
@@ -44,7 +44,6 @@ from .simulator import (
     Simulator,
     compute_metrics,
     simulate,
-    write_in_blocks,
     write_trace_csv,
     write_vehicles_json,
 )
@@ -117,12 +116,7 @@ class RunResult:
         return json.dumps(doc, indent=2) + "\n"
 
     def write_cycles_jsonl(self, out: TextIO) -> None:
-        write_in_blocks(out, (json.dumps(r.to_json_dict()) + "\n" for r in self.reports))
-
-    def cycles_jsonl(self) -> str:
-        out = io.StringIO()
-        self.write_cycles_jsonl(out)
-        return out.getvalue()
+        out.writelines(json.dumps(r.to_json_dict()) + "\n" for r in self.reports)
 
 
 class _Verifiers:
@@ -148,9 +142,10 @@ class _Verifiers:
         """Model-based verification: re-run the fault-free scenario under the
         candidate and check p and the occupancy peak against their limits.
 
-        The model run keeps counts only, no rows and no vehicle records: its
-        verdict reads the simulator's fast and exit counts and ``n_peak``.  The
-        model is a pure function of the candidate, so verdicts are cached.
+        The model run records no rows; its trace returns the vehicle store,
+        but the verdict reads only the simulator's fast and exit counts and
+        ``n_peak``.  The model is a pure function of the candidate, so
+        verdicts are cached.
         """
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_FR
@@ -199,7 +194,8 @@ def run_scenario(
     engine_cfg: Optional[EngineConfig] = None,
 ) -> RunResult:
     """Run the scenario under MAPE control for its configured duration,
-    by default with the crossing's planning settings."""
+    by default with the crossing's planning settings.  A cycle sees the row
+    of its instant, so a cycle between sample instants raises ``EngineError``."""
     cfg = engine_cfg if engine_cfg is not None else EngineConfig.from_dict({}, PLANNING_SETTINGS)
     sim = Simulator(scenario)
     problems = verify_contract(specs, contract_of(sim)) + missing_plan_steps(specs, cfg)
@@ -212,6 +208,9 @@ def run_scenario(
     t = cfg.cycle_period_s
     while t <= scenario.duration_s:
         sim.run_until(t)
+        if sim.sampled_at != t:
+            raise EngineError(f"the cycle at {t!r} s falls between sample instants "
+                              f"(the last at {sim.sampled_at!r} s)")
         reports.append(engine.cycle(sim, sim, verifiers.for_goal))
         t += cfg.cycle_period_s
     sim.run_to_end()

@@ -23,9 +23,8 @@ that ``exited`` and those that exited ``fast`` (in under
 ``p_time_threshold_s``), and keeps the occupancy peak ``n_peak`` over the
 sample instants.  The rows' ``p`` columns and ``compute_metrics`` read these
 counts.  Every run keeps its vehicles in one store indexed by id, ids given
-in arrival order.  A full run's trace returns no records but a view of that
-store (``VehicleView``), which ``vehicles.json`` is written from; a model
-run (``record_rows=False``) keeps the store but returns no vehicles.
+in arrival order, and its trace returns no records but a view of that store
+(``VehicleView``), which ``vehicles.json`` is written from in id order.
 
 Events are ordered by ``(time, seq)``, where ``seq`` counts the events as
 they are scheduled and no two share one: events at the same instant run in
@@ -53,12 +52,11 @@ import io
 import itertools
 import json
 import numbers
-import operator
 from collections import deque, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, Optional, TextIO
+from typing import Iterator, Mapping, Optional, TextIO
 
 from ..engine import is_finite
 from .utilities import (
@@ -250,7 +248,7 @@ class VehicleView(Sequence):
     """A run's vehicles, read in place from the simulator's per-id lists:
     a read-only sequence of ``VehicleRecord``, in id (arrival) order, whose
     length is the number of vehicles when the view was made.  It equals
-    another view or a tuple holding the same records."""
+    another view holding the same records."""
 
     __slots__ = ("_entries", "_exits", "_directions", "_n")
 
@@ -261,21 +259,17 @@ class VehicleView(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(self._n)))
-        i = index + self._n if index < 0 else index
-        if not 0 <= i < self._n:
-            raise IndexError("vehicle index out of range")
+    def __getitem__(self, index: int) -> VehicleRecord:
+        i = range(self._n)[index]
         return VehicleRecord(self._entries[i], self._exits[i], self._directions[i])
 
     def __iter__(self) -> Iterator[VehicleRecord]:
         return map(VehicleRecord, *self.columns())
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (VehicleView, tuple)):
+        if not isinstance(other, VehicleView):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return self.columns() == other.columns()
 
     def columns(self) -> tuple[Sequence, Sequence, Sequence]:
         """The entry times, exit times and directions by id, each of the
@@ -288,7 +282,7 @@ class VehicleView(Sequence):
 @dataclass(frozen=True)
 class SimTrace:
     rows: tuple[tuple, ...]  # one per sample instant, in ``columns`` order
-    vehicles: Sequence[VehicleRecord]  # in arrival order; empty for a model run
+    vehicles: VehicleView  # in arrival order
     columns: tuple[str, ...]
     # what the simulator counted, kept whether rows were recorded or not
     n_peak: int
@@ -349,11 +343,11 @@ class Simulator:
     the next sample instant, which ``run_until`` takes in its place among
     the heap's events.
 
-    Every sample instant updates ``n_peak``.  A full run also records the
-    instant's row, and its trace returns the per-id vehicle store as a
-    ``VehicleView``, not as records.  ``record_rows=False`` is for model
-    runs: a sample builds no row, so no sensor is read; the run keeps its
-    per-id vehicle store all the same, but its trace returns no vehicles.
+    Every sample instant updates ``n_peak``, and ``sampled_at`` is the
+    last one taken.  A full run also records the instant's row.
+    ``record_rows=False`` is for model runs: a sample builds no row, so no
+    sensor is read.  Either way the trace returns the per-id vehicle store
+    as a ``VehicleView``, not as records.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -446,6 +440,7 @@ class Simulator:
 
         self._rows: list[tuple] = []
         self.n_peak = 0
+        self.sampled_at: Optional[float] = None
 
         for direction in self._gap_scale:  # a direction without arrivals schedules none
             self._push(self._next_gap(direction), Simulator._on_arrival, (direction,))
@@ -472,7 +467,7 @@ class Simulator:
                 time, _, handler, payload = pop(heap)
                 self.clock = time
                 handler(self, *payload)
-            self.clock = time = sample_at[0]
+            self.clock = self.sampled_at = time = sample_at[0]
             n = self._occupancy
             if n > self.n_peak:
                 self.n_peak = n
@@ -749,17 +744,14 @@ class Simulator:
     # -- trace export ------------------------------------------------------------
 
     def trace(self) -> SimTrace:
-        vehicles: Sequence[VehicleRecord] = ()
-        if self.record_rows:
-            # entries and directions are only appended to, and no vehicle
-            # exits once the run has ended, so a finished run's view reads
-            # the store itself; one taken earlier copies the exit times, as
-            # vehicles on the highway have yet to exit
-            exits = self._exits if self.clock >= self._duration_s else self._exits[:]
-            vehicles = VehicleView(self._entries, exits, self._directions)
+        # entries and directions are only appended to, and no vehicle exits
+        # once the run has ended, so a finished run's view reads the store
+        # itself; one taken earlier copies the exit times, as vehicles on
+        # the highway have yet to exit
+        exits = self._exits if self.clock >= self._duration_s else self._exits[:]
         return SimTrace(
             rows=tuple(self._rows),
-            vehicles=vehicles,
+            vehicles=VehicleView(self._entries, exits, self._directions),
             columns=self.columns,
             n_peak=self.n_peak,
             entered=dict(self.entered),
@@ -771,36 +763,17 @@ class Simulator:
 def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
     """Run one scenario start to finish without an adaptation engine.
 
-    ``record_rows=False`` (for model runs) returns a trace without rows or
-    vehicles whose counts are those of the full run."""
+    ``record_rows=False`` (for model runs) returns a trace without rows
+    whose vehicles and counts are those of the full run."""
     sim = Simulator(cfg, record_rows=record_rows)
     sim.run_to_end()
     return sim.trace()
 
 
 # -- trace serialization ----------------------------------------------------
-# Each artifact has one writer, which streams it to an open text file a
-# block of lines at a time; ``trace_to_csv`` and ``vehicles_to_json`` give
-# the same text as a string.
-
-_BLOCK_CHARS = 1 << 18  # about the text joined into one write
-
-
-def write_in_blocks(out: TextIO, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``out`` a block at a time: never the whole text as
-    one string, nor one call per line.  A block is cut by its length, not
-    its line count: a line of ``cycles.jsonl`` is over ten times as long as
-    one of ``trace.csv``."""
-    block: list[str] = []
-    size = 0
-    for line in lines:
-        block.append(line)
-        size += len(line)
-        if size >= _BLOCK_CHARS:
-            out.write("".join(block))
-            block.clear()
-            size = 0
-    out.write("".join(block))
+# Each artifact has one writer, which streams it line by line through the
+# open text file's own buffer; ``trace_to_csv`` and ``vehicles_to_json``
+# give the same text as a string.
 
 
 def _fmt(value: object) -> str:
@@ -827,7 +800,7 @@ def _fmt_cells(values: tuple) -> list[str]:
 
 def write_trace_csv(trace: SimTrace, out: TextIO) -> None:
     out.write(",".join(trace.columns) + "\n")
-    write_in_blocks(out, (",".join(_fmt_cells(row)) + "\n" for row in trace.rows))
+    out.writelines(",".join(_fmt_cells(row)) + "\n" for row in trace.rows)
 
 
 def trace_to_csv(trace: SimTrace) -> str:
@@ -848,39 +821,17 @@ def _nine_digits(value: float) -> str:
     return text if "." in text else text + ".0"
 
 
-def _entry_order(entries: Sequence[float], directions: Sequence[str]) -> Iterable[int]:
-    """The vehicle ids in ``(entry_time, direction)`` order, in id order
-    within one entry time and direction.
-
-    A run gives ids in arrival order, so its entry times never decrease with
-    the id and only a run of equal entry times is reordered, by direction.
-    A hand-built trace out of order is sorted whole."""
-    ids = range(len(entries))
-    if not all(map(operator.le, entries, itertools.islice(entries, 1, None))):
-        return sorted(ids, key=lambda k: (entries[k], directions[k]))
-    if not any(map(operator.eq, entries, itertools.islice(entries, 1, None))):
-        return ids
-    return (
-        k for _, same in itertools.groupby(ids, entries.__getitem__)
-        for k in sorted(same, key=directions.__getitem__)
-    )
-
-
-def _vehicle_records(trace: SimTrace) -> Iterator[str]:
+def _vehicle_records(vehicles: VehicleView) -> Iterator[str]:
     """Each record of ``vehicles.json`` with the separator before it."""
-    if isinstance(trace.vehicles, VehicleView):  # a run's: read its store
-        entries, exits, directions = trace.vehicles.columns()
-    else:
-        entries, exits, directions = zip(*trace.vehicles)
+    entries, exits, directions = vehicles.columns()
     quoted = {d: json.dumps(d) for d in set(directions)}
     separator = "\n"
-    for k in _entry_order(entries, directions):
-        exit_time = exits[k]
+    for entry_time, exit_time, direction in zip(entries, exits, directions):
         yield (
             f'{separator}    {{\n'
-            f'      "entry_time": {_nine_digits(entries[k])},\n'
+            f'      "entry_time": {_nine_digits(entry_time)},\n'
             f'      "exit_time": {"null" if exit_time is None else _nine_digits(exit_time)},\n'
-            f'      "direction": {quoted[directions[k]]}\n'
+            f'      "direction": {quoted[direction]}\n'
             '    }'
         )
         separator = ",\n"
@@ -888,14 +839,14 @@ def _vehicle_records(trace: SimTrace) -> Iterator[str]:
 
 def write_vehicles_json(trace: SimTrace, out: TextIO) -> None:
     """The vehicles as ``json.dumps({"vehicles": [...]}, indent=2)`` writes
-    them, sorted by ``(entry_time, direction)``, times rounded to nine
-    significant digits.  Written out by hand: ``indent`` would send every
-    record through json's pure-Python encoder."""
+    them, in id (arrival) order, times rounded to nine significant digits.
+    Written out by hand: ``indent`` would send every record through json's
+    pure-Python encoder."""
     if not trace.vehicles:
         out.write('{\n  "vehicles": []\n}\n')
         return
     out.write('{\n  "vehicles": [')
-    write_in_blocks(out, _vehicle_records(trace))
+    out.writelines(_vehicle_records(trace.vehicles))
     out.write("\n  ]\n}\n")
 
 

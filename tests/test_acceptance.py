@@ -21,11 +21,11 @@ from redapt.hrcs import (
     FLOW_CLASS,
     ScenarioConfig,
     compute_metrics,
-    derive_goal_model,
     eval_utilities,
     run_scenario,
     simulate,
 )
+from redapt.hrcs.fixture import derive_goal_model
 from redapt.speclang import (
     And,
     Atom,

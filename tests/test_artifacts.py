@@ -1,9 +1,9 @@
 """``write_artifacts`` streams each artifact to its file.
 
 It never holds a whole artifact as one string, so the memory it takes stays
-a fixed few blocks however long the run; and it renames each file into
-place only once whole, so a write that fails partway leaves no artifact cut
-short.
+a line and the file's own buffer however long the run; and it renames each
+file into place only once whole, so a write that fails partway leaves no
+artifact cut short.
 """
 
 import errno
@@ -42,12 +42,16 @@ class FullAfter:
         self.writes -= 1
         return self.file.write(text)
 
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
 
 def test_a_failed_write_leaves_no_partial_artifact(tmp_path, spec_path, monkeypatch, capsys):
-    def full_after_first_block(trace, out):
-        write_vehicles_json(trace, FullAfter(out, 2))  # the opening line, one block
+    def full_after_first_record(trace, out):
+        write_vehicles_json(trace, FullAfter(out, 2))  # the opening line, one record
 
-    monkeypatch.setattr(runner, "write_vehicles_json", full_after_first_block)
+    monkeypatch.setattr(runner, "write_vehicles_json", full_after_first_record)
     scenario = json.loads(redapt.data_path("experiment1.json").read_text())
     scenario["duration_min"] = 10.0
     scenario_path = tmp_path / "scenario.json"

@@ -80,6 +80,11 @@ class TestCheck:
         done = python("-c", "import sys, redapt.cli; print('numpy' in sys.modules)")
         assert done.stdout.strip() == "False", done.stderr
 
+    def test_import_leaves_the_goal_model_unloaded(self):
+        # no command reads a goal model; the fixture that builds one is not imported
+        done = python("-c", "import sys, redapt.cli; print('redapt.goalmodel' in sys.modules)")
+        assert done.stdout.strip() == "False", done.stderr
+
 
 class TestRun:
     def test_artifacts_written_and_exit_zero(self, tmp_path, spec_path, scenario_path, capsys):
@@ -165,6 +170,25 @@ class TestRun:
         (tmp_path / "taken").write_text("")
         assert run_cli("run", "--spec", spec_path, "--scenario", scenario_path,
                        "--out", str(tmp_path / "taken" / "sub")) == 1
+
+    @pytest.mark.parametrize("interval", [7.0, 0.1])
+    def test_cycle_between_sample_instants_exits_one_without_artifacts(
+        self, tmp_path, spec_path, interval, capsys
+    ):
+        # 60 s is no multiple of 7 s, and sample instants accumulate: 600
+        # steps of 0.1 s add up to just over 60 s.  Either way the first
+        # cycle has no row of its own.
+        scenario = json.loads(redapt.data_path("experiment1.json").read_text())
+        scenario.update(duration_min=10.0, sample_interval_s=interval)
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(scenario))
+        out = tmp_path / "o"
+        code = run_cli("run", "--spec", spec_path, "--scenario", str(scenario_file),
+                       "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the cycle at 60.0 s falls between sample instants"), err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("option", ["--spec", "--scenario", "--engine-config"])
     def test_non_utf8_input_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path,

@@ -285,7 +285,7 @@ def test_operations_never_mutate_their_input(small_model):
 
 
 def test_validate_clean_on_derived_fixture():
-    from redapt.hrcs import derive_goal_model
+    from redapt.hrcs.fixture import derive_goal_model
 
     assert derive_goal_model().validate() == []
 
@@ -319,7 +319,7 @@ def test_validate_reports_mape_role_mismatch():
 
 
 def test_json_round_trip_is_byte_identical():
-    from redapt.hrcs import derive_goal_model
+    from redapt.hrcs.fixture import derive_goal_model
 
     model = derive_goal_model()
     text = model_to_json(model)
