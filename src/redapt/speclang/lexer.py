@@ -8,6 +8,7 @@ literal by 1/100.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from .errors import ParseError
 
@@ -24,112 +25,39 @@ class Token:
         return f"{self.kind}({self.value!r})@{self.line}:{self.col}"
 
 
-PUNCT = (
-    "&&",
-    "||",
-    "->",
-    "!=",
-    "<=",
-    ">=",
-    "!",
-    "=",
-    "<",
-    ">",
-    "(",
-    ")",
-    "{",
-    "}",
-    ",",
-    ":",
-    ".",
-    "-",
+# one alternative per token kind, tried in order; BAD takes any other character
+_TOKEN = re.compile(
+    r"""(?P<SKIP>[ \t\r\n]+|\#[^\n]*)
+      | (?P<STRING>"[^"\n]*")
+      | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?%?)
+      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
+      | (?P<PUNCT>&&|\|\||->|[!<>]=|[!=<>(){},:.-])
+      | (?P<BAD>.)""",
+    re.VERBOSE,
 )
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", start_line, start_col)
-            value = text[i + 1 : j]
-            advance(j - i + 1)
-            tokens.append(Token("STRING", value, start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            raw = text[i:j]
-            number = float(raw)
-            if j < n and text[j] == "%":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "SKIP":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + value.rindex("\n") + 1
+        elif kind == "BAD":
+            if value == '"':
+                raise ParseError("unterminated string literal", line, col)
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        elif kind == "NUMBER":
+            number = float(value.rstrip("%"))
+            if value.endswith("%"):
                 number /= 100.0
-                j += 1
-                raw = text[i:j]
-            advance(j - i)
-            tokens.append(Token("NUMBER", raw, start_line, start_col, number=number))
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            # glue dotted segments: ident '.' ident with no whitespace
-            while j + 1 < n and text[j] == "." and text[j + 1] in _IDENT_START:
-                j += 1
-                while j < n and text[j] in _IDENT_CONT:
-                    j += 1
-            value = text[i:j]
-            advance(j - i)
-            tokens.append(Token("IDENT", value, start_line, start_col))
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                advance(len(p))
-                tokens.append(Token("PUNCT", p, start_line, start_col))
-                break
+            tokens.append(Token(kind, value, line, col, number))
         else:
-            raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token(kind, value[1:-1] if kind == "STRING" else value, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens

@@ -46,7 +46,6 @@ _KIND_KEYWORDS = {k.value: k for k in EntityKind}
 _SLOT_KEYWORDS = {
     f"{phase.value}.{slot.value}": (phase, slot) for phase in Phase for slot in Slot
 }
-_SLOT_ORDER = {key: i for i, key in enumerate(_SLOT_KEYWORDS)}
 _TEMPORAL_UNARY = {"G": Globally, "F": Eventually, "X": Next}
 
 
@@ -253,13 +252,7 @@ class _Parser:
         positions: list[tuple[str, tuple[int, int]]] = [("header", (tok.line, tok.col))]
         self.expect_punct("{")
 
-        attributes: list[AttributeDecl] = []
-        input_vars: tuple[str, ...] = ()
-        output_vars: tuple[str, ...] = ()
-        conditions: dict[tuple[Phase, Slot], Formula] = {}
-        invariant = variant = violation = None
-        affected_goal = affected_kind = from_goal = tradeoff_with = None
-
+        values: dict[str, object] = {}  # clause label -> what its reader returned
         while not self.at_punct("}"):
             clause = self.peek()
             if clause.kind != "IDENT":
@@ -271,78 +264,50 @@ class _Parser:
             label = clause.value
             self.next()
             self.expect_punct(":")
+            if label not in _CLAUSES:
+                raise ParseError(f"unknown clause {label!r}", clause.line, clause.col, tuple(_CLAUSES))
+            if label in values:
+                raise ParseError(f"clause {label!r} given twice", clause.line, clause.col)
             positions.append((label, (clause.line, clause.col)))
-            if label == "attributes":
-                attributes.extend(self._attribute_lines())
-            elif label in ("input", "output"):
-                nameslist = self._name_list()
-                if label == "input":
-                    input_vars = nameslist
-                else:
-                    output_vars = nameslist
-            elif label == "from_goal":
-                from_goal = self.expect_string().value
-            elif label == "tradeoff_with":
-                tradeoff_with = self.expect_string().value
-            elif label == "affected_goal":
-                affected_goal = self.expect_string().value
-                kind_tok = self.expect_ident()
-                if kind_tok.value not in ("FR", "NFR"):
-                    raise ParseError(
-                        f"expected FR or NFR, got {kind_tok.value!r}",
-                        kind_tok.line,
-                        kind_tok.col,
-                        ("FR", "NFR"),
-                    )
-                affected_kind = kind_tok.value
-            elif label == "invariant":
-                invariant = self.formula()
-            elif label == "variant":
-                variant = self.formula()
-            elif label == "violation":
-                violation = self.formula()
-            elif label in _SLOT_KEYWORDS:
-                key = _SLOT_KEYWORDS[label]
-                if key in conditions:
-                    raise ParseError(f"slot {label!r} given twice", clause.line, clause.col)
-                if self.at_ident("procedure"):
-                    self.next()
-                    conditions[key] = ProcedureRef(self.expect_ident().value)
-                else:
-                    conditions[key] = self.formula()
-            else:
-                raise ParseError(
-                    f"unknown clause {label!r}",
-                    clause.line,
-                    clause.col,
-                    ("attributes", "input", "output", "from_goal", "affected_goal",
-                     "tradeoff_with", "invariant", "variant", "violation",
-                     *_SLOT_KEYWORDS),
-                )
+            values[label] = _CLAUSES[label](self)
         self.expect_punct("}")
 
-        ordered = tuple(
-            (key, conditions[key])
-            for key in sorted(conditions, key=lambda k: _SLOT_ORDER[f"{k[0].value}.{k[1].value}"])
+        affected_goal, affected_kind = values.pop("affected_goal", (None, None))
+        conditions = tuple(
+            (key, values.pop(label)) for label, key in _SLOT_KEYWORDS.items() if label in values
         )
         return EntitySpec(
             kind=kind,
             name=name,
-            attributes=tuple(attributes),
-            input=input_vars,
-            output=output_vars,
-            conditions=ordered,
-            invariant=invariant,
-            variant=variant,
-            violation=violation,
+            conditions=conditions,
             affected_goal=affected_goal,
             affected_violation_kind=affected_kind,
-            from_goal=from_goal,
-            tradeoff_with=tradeoff_with,
             positions=tuple(positions),
+            **values,
         )
 
-    def _attribute_lines(self) -> list[AttributeDecl]:
+    def _string(self) -> str:
+        return self.expect_string().value
+
+    def _affected_goal(self) -> tuple[str, str]:
+        goal = self._string()
+        kind_tok = self.expect_ident()
+        if kind_tok.value not in ("FR", "NFR"):
+            raise ParseError(
+                f"expected FR or NFR, got {kind_tok.value!r}",
+                kind_tok.line,
+                kind_tok.col,
+                ("FR", "NFR"),
+            )
+        return goal, kind_tok.value
+
+    def _condition(self) -> Formula:
+        if self.at_ident("procedure"):
+            self.next()
+            return ProcedureRef(self.expect_ident().value)
+        return self.formula()
+
+    def _attribute_lines(self) -> tuple[AttributeDecl, ...]:
         out: list[AttributeDecl] = []
         while self.at_ident("numeric") or self.at_ident("boolean") or self.at_ident("class"):
             sort_tok = self.next()
@@ -351,24 +316,40 @@ class _Parser:
                 out.append(AttributeDecl(name, AttrSort.CLASS, class_name=name))
                 continue
             sort = AttrSort.NUMERIC if sort_tok.value == "numeric" else AttrSort.BOOLEAN
-            names = [self.expect_ident().value]
-            while self.at_punct(","):
-                self.next()
-                names.append(self.expect_ident().value)
             out.extend(
-                AttributeDecl(n, sort, indexed=n.endswith("_i")) for n in names
+                AttributeDecl(n, sort, indexed=n.endswith("_i")) for n in self._identifiers()
             )
-        return out
+        return tuple(out)
 
     def _name_list(self) -> tuple[str, ...]:
         if self.at_ident("none"):
             self.next()
             return ()
+        return self._identifiers()
+
+    def _identifiers(self) -> tuple[str, ...]:
         names = [self.expect_ident().value]
         while self.at_punct(","):
             self.next()
             names.append(self.expect_ident().value)
         return tuple(names)
+
+
+# each clause label, in the order an unknown clause lists them, and the reader
+# of its value; the label is the EntitySpec field the value fills, apart from
+# affected_goal (a goal and its violation kind) and the condition slots
+_CLAUSES = {
+    "attributes": _Parser._attribute_lines,
+    "input": _Parser._name_list,
+    "output": _Parser._name_list,
+    "from_goal": _Parser._string,
+    "affected_goal": _Parser._affected_goal,
+    "tradeoff_with": _Parser._string,
+    "invariant": _Parser.formula,
+    "variant": _Parser.formula,
+    "violation": _Parser.formula,
+    **{label: _Parser._condition for label in _SLOT_KEYWORDS},
+}
 
 
 def parse_formula(text: str) -> Formula:

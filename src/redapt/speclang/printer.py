@@ -34,22 +34,11 @@ from .ast import (
 _QUANT, _IMPLIES, _OR, _AND, _NOT, _TEMPORAL, _UNTIL, _CMP = range(8)
 
 
-def _precedence(node: Formula) -> int:
-    if isinstance(node, (Forall, Exists)):
-        return _QUANT
-    if isinstance(node, Implies):
-        return _IMPLIES
-    if isinstance(node, Or):
-        return _OR
-    if isinstance(node, And):
-        return _AND
-    if isinstance(node, Not):
-        return _NOT
-    if isinstance(node, (Next, Eventually, Globally)):
-        return _TEMPORAL
-    if isinstance(node, Until):
-        return _UNTIL
-    return _CMP
+# binding strength of each formula node type; comparisons and atoms bind tightest
+_PRECEDENCE = {
+    Forall: _QUANT, Exists: _QUANT, Implies: _IMPLIES, Or: _OR, And: _AND, Not: _NOT,
+    Next: _TEMPORAL, Eventually: _TEMPORAL, Globally: _TEMPORAL, Until: _UNTIL,
+}
 
 
 def print_term(term: Term) -> str:
@@ -72,7 +61,7 @@ def print_term(term: Term) -> str:
 def print_formula(node: Formula) -> str:
     def at(child: Formula, minimum: int) -> str:
         text = print_formula(child)
-        return f"({text})" if _precedence(child) < minimum else text
+        return f"({text})" if _PRECEDENCE.get(type(child), _CMP) < minimum else text
 
     if isinstance(node, (Forall, Exists)):
         keyword = "forall" if isinstance(node, Forall) else "exists"

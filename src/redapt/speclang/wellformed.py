@@ -9,32 +9,20 @@ not shadow each other, and cross-entity references must resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .ast import (
-    And,
-    Atom,
-    Cmp,
-    Const,
     EntitySpec,
-    Eventually,
     Exists,
     Forall,
     Formula,
-    Func,
-    Globally,
-    Implies,
     INVARIANT_KINDS,
     MAPE_KINDS,
-    Next,
-    Not,
-    Or,
-    ProcedureRef,
     SpecDocument,
     Term,
     UNCERTAINTY_KINDS,
-    Until,
     Var,
+    children,
 )
 
 
@@ -116,7 +104,12 @@ def _check_formula(
     def declared(symbol: str) -> bool:
         return any(a.matches(symbol) for a in entity.attributes)
 
-    def walk(node: Formula, bound: tuple[str, ...]) -> Iterator[tuple[str, str]]:
+    def walk(node: Union[Formula, Term], bound: tuple[str, ...]) -> Iterator[tuple[str, str]]:
+        if isinstance(node, Var):
+            base = node.name.split(".", 1)[0]
+            if base not in bound and not declared(base) and not declared(node.name):
+                yield ("undeclared-symbol", f"symbol {node.name!r} is not declared in attributes")
+            return
         if isinstance(node, (Forall, Exists)):
             if node.var in bound:
                 yield (
@@ -129,59 +122,17 @@ def _check_formula(
                     f"quantifier domain {node.domain!r} is used as a class but is not "
                     f"declared as a class attribute",
                 )
-            yield from walk(node.body, bound + (node.var,))
-        elif isinstance(node, (Not, Next, Eventually, Globally)):
-            yield from walk(node.operand, bound)
-        elif isinstance(node, (And, Or, Implies, Until)):
-            yield from walk(node.lhs, bound)
-            yield from walk(node.rhs, bound)
-        elif isinstance(node, Atom):
-            yield from check_term(node.term, bound)
-        elif isinstance(node, Cmp):
-            yield from check_term(node.lhs, bound)
-            yield from check_term(node.rhs, bound)
-        elif isinstance(node, ProcedureRef):
-            return
-        else:  # pragma: no cover - exhaustive over AST
-            raise TypeError(f"unknown formula node {node!r}")
-
-    def check_term(term: Term, bound: tuple[str, ...]) -> Iterator[tuple[str, str]]:
-        if isinstance(term, Var):
-            base = term.name.split(".", 1)[0]
-            if base not in bound and not declared(base) and not declared(term.name):
-                yield ("undeclared-symbol", f"symbol {term.name!r} is not declared in attributes")
-        elif isinstance(term, Func):
-            for arg in term.args:
-                yield from check_term(arg, bound)
-        elif isinstance(term, Const):
-            return
-        else:  # pragma: no cover
-            raise TypeError(f"unknown term node {term!r}")
+            bound += (node.var,)
+        for child in children(node):
+            yield from walk(child, bound)
 
     yield from walk(formula, ())
 
 
-def _uses_fields_of(formula: Formula, var: str) -> bool:
-    prefix = var + "."
-
-    def term_uses(term: Term) -> bool:
-        if isinstance(term, Var):
-            return term.name.startswith(prefix)
-        if isinstance(term, Func):
-            return any(term_uses(a) for a in term.args)
+def _uses_fields_of(node: Union[Formula, Term], var: str) -> bool:
+    """True when ``node`` reads a field ``var.<name>`` of the quantified ``var``."""
+    if isinstance(node, Var):
+        return node.name.startswith(var + ".")
+    if isinstance(node, (Forall, Exists)) and node.var == var:
         return False
-
-    def walk(node: Formula) -> bool:
-        if isinstance(node, (Forall, Exists)):
-            return node.var != var and walk(node.body)
-        if isinstance(node, (Not, Next, Eventually, Globally)):
-            return walk(node.operand)
-        if isinstance(node, (And, Or, Implies, Until)):
-            return walk(node.lhs) or walk(node.rhs)
-        if isinstance(node, Atom):
-            return term_uses(node.term)
-        if isinstance(node, Cmp):
-            return term_uses(node.lhs) or term_uses(node.rhs)
-        return False
-
-    return walk(formula)
+    return any(_uses_fields_of(child, var) for child in children(node))

@@ -64,6 +64,14 @@ class TestCheck:
         assert run_cli("check", "--spec", str(bad)) == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_character_outside_the_lexical_rules_exits_one_with_position(self, tmp_path):
+        # '²' is a digit to str.isdigit but not to float
+        spec = tmp_path / "square.agmspec"
+        spec.write_text('goal "x" {\n  attributes:\n    numeric x\n  invariant: x < 2\u00b2\n}\n')
+        done = run_process("check", "--spec", str(spec))
+        assert done.returncode == 1
+        assert done.stderr == f"{spec}:4:19: parse-error: 4:19: unexpected character '\u00b2'\n"
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("check", "--spec", str(tmp_path / "absent.agmspec")) == 2
 
@@ -128,6 +136,25 @@ class TestRun:
         assert code == 3
         cycles = (tmp_path / "o" / "cycles.jsonl").read_text().splitlines()
         assert any("plan failed" in line for line in cycles)
+
+    def test_plan_failures_count_failed_plans_not_error_text(self, tmp_path, spec_path, capsys):
+        # every cycle's monitoring fails with an error that names this entity;
+        # no goal is diagnosed, so no plan runs
+        spec = tmp_path / "named.agmspec"
+        spec.write_text(Path(spec_path).read_text() + (
+            '\nmonitor "plan failed" {\n'
+            '  from_goal: "Determine t_dispatch to make p > 50% and n < 350"\n}\n'
+        ))
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("experiment1.json").read_text())
+        base["duration_min"] = 5.0
+        scenario.write_text(json.dumps(base))
+        code = run_cli("run", "--spec", str(spec), "--scenario", str(scenario),
+                       "--out", str(tmp_path / "o"))
+        cycles = (tmp_path / "o" / "cycles.jsonl").read_text().splitlines()
+        assert len(cycles) == 5 and all("plan failed" in line for line in cycles)
+        assert json.loads(capsys.readouterr().out)["plan_failures"] == 0
+        assert code == 0
 
     def test_contract_violation_exits_one_without_traceback(self, tmp_path, spec_path):
         # renamed everywhere, the plan output is declared and passes check,

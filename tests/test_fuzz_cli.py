@@ -37,7 +37,7 @@ SCENARIO = json.loads(redapt.data_path("experiment1.json").read_text())
 fuzz = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 # characters that matter to the spec language and to CSV, and a few that do not
-CHARS = st.sampled_from(list('{}()[]",.:;=<>!&|-+*/%#_ \n\t0123456789aeGFXUpnt\xe9'))
+CHARS = st.sampled_from(list('{}()[]",.:;=<>!&|-+*/%#_ \n\t0123456789aeGFXUpnt\xe9\xb2'))
 
 
 def edited(text, data):

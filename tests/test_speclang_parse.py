@@ -165,6 +165,18 @@ plan "Decide" {
             parse_document(bad)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("clause, first, second", [
+        ("invariant", "G(p >= 1)", "G(p >= 2)"),
+        ("attributes", "\n    numeric p", "\n    numeric q"),
+        ("init.pre", "p >= 1", "procedure reset"),
+    ])
+    def test_a_clause_given_twice_is_rejected_at_the_second(self, clause, first, second):
+        text = f'goal "x" {{\n  {clause}: {first}\n  {clause}: {second}\n}}\n'
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        line = text.count("\n", 0, text.rindex(f"  {clause}:")) + 1
+        assert str(err.value) == f"{line}:3: clause {clause!r} given twice"
+
     def test_bundled_document_parses(self, bundled_spec):
         assert len(bundled_spec.entities) == 16
         kinds = {e.kind for e in bundled_spec.entities}
