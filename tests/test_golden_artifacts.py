@@ -7,9 +7,17 @@ engine and the trace see the same reading, one draw per sensor and instant.
 
 The experiment-2 trace is also pinned with its ``F`` and ``U_E`` columns
 dropped, which pins every other cell on its own.
+
+The engine's cycle reports are pinned as well on the benchmark's 48-hour
+soak scenario at three seeds: hourly sensor failures and noise, swaps and
+dark episodes, 2,880 cycles each.  The scenario comes from
+``benchmarks/workloads.py``, loaded from its file and left unchanged.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +38,33 @@ GOLDEN = {
         "metrics.json": "3af825ab31ef0e169e51f0617b89fd5690b517806adbabc12c4b3705e5f4a02e",
     },
 }
+
+
+SOAK_CYCLES = {
+    1: "2acfb0bb19518720ae2eeef6af09e7cd71aecb921bcd5c940865c891a6b3c8b0",
+    3: "9fe5bc41a781d789256d1a0049f6c963b46603666bd9713620609262770d9341",
+    1701: "9c2b7a0bf68e626f2dd71e35d5fb2932266646e12fbece045f58cb3a40cea522",
+}
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_workloads():
+    """``benchmarks/workloads.py``, which imports its sibling ``checks``;
+    ``sys.modules`` is left as it was."""
+    saved = {name: sys.modules.get(name) for name in ("checks", "workloads")}
+    try:
+        for name in saved:
+            spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+    finally:
+        for name, before in saved.items():
+            if before is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = before
+    return module
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -53,3 +88,12 @@ def test_experiment2_trace_without_new_columns_keeps_its_bytes(bundled_spec, exp
     assert hashlib.sha256(old_layout.encode()).hexdigest() == (
         "ee0239bf0483573c18d48c4f761d4c3118cbb2e74e3c5a1fbcc124ac26c43ba9"
     )
+
+
+@pytest.mark.parametrize("seed", sorted(SOAK_CYCLES))
+def test_soak_cycle_reports_keep_their_hashes(seed, bundled_spec, tmp_path):
+    scenario = ScenarioConfig.from_dict(load_workloads().soak_scenario(seed, 48))
+    paths = write_artifacts(run_scenario(bundled_spec, scenario), tmp_path)
+    assert "cycles.jsonl" in paths
+    digest = hashlib.sha256((tmp_path / "cycles.jsonl").read_bytes()).hexdigest()
+    assert digest == SOAK_CYCLES[seed]
