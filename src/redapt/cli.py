@@ -71,9 +71,6 @@ def cmd_check(spec_path: str) -> int:
     except ParseError as exc:
         print(f"{spec_path}:{exc.line}:{exc.col}: parse-error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    except SpecLangError as exc:
-        print(f"{spec_path}:0:0: parse-error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
     diagnostics = check_wellformed(doc)
     for diag in diagnostics:
         print(diag.render(spec_path), file=sys.stderr)

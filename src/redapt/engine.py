@@ -6,12 +6,12 @@ contract (settable parameters and rebindable component slots).  Violations
 are classified by the uncertainty source written in the specification
 document: context uncertainty is diagnosed through invariants (functional)
 or utility thresholds (non-functional); components uncertainty through the
-instances of the sensor class the source declares, as the monitored states
-hold them: an absent reading (failure) or unstable readings since the
-instance was bound (noise).  Each cycle observes the target once, in
+instances of the sensor class the source declares, as each slot's noise
+window holds them: an absent reading (failure) or unstable readings since
+the instance was bound (noise).  Each cycle observes the target once, in
 ``monitor_step``, and the monitored ``State`` it builds is the cycle's one
-record of what it observed: diagnosis reads it, and the cycle report's
-readings are written from it.  Monitored states are never changed once built.
+record of what it observed: it advances the windows, diagnosis reads it, and
+the cycle report's readings are written from it; it is never changed.
 Planning is intertwined with analysis: every candidate reconfiguration is
 re-checked through a caller-supplied verifier before it is returned.
 """
@@ -31,7 +31,6 @@ from .speclang import (
     SpecDocument,
     State,
     Trace,
-    UNCERTAINTY_KINDS,
     Verdict,
     evaluate,
 )
@@ -264,25 +263,28 @@ def monitor_step(specs: SpecDocument, target: ProbeSource) -> State:
 
 
 def window_is_noisy(values: Sequence[Optional[float]], cfg: EngineConfig) -> bool:
-    """Whether one sensor's window of readings has excessive spread."""
+    """Whether one sensor's window of readings has excessive spread.  Two or
+    more values deviate by at most their range / sqrt(2), so a range under
+    1.4142135 thresholds is quiet; the margin outweighs the formula's rounding
+    unless the readings' magnitude times their count reaches 1e9 thresholds."""
     present = [v for v in values if v is not None]
     if len(present) < 2:
         return False  # insufficient evidence
+    low, high, limit = min(present), max(present), cfg.noise_std_threshold
+    if high - low < limit * 1.4142135 and max(high, -low) * len(present) < limit * 1e9:
+        return False
     mean = sum(present) / len(present)
     var = sum((v - mean) ** 2 for v in present) / (len(present) - 1)
-    return math.sqrt(var) > cfg.noise_std_threshold
+    return math.sqrt(var) > limit
 
 
 # -- diagnosis ------------------------------------------------------------
 
 
-def affected_entities(specs: SpecDocument) -> list[tuple[EntitySpec, list[EntitySpec]]]:
-    """Entities targeted by at least one uncertainty, with their sources in document order."""
-    sources: dict[str, list[EntitySpec]] = {}
-    for u in specs.entities:
-        if u.kind in UNCERTAINTY_KINDS:
-            sources.setdefault(u.affected_goal, []).append(u)
-    return [(e, sources[e.name]) for e in specs.entities if e.name in sources]
+def affected_entities(specs: SpecDocument) -> Sequence[tuple[EntitySpec, Sequence[EntitySpec]]]:
+    """Entities targeted by at least one uncertainty, with their sources in
+    document order, as the document resolves them once."""
+    return specs.affected
 
 
 def utility_attribute(entity: EntitySpec) -> Optional[str]:
@@ -319,32 +321,50 @@ def _class_median(state: State, class_name: str) -> Optional[float]:
     return present[half] if len(present) % 2 else (present[half - 1] + present[half]) / 2
 
 
-def faulty_slots(source: EntitySpec, trace: Trace, cfg: EngineConfig) -> list[str]:
+Windows = Mapping[str, Mapping[str, tuple[str, tuple[Optional[float], ...]]]]
+
+
+def reading_windows(
+    states: Sequence[State], cfg: EngineConfig, windows: Windows = MappingProxyType({})
+) -> Windows:
+    """``windows`` (class -> slot -> (instance id, readings)) advanced through
+    ``states``: each slot of the last state, in its order, with the last
+    ``noise_window`` readings of its instance.  A slot that a state lacks, or
+    that a new instance fills, starts over."""
+    keep = 1 - cfg.noise_window
+    for state in states:
+        folded: dict[str, dict] = {}
+        for cls, members in state.instances.items():
+            before, now = windows.get(cls, {}), folded.setdefault(cls, {})
+            for slot, instance in members.items():
+                held, readings = before.get(slot, (None, ()))
+                kept = readings[keep:] if held == instance.id else ()
+                now[slot] = (instance.id, kept + (instance.value,))
+        windows = folded
+    return windows
+
+
+def faulty_slots(
+    source: EntitySpec, trace: Trace, cfg: EngineConfig, windows: Optional[Windows] = None
+) -> list[str]:
     """Slots, in the target's order, of the classes a components-uncertainty
-    source declares whose instance has failed (FR: it reads absent) or is
-    noisy (NFR: its readings since it was bound fail ``window_is_noisy``).
+    source declares whose instance has failed (FR: it reads absent) or is noisy
+    (NFR: its window, from ``windows`` or else folded from the trace, is noisy).
 
     A real change in what the class gauges spreads every healthy sensor's
     window alike.  So a window that fails is tested again on its residuals
     from the class's median reading in each state, when every one of those
     states has enough readings for a consensus; the residuals decide."""
-    if not trace.states:
-        return []
     window = trace.states[-cfg.noise_window :]
+    if windows is None:
+        windows = reading_windows(window, cfg)
     out: list[str] = []
     for cls in source.class_attributes():
         medians: Optional[list[Optional[float]]] = None  # by window position, once one fires
-        for slot, instance in window[-1].instances.get(cls.name, {}).items():
+        for slot, (_, values) in windows.get(cls.name, {}).items():
             if source.affected_violation_kind == "FR":
-                faulty = instance.value is None
+                faulty = values[-1] is None
             else:
-                values: list[Optional[float]] = []
-                for state in reversed(window):
-                    held = state.instances.get(cls.name, {}).get(slot)
-                    if held is None or held.id != instance.id:
-                        break
-                    values.append(held.value)
-                values.reverse()
                 faulty = window_is_noisy(values, cfg)
                 if faulty:
                     if medians is None:
@@ -375,6 +395,7 @@ def diagnose(
     trace: Trace,
     cfg: EngineConfig,
     verdicts: Mapping[str, Verdict],
+    windows: Optional[Windows] = None,
 ) -> dict[str, tuple[ViolationType, list[str]]]:
     """Classify each affected goal's state into the violation taxonomy, with
     the slots that fail it.
@@ -383,8 +404,8 @@ def diagnose(
     requirement kind; the first source reporting a violation wins, and an
     inconclusive invariant verdict counts as no violation.  ``verdicts`` are
     the invariant verdicts at the last state, as ``invariant_verdicts``
-    gives them.  Components uncertainty is read from the kept states'
-    sensor instances (``faulty_slots``); the failing slots are those of the
+    gives them.  Components uncertainty is read from the noise windows
+    (``faulty_slots``, with ``windows``); the failing slots are those of the
     components source that fired, in the target's order, and empty for any
     other violation.
     """
@@ -404,7 +425,7 @@ def diagnose(
                     value = trace.states[-1].values.get(attr)
                     if value is not None and float(value) < threshold:
                         verdict = ViolationType.CONU_NFR
-            elif failing := faulty_slots(source, trace, cfg):
+            elif failing := faulty_slots(source, trace, cfg, windows):
                 verdict = ViolationType.COMU_FR if functional else ViolationType.COMU_NFR
             if verdict is not ViolationType.NONE:
                 break
@@ -550,12 +571,12 @@ class CycleReport:
     cycle_index: int
     sim_time: float
     # the monitored state's instances, class -> slot -> Instance; each a cycles.jsonl reading
-    instances: Mapping[str, Mapping[str, Instance]]
-    verdicts: dict[str, str]
-    violation: dict[str, str]
-    reconfiguration: dict[str, object]
-    post_verdicts: dict[str, str]
-    plan_iterations: dict[str, int]
+    instances: Mapping[str, Mapping[str, Instance]] = field(default_factory=dict)
+    verdicts: dict[str, str] = field(default_factory=dict)
+    violation: dict[str, str] = field(default_factory=dict)
+    reconfiguration: dict[str, object] = field(default_factory=dict)
+    post_verdicts: dict[str, str] = field(default_factory=dict)
+    plan_iterations: dict[str, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -603,11 +624,11 @@ class AdaptationEngine:
     """Drives one managed system through monitor/diagnose/plan/execute cycles.
 
     Cycles never overlap; state carried between cycles is the component
-    pool, the cycle counter and the last ``noise_window`` monitored states.
+    pool, the cycle counter, the last ``noise_window`` monitored states and
+    each slot's noise window, advanced once per cycle by ``reading_windows``.
     Those suffice: every invariant is future-time and evaluated at the last
-    state, which is all it reads there, and noise detection reads the window.
-    Each state keys its sensor instances by slot; a swap changes no kept
-    state, since noise detection stops at the slot's previous instance.
+    state, and noise detection reads the windows and the states' class
+    medians.  A swap changes no kept state; the slot's window starts over.
     A cycle's monitored state, built by ``monitor_step``, is its one record
     of what it observed; its report holds that state's sensor instances.
     """
@@ -617,6 +638,7 @@ class AdaptationEngine:
         self.cfg = cfg
         self.pool = pool
         self.trace = Trace()
+        self.windows: Windows = {}
         self.cycle_index = 0
 
     def cycle(
@@ -625,16 +647,7 @@ class AdaptationEngine:
         effector: EffectorSink,
         verifier_for: Callable[[str, ViolationType], Verifier],
     ) -> CycleReport:
-        report = CycleReport(
-            cycle_index=self.cycle_index,
-            sim_time=target.now(),
-            instances={},
-            verdicts={},
-            violation={},
-            reconfiguration={},
-            post_verdicts={},
-            plan_iterations={},
-        )
+        report = CycleReport(cycle_index=self.cycle_index, sim_time=target.now())
         # stage failures are data for the report, not reasons to stop looping
         try:
             state = monitor_step(self.specs, target)
@@ -643,13 +656,14 @@ class AdaptationEngine:
             self.cycle_index += 1
             return report
         self.trace = Trace(self.trace.states[1 - self.cfg.noise_window :] + (state,))
+        self.windows = reading_windows((state,), self.cfg, self.windows)
         report.instances = state.instances
 
         verdicts = invariant_verdicts(self.specs, self.trace)
         report.verdicts = {goal: outcome.value for goal, outcome in verdicts.items()}
 
         try:
-            violations = diagnose(self.specs, self.trace, self.cfg, verdicts)
+            violations = diagnose(self.specs, self.trace, self.cfg, verdicts, self.windows)
         except EngineError as exc:
             report.errors.append(f"diagnosis failed: {exc}")
             self.cycle_index += 1

@@ -16,8 +16,8 @@ class ParseError(SpecLangError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-class DuplicateEntityError(SpecLangError):
-    pass
+class DuplicateEntityError(ParseError):
+    """A second entity of one name, at the second one's header."""
 
 
 class EvaluationError(SpecLangError):

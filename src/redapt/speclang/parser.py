@@ -232,7 +232,9 @@ class _Parser:
         while not self.peek().kind == "EOF":
             entity = self.entity()
             if entity.name in names:
-                raise DuplicateEntityError(f"duplicate entity name {entity.name!r}")
+                raise DuplicateEntityError(
+                    f"duplicate entity name {entity.name!r}", *entity.position_of("header")
+                )
             names.add(entity.name)
             entities.append(entity)
         return SpecDocument(tuple(entities))

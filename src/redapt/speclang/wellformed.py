@@ -3,7 +3,8 @@
 Every variable used in an entity's formulas, and every ``input:`` and
 ``output:`` name, must be declared in that entity's attributes (a formula
 variable may instead be bound by an enclosing quantifier), quantifiers must
-not shadow each other, and cross-entity references must resolve.
+not shadow each other, cross-entity references must resolve, and a monitor
+must declare the sensor class it gauges through.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .ast import (
+    EntityKind,
     EntitySpec,
     Exists,
     Forall,
@@ -56,6 +58,8 @@ def _check_entity(doc: SpecDocument, entity: EntitySpec) -> Iterator[Diagnostic]
         yield diag("missing-from-goal", f"{entity.kind.value} entity must declare from_goal")
     if entity.kind in UNCERTAINTY_KINDS and entity.affected_goal is None:
         yield diag("missing-affected-goal", f"{entity.kind.value} entity must declare affected_goal")
+    if entity.kind is EntityKind.MONITOR and not entity.class_attributes():
+        yield diag("missing-class", "monitor entity must declare the sensor class it gauges through")
     if entity.invariant is not None and entity.kind not in INVARIANT_KINDS:
         yield diag(
             "invariant-not-allowed",

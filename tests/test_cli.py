@@ -26,6 +26,11 @@ def run_process(*argv):
 
 
 NOT_UTF8 = b"\xff\xfe"
+# a monitor that names no sensor class to gauge through, appended to a spec
+CLASSLESS_MONITOR = (
+    '\nmonitor "plan failed" {\n'
+    '  from_goal: "Determine t_dispatch to make p > 50% and n < 350"\n}\n'
+)
 HUGE = 10**400  # an integer too large for a float
 
 
@@ -46,6 +51,23 @@ class TestCheck:
         assert len(err) == 1
         assert "undeclared-symbol" in err[0]
         assert err[0].startswith(str(bad) + ":")
+
+    def test_duplicate_entity_exits_one_at_the_second_header(self, tmp_path):
+        spec = tmp_path / "dup.agmspec"
+        spec.write_text('goal "g" {}\n\n  goal "g" {}\n')
+        done = run_process("check", "--spec", str(spec))
+        assert done.returncode == 1
+        assert done.stderr == f"{spec}:3:3: parse-error: 3:3: duplicate entity name 'g'\n"
+
+    def test_monitor_without_a_class_exits_one(self, tmp_path, spec_path, capsys):
+        text = Path(spec_path).read_text()
+        spec = tmp_path / "classless.agmspec"
+        spec.write_text(text + CLASSLESS_MONITOR)
+        assert run_cli("check", "--spec", str(spec)) == 1
+        (err,) = capsys.readouterr().err.strip().splitlines()
+        line = text.count("\n") + 2
+        assert err.startswith(f"{spec}:{line}:1: missing-class: ")
+        assert err.endswith(": monitor entity must declare the sensor class it gauges through")
 
     def test_undeclared_plan_output_exits_one(self, tmp_path, spec_path, capsys):
         text = Path(spec_path).read_text()
@@ -138,12 +160,14 @@ class TestRun:
         assert any("plan failed" in line for line in cycles)
 
     def test_plan_failures_count_failed_plans_not_error_text(self, tmp_path, spec_path, capsys):
-        # every cycle's monitoring fails with an error that names this entity;
-        # no goal is diagnosed, so no plan runs
+        # every cycle's monitoring fails with an error that names this entity,
+        # whose class the target has no instances of; no goal is diagnosed,
+        # so no plan runs
         spec = tmp_path / "named.agmspec"
         spec.write_text(Path(spec_path).read_text() + (
             '\nmonitor "plan failed" {\n'
-            '  from_goal: "Determine t_dispatch to make p > 50% and n < 350"\n}\n'
+            '  from_goal: "Determine t_dispatch to make p > 50% and n < 350"\n'
+            '  attributes:\n    class I_nowhere\n}\n'
         ))
         scenario = tmp_path / "scenario.json"
         base = json.loads(redapt.data_path("experiment1.json").read_text())
@@ -155,6 +179,19 @@ class TestRun:
         assert len(cycles) == 5 and all("plan failed" in line for line in cycles)
         assert json.loads(capsys.readouterr().out)["plan_failures"] == 0
         assert code == 0
+
+    def test_monitor_without_a_class_exits_one_before_the_run(self, tmp_path, spec_path):
+        spec = tmp_path / "classless.agmspec"
+        spec.write_text(Path(spec_path).read_text() + CLASSLESS_MONITOR)
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("experiment1.json").read_text())
+        base["duration_min"] = 5.0
+        scenario.write_text(json.dumps(base))
+        run = run_process("run", "--spec", str(spec), "--scenario", str(scenario),
+                          "--out", str(tmp_path / "o"))
+        assert run.returncode == 1
+        assert "missing-class" in run.stderr and "Traceback" not in run.stderr
+        assert run.stdout == "" and not (tmp_path / "o").exists()
 
     def test_contract_violation_exits_one_without_traceback(self, tmp_path, spec_path):
         # renamed everywhere, the plan output is declared and passes check,

@@ -252,6 +252,36 @@ class TestDetectNoise:
     def test_absent_values_are_ignored(self):
         assert not window_is_noisy([None, 5, None, 5], EngineConfig())
 
+    @staticmethod
+    def two_pass(values, threshold):
+        mean = sum(values) / len(values)
+        return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1)) > threshold
+
+    @pytest.mark.parametrize("nudge", [0.0, -1e-9, 1e-9])
+    def test_two_readings_at_the_edge_keep_the_formulas_verdict(self, nudge):
+        # two readings 3 * sqrt(2) apart deviate by exactly the threshold 3
+        values = [0.0, 3 * math.sqrt(2) + nudge]
+        verdict = window_is_noisy(values, EngineConfig(noise_std_threshold=3.0))
+        assert verdict == self.two_pass(values, 3.0)
+        if nudge:
+            assert verdict == (nudge > 0)
+
+    def test_a_range_past_the_pretest_still_needs_the_deviation(self):
+        # the range clears 1.4142135 thresholds, but four equal readings keep
+        # the deviation at range / sqrt(5)
+        values = [0.0, 0.0, 0.0, 0.0, math.nextafter(3 * 1.4142135, math.inf)]
+        assert max(values) > 3.0 * 1.4142135
+        assert not window_is_noisy(values, EngineConfig(noise_std_threshold=3.0))
+        assert not self.two_pass(values, 3.0)
+
+    def test_huge_readings_skip_the_pretest(self):
+        # at this magnitude the two-pass mean rounds by half the range, so the
+        # formula sees a spread that the range alone would have ruled out
+        values = [1e17, 1e17 + 16]
+        assert max(values) - min(values) < 12.0 * 1.4142135
+        assert self.two_pass(values, 12.0)
+        assert window_is_noisy(values, EngineConfig(noise_std_threshold=12.0))
+
 
 class TestDiagnose:
     def test_everything_healthy_maps_to_none(self, specs):

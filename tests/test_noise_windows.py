@@ -31,6 +31,7 @@ from redapt.engine import (
     diagnose,
     faulty_slots,
     invariant_verdicts,
+    reading_windows,
 )
 from redapt.speclang import EntityKind, Trace, parse_document
 
@@ -228,8 +229,12 @@ def test_a_running_engine_diagnoses_what_its_whole_trace_shows(run):
             monitored.append(adaptation.trace.states[-1])
             trace = Trace(tuple(monitored))
             assert diagnosed.pop() == diagnose(SPEC, trace, cfg, invariant_verdicts(SPEC, trace))
+            # the windows advanced one state per cycle are those folded from the trace
+            assert adaptation.windows == reading_windows(trace.states[-cfg.noise_window:], cfg)
             for source in SOURCES:
-                assert faulty_slots(source, trace, cfg) == reference_faulty_slots(source, trace, cfg)
+                want = reference_faulty_slots(source, trace, cfg)
+                assert faulty_slots(source, trace, cfg) == want
+                assert faulty_slots(source, adaptation.trace, cfg, adaptation.windows) == want
     assert not diagnosed
 
 

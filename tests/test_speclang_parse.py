@@ -159,6 +159,13 @@ plan "Decide" {
         with pytest.raises(DuplicateEntityError):
             parse_document(ADAPTIVE_GOAL_BLOCK + ADAPTIVE_GOAL_BLOCK)
 
+    def test_duplicate_entity_is_reported_at_its_header(self):
+        with pytest.raises(ParseError) as err:
+            parse_document('goal "g" {\n}\nsoftgoal "h" {}\n  goal "g" {}')
+        assert isinstance(err.value, DuplicateEntityError)
+        assert (err.value.line, err.value.col) == (4, 3)
+        assert str(err.value) == "4:3: duplicate entity name 'g'"
+
     def test_syntax_error_position(self):
         bad = 'goal "x" {\n  invariant: G(p >= )\n}\n'
         with pytest.raises(ParseError) as err:
@@ -191,6 +198,13 @@ class TestWellformed:
         doc = parse_document('goal "x" {\n  attributes:\n    numeric p\n  invariant: G(q >= 1)\n}')
         (diag,) = check_wellformed(doc)
         assert diag.code == "undeclared-symbol" and "q" in diag.message
+
+    def test_monitor_without_a_class_reported_at_its_header(self):
+        doc = parse_document(
+            'goal "g" {\n}\nmonitor "m" {\n  from_goal: "g"\n  attributes:\n    numeric v\n}'
+        )
+        (diag,) = check_wellformed(doc)
+        assert (diag.code, diag.entity, diag.line, diag.col) == ("missing-class", "m", 3, 1)
 
     def test_dangling_from_goal_reported(self):
         doc = parse_document(
@@ -250,7 +264,7 @@ class TestWellformed:
     def test_io_none_is_allowed(self):
         doc = parse_document(
             'goal "g" {\n}\nmonitor "m" {\n  from_goal: "g"\n  attributes:\n    numeric v\n'
-            "  input: none\n  output: v\n}"
+            "    class I_v\n  input: none\n  output: v\n}"
         )
         assert check_wellformed(doc) == []
 
