@@ -69,7 +69,7 @@ def cmd_check(spec_path: str) -> int:
     try:
         doc = parse_document(text)
     except ParseError as exc:
-        print(f"{spec_path}:{exc.line}:{exc.col}: parse-error: {exc}", file=sys.stderr)
+        print(f"{spec_path}:{exc.line}:{exc.col}: parse-error: {exc.message}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     diagnostics = check_wellformed(doc)
     for diag in diagnostics:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Value = Union[float, bool, str]
 
@@ -153,6 +153,28 @@ def variable_names(formula: Formula) -> frozenset[str]:
 
 
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+class Connective(NamedTuple):
+    token: str
+    strength: int  # a higher strength binds tighter
+    fixity: str  # "prefix", or how a chain of the binary connective groups: "left" or "right"
+
+
+# The syntax of every connective, the one source for the parser and the
+# printer.  A quantifier binds looser than any connective, a comparison
+# tighter; G, F and X are prefix operators only where an operand follows.
+QUANTIFIER, COMPARISON = 0, 7
+CONNECTIVES = {
+    Implies: Connective("->", 1, "right"),
+    Or: Connective("||", 2, "left"),
+    And: Connective("&&", 3, "left"),
+    Not: Connective("!", 4, "prefix"),
+    Globally: Connective("G", 5, "prefix"),
+    Eventually: Connective("F", 5, "prefix"),
+    Next: Connective("X", 5, "prefix"),
+    Until: Connective("U", 6, "right"),
+}
 
 
 class EntityKind(str, Enum):

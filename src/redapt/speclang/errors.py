@@ -13,7 +13,8 @@ class ParseError(SpecLangError):
         self.col = col
         self.expected = expected
         suffix = f" (expected one of: {', '.join(expected)})" if expected else ""
-        super().__init__(f"{line}:{col}: {message}{suffix}")
+        self.message = message + suffix  # without the position, which str() leads with
+        super().__init__(f"{line}:{col}: {self.message}")
 
 
 class DuplicateEntityError(ParseError):

@@ -1,42 +1,37 @@
-"""Recursive-descent parser for entity documents and formulas.
+"""Parser for entity documents and formulas.
 
-Operator precedence, loosest to tightest: quantifiers, ``->``, ``||``,
-``&&``, ``!``, the unary temporal operators ``G F X``, ``U`` (right
-associative), comparisons.  ``G``, ``F`` and ``X`` double as variable names:
-they are read as operators only when the following token can begin an
-operand.
+Formulas are read by precedence climbing over ``CONNECTIVES`` in
+``ast.py``, the table the printer reads.  ``G``, ``F`` and ``X`` double as
+variable names: they are read as operators only when the following token
+can begin an operand.  A formula nests at most ``MAX_DEPTH`` levels, as
+docs/specification-language.md counts them, so that no walker of its AST
+runs out of stack; a deeper one is a ``ParseError`` where it passes the limit.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .ast import (
-    And,
     Atom,
     AttrSort,
     AttributeDecl,
     Cmp,
     CMP_OPS,
+    CONNECTIVES,
     Const,
     EntityKind,
     EntitySpec,
-    Eventually,
     Exists,
     Forall,
     Formula,
     Func,
-    Globally,
-    Implies,
-    Next,
-    Not,
-    Or,
     Phase,
     ProcedureRef,
+    QUANTIFIER,
     Slot,
     SpecDocument,
     Term,
-    Until,
     Var,
 )
 from .errors import DuplicateEntityError, ParseError
@@ -46,13 +41,17 @@ _KIND_KEYWORDS = {k.value: k for k in EntityKind}
 _SLOT_KEYWORDS = {
     f"{phase.value}.{slot.value}": (phase, slot) for phase in Phase for slot in Slot
 }
-_TEMPORAL_UNARY = {"G": Globally, "F": Eventually, "X": Next}
+# each connective's node type and syntax, by token
+_PREFIX = {c.token: (node, c) for node, c in CONNECTIVES.items() if c.fixity == "prefix"}
+_BINARY = {c.token: (node, c) for node, c in CONNECTIVES.items() if c.fixity != "prefix"}
+MAX_DEPTH = 150  # nesting levels a formula may have
 
 
 class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # nesting levels of the formula being read; see formula()
 
     # -- token helpers ----------------------------------------------------
 
@@ -74,78 +73,62 @@ class _Parser:
         return tok.kind == "IDENT" and (value is None or tok.value == value)
 
     def expect_punct(self, value: str) -> Token:
-        if not self.at_punct(value):
-            tok = self.peek()
-            raise ParseError(f"unexpected {tok.value or 'end of input'!r}", tok.line, tok.col, (value,))
-        return self.next()
+        return self.next() if self.at_punct(value) else self._unexpected((value,))
 
     def expect_ident(self, value: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or (value is not None and tok.value != value):
-            raise ParseError(
-                f"unexpected {tok.value or 'end of input'!r}",
-                tok.line,
-                tok.col,
-                (value,) if value else ("identifier",),
-            )
-        return self.next()
+        return self.next() if self.at_ident(value) else self._unexpected((value or "identifier",))
 
     def expect_string(self) -> Token:
+        return self.next() if self.peek().kind == "STRING" else self._unexpected(("string",))
+
+    def _unexpected(self, expected: tuple[str, ...]) -> NoReturn:
         tok = self.peek()
-        if tok.kind != "STRING":
-            raise ParseError(f"unexpected {tok.value or 'end of input'!r}", tok.line, tok.col, ("string",))
-        return self.next()
+        raise ParseError(f"unexpected {tok.value or 'end of input'!r}", tok.line, tok.col, expected)
 
     # -- formulas ---------------------------------------------------------
 
-    def formula(self) -> Formula:
-        return self._quantified()
-
-    def _quantified(self) -> Formula:
-        if self.at_ident("forall") or self.at_ident("exists"):
-            keyword = self.next().value
+    def formula(self, floor: int = QUANTIFIER) -> Formula:
+        """The formula at the cursor, up to the first binary connective that
+        binds looser than ``floor``.  ``self.depth`` holds the nesting levels
+        around the formula on entry, and those plus its own on return."""
+        tok, base = self.peek(), self.depth
+        prefix = self._connective(_PREFIX, floor)
+        if floor == QUANTIFIER and (self.at_ident("forall") or self.at_ident("exists")):
+            self.next()
             var = self.expect_ident().value
             self.expect_ident("in")
             domain = self.expect_ident().value
             self.expect_punct(".")
-            body = self._quantified()
-            cls = Forall if keyword == "forall" else Exists
-            return cls(var, domain, body)
-        return self._implication()
-
-    def _implication(self) -> Formula:
-        lhs = self._disjunction()
-        if self.at_punct("->"):
+            self.depth = self._deeper(tok, base + 1)
+            lhs = (Forall if tok.value == "forall" else Exists)(var, domain, self.formula())
+        elif prefix and (tok.kind == "PUNCT" or self._operand_follows()):  # '!', or G F X
+            node, syntax = prefix
             self.next()
-            return Implies(lhs, self._implication())
+            if not self.at_punct("("):  # G(...) is one level, as f(...) is
+                self.depth = self._deeper(tok, base + 1)
+            lhs = node(self.formula(syntax.strength))
+        else:
+            lhs = self._comparison()
+        while binary := self._connective(_BINARY, floor):
+            (node, syntax), tok = binary, self.next()
+            height = self._deeper(tok, self.depth + 1)  # the chain so far, under this connective
+            self.depth = base + 1
+            rhs = self.formula(syntax.strength + (syntax.fixity == "left"))
+            lhs, self.depth = node(lhs, rhs), max(self.depth, height)
         return lhs
 
-    def _disjunction(self) -> Formula:
-        out = self._conjunction()
-        while self.at_punct("||"):
-            self.next()
-            out = Or(out, self._conjunction())
-        return out
-
-    def _conjunction(self) -> Formula:
-        out = self._negation()
-        while self.at_punct("&&"):
-            self.next()
-            out = And(out, self._negation())
-        return out
-
-    def _negation(self) -> Formula:
-        if self.at_punct("!"):
-            self.next()
-            return Not(self._negation())
-        return self._temporal()
-
-    def _temporal(self) -> Formula:
+    def _connective(self, table: dict, floor: int) -> Optional[tuple]:
+        """The node type and syntax of the connective at the cursor, if
+        ``table`` holds it and it binds at least as tightly as ``floor``."""
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.value in _TEMPORAL_UNARY and self._operand_follows():
-            self.next()
-            return _TEMPORAL_UNARY[tok.value](self._temporal())
-        return self._until()
+        found = table.get(tok.value) if tok.kind != "STRING" else None
+        return found if found and found[1].strength >= floor else None
+
+    def _deeper(self, tok: Token, depth: int) -> int:
+        """``depth``, or a ``ParseError`` at ``tok`` if it passes the limit."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        return depth
 
     def _operand_follows(self) -> bool:
         nxt = self.peek(1)
@@ -155,16 +138,10 @@ class _Parser:
             return nxt.value != "U"
         return nxt.kind == "PUNCT" and nxt.value in ("(", "-", "!")
 
-    def _until(self) -> Formula:
-        lhs = self._comparison()
-        if self.at_ident("U"):
-            self.next()
-            return Until(lhs, self._until())
-        return lhs
-
     def _comparison(self) -> Formula:
         if self.at_punct("("):
             open_tok = self.next()
+            self.depth = self._deeper(open_tok, self.depth + 1)
             inner = self.formula()
             self.expect_punct(")")
             if self._at_cmp_op():
@@ -210,6 +187,7 @@ class _Parser:
                 return Const(False)
             if self.at_punct("("):
                 self.next()
+                self.depth = self._deeper(tok, self.depth + 1)
                 args = [self.term()]
                 while self.at_punct(","):
                     self.next()
@@ -271,6 +249,7 @@ class _Parser:
             if label in values:
                 raise ParseError(f"clause {label!r} given twice", clause.line, clause.col)
             positions.append((label, (clause.line, clause.col)))
+            self.depth = 0  # each clause's formula nests on its own
             values[label] = _CLAUSES[label](self)
         self.expect_punct("}")
 

@@ -1,44 +1,31 @@
 """Canonical text emission for formulas and documents.
 
-The printer inserts exactly the parentheses needed for the output to
-reparse to a structurally equal AST under the operator precedence table;
-unary temporal operands are always parenthesized.
+The printer reads the binding strengths and grouping in ``CONNECTIVES``
+(``ast.py``), the table the parser climbs, and inserts exactly the
+parentheses needed for the output to reparse to a structurally equal AST;
+the operands of ``G``, ``F`` and ``X`` are always parenthesized.
 """
 
 from __future__ import annotations
 
 from .ast import (
-    And,
     Atom,
     AttrSort,
     Cmp,
+    COMPARISON,
+    CONNECTIVES,
     Const,
     EntitySpec,
-    Eventually,
     Exists,
     Forall,
     Formula,
     Func,
-    Globally,
-    Implies,
-    Next,
-    Not,
-    Or,
     ProcedureRef,
+    QUANTIFIER,
     SpecDocument,
     Term,
-    Until,
     Var,
 )
-
-_QUANT, _IMPLIES, _OR, _AND, _NOT, _TEMPORAL, _UNTIL, _CMP = range(8)
-
-
-# binding strength of each formula node type; comparisons and atoms bind tightest
-_PRECEDENCE = {
-    Forall: _QUANT, Exists: _QUANT, Implies: _IMPLIES, Or: _OR, And: _AND, Not: _NOT,
-    Next: _TEMPORAL, Eventually: _TEMPORAL, Globally: _TEMPORAL, Until: _UNTIL,
-}
 
 
 def print_term(term: Term) -> str:
@@ -59,26 +46,17 @@ def print_term(term: Term) -> str:
 
 
 def print_formula(node: Formula) -> str:
-    def at(child: Formula, minimum: int) -> str:
-        text = print_formula(child)
-        return f"({text})" if _PRECEDENCE.get(type(child), _CMP) < minimum else text
-
+    syntax = CONNECTIVES.get(type(node))
+    if syntax is not None:
+        token, strength, fixity = syntax
+        if fixity == "prefix":  # G(x): a letter's operand is always parenthesized
+            floor = COMPARISON + 1 if token.isalpha() else strength + 1
+            return token + _operand(node.operand, floor)
+        lhs = _operand(node.lhs, strength + (fixity == "right"))
+        return f"{lhs} {token} {_operand(node.rhs, strength + (fixity == 'left'))}"
     if isinstance(node, (Forall, Exists)):
         keyword = "forall" if isinstance(node, Forall) else "exists"
         return f"{keyword} {node.var} in {node.domain} . {print_formula(node.body)}"
-    if isinstance(node, Implies):
-        return f"{at(node.lhs, _IMPLIES + 1)} -> {at(node.rhs, _IMPLIES)}"
-    if isinstance(node, Or):
-        return f"{at(node.lhs, _OR)} || {at(node.rhs, _OR + 1)}"
-    if isinstance(node, And):
-        return f"{at(node.lhs, _AND)} && {at(node.rhs, _AND + 1)}"
-    if isinstance(node, Not):
-        return f"!{at(node.operand, _NOT + 1)}"
-    if isinstance(node, (Next, Eventually, Globally)):
-        letter = {Next: "X", Eventually: "F", Globally: "G"}[type(node)]
-        return f"{letter}({print_formula(node.operand)})"
-    if isinstance(node, Until):
-        return f"{at(node.lhs, _UNTIL + 1)} U {at(node.rhs, _UNTIL)}"
     if isinstance(node, Cmp):
         return f"{print_term(node.lhs)} {node.op} {print_term(node.rhs)}"
     if isinstance(node, Atom):
@@ -86,6 +64,14 @@ def print_formula(node: Formula) -> str:
     if isinstance(node, ProcedureRef):
         return f"procedure {node.name}"
     raise TypeError(f"unknown formula node {node!r}")
+
+
+def _operand(node: Formula, floor: int) -> str:
+    """``node`` as the operand of a connective that reads it at strength ``floor``."""
+    text = print_formula(node)
+    syntax = CONNECTIVES.get(type(node))
+    strength = syntax.strength if syntax else QUANTIFIER if isinstance(node, (Forall, Exists)) else COMPARISON
+    return f"({text})" if strength < floor else text
 
 
 def print_entity(entity: EntitySpec) -> str:

@@ -57,7 +57,7 @@ class TestCheck:
         spec.write_text('goal "g" {}\n\n  goal "g" {}\n')
         done = run_process("check", "--spec", str(spec))
         assert done.returncode == 1
-        assert done.stderr == f"{spec}:3:3: parse-error: 3:3: duplicate entity name 'g'\n"
+        assert done.stderr == f"{spec}:3:3: parse-error: duplicate entity name 'g'\n"
 
     def test_monitor_without_a_class_exits_one(self, tmp_path, spec_path, capsys):
         text = Path(spec_path).read_text()
@@ -92,7 +92,7 @@ class TestCheck:
         spec.write_text('goal "x" {\n  attributes:\n    numeric x\n  invariant: x < 2\u00b2\n}\n')
         done = run_process("check", "--spec", str(spec))
         assert done.returncode == 1
-        assert done.stderr == f"{spec}:4:19: parse-error: 4:19: unexpected character '\u00b2'\n"
+        assert done.stderr == f"{spec}:4:19: parse-error: unexpected character '\u00b2'\n"
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("check", "--spec", str(tmp_path / "absent.agmspec")) == 2
