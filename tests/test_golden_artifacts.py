@@ -8,9 +8,9 @@ engine and the trace see the same reading, one draw per sensor and instant.
 The experiment-2 trace is also pinned with its ``F`` and ``U_E`` columns
 dropped, which pins every other cell on its own.
 
-The engine's cycle reports are pinned as well on the benchmark's 48-hour
-soak scenario at three seeds: hourly sensor failures and noise, swaps and
-dark episodes, 2,880 cycles each.  The scenario comes from
+The engine's cycle reports and the trace are pinned as well on the
+benchmark's 48-hour soak scenario at three seeds: hourly sensor failures and
+noise, swaps and dark episodes, 2,880 cycles each.  The scenario comes from
 ``benchmarks/workloads.py``, loaded from its file and left unchanged.
 """
 
@@ -40,10 +40,19 @@ GOLDEN = {
 }
 
 
-SOAK_CYCLES = {
-    1: "2acfb0bb19518720ae2eeef6af09e7cd71aecb921bcd5c940865c891a6b3c8b0",
-    3: "9fe5bc41a781d789256d1a0049f6c963b46603666bd9713620609262770d9341",
-    1701: "9c2b7a0bf68e626f2dd71e35d5fb2932266646e12fbece045f58cb3a40cea522",
+SOAK = {
+    1: {
+        "cycles.jsonl": "2acfb0bb19518720ae2eeef6af09e7cd71aecb921bcd5c940865c891a6b3c8b0",
+        "trace.csv": "422bbb2ca2a7eb7e50ec1ffff880e96451a62e3e4edf1b16b486b5ce115905ce",
+    },
+    3: {
+        "cycles.jsonl": "9fe5bc41a781d789256d1a0049f6c963b46603666bd9713620609262770d9341",
+        "trace.csv": "a3c7df06b5816d3fc4275447ec7378788ebe1c022d2fb6786c0d03d1ccc93743",
+    },
+    1701: {
+        "cycles.jsonl": "9c2b7a0bf68e626f2dd71e35d5fb2932266646e12fbece045f58cb3a40cea522",
+        "trace.csv": "0fe4183098fb1773cf38b85cd928bb3e8f512ccf3c849d9517186c5d5c6d9994",
+    },
 }
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -90,10 +99,21 @@ def test_experiment2_trace_without_new_columns_keeps_its_bytes(bundled_spec, exp
     )
 
 
-@pytest.mark.parametrize("seed", sorted(SOAK_CYCLES))
-def test_soak_cycle_reports_keep_their_hashes(seed, bundled_spec, tmp_path):
+@pytest.fixture(scope="module", params=sorted(SOAK))
+def soak(request, bundled_spec, tmp_path_factory):
+    """A soak run's seed and the sha256 of each artifact it wrote."""
+    seed = request.param
     scenario = ScenarioConfig.from_dict(load_workloads().soak_scenario(seed, 48))
-    paths = write_artifacts(run_scenario(bundled_spec, scenario), tmp_path)
-    assert "cycles.jsonl" in paths
-    digest = hashlib.sha256((tmp_path / "cycles.jsonl").read_bytes()).hexdigest()
-    assert digest == SOAK_CYCLES[seed]
+    out = tmp_path_factory.mktemp(f"soak-{seed}")
+    paths = write_artifacts(run_scenario(bundled_spec, scenario), out)
+    return seed, {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in paths}
+
+
+def test_soak_cycle_reports_keep_their_hashes(soak):
+    seed, digests = soak
+    assert digests["cycles.jsonl"] == SOAK[seed]["cycles.jsonl"]
+
+
+def test_soak_trace_keeps_its_hash(soak):
+    seed, digests = soak
+    assert digests["trace.csv"] == SOAK[seed]["trace.csv"]

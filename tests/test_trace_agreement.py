@@ -12,7 +12,10 @@ from redapt import cli
 from redapt.engine import AdaptationEngine
 from redapt.hrcs import ScenarioConfig, run_scenario, trace_to_csv
 
+from test_golden_artifacts import load_workloads
+
 SCENARIOS = ["experiment1", "experiment2", "nfr_lowlight", "sensor_failure", "sensor_noise"]
+SOAK_SEEDS = [1, 3, 1701]
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -62,6 +65,31 @@ def test_snapshot_is_the_rows_derived_columns(recorded):
         row = rows[time]
         assert set(snapshot) == set(result.trace.columns) - {"time"} - slots
         assert snapshot == {column: getattr(row, column) for column in snapshot}
+
+
+@pytest.mark.parametrize("run", SCENARIOS + [f"soak-{seed}" for seed in SOAK_SEEDS])
+def test_every_monitored_state_is_its_row(run, bundled_spec, monkeypatch):
+    """Each cycle's monitored state, as the engine keeps it, holds the cells
+    of the row recorded at its instant, all but ``time``."""
+    if run.startswith("soak-"):
+        scenario = ScenarioConfig.from_dict(load_workloads().soak_scenario(int(run[5:]), 48))
+    else:
+        scenario = ScenarioConfig.from_json(redapt.data_path(f"{run}.json").read_text())
+    states = []
+    original = AdaptationEngine.cycle
+
+    def keeping(engine, *args, **kwargs):
+        report = original(engine, *args, **kwargs)
+        states.append(engine.trace.states[-1])
+        return report
+
+    monkeypatch.setattr(AdaptationEngine, "cycle", keeping)
+    result = run_scenario(bundled_spec, scenario)
+    assert [state.time for state in states] == [report.sim_time for report in result.reports]
+    rows = {row.time: row._asdict() for row in result.trace.rows}
+    for state in states:
+        cells = {column: value for column, value in rows[state.time].items() if column != "time"}
+        assert state.values == cells, state.time
 
 
 def test_verify_answers_alike_from_the_named_columns_and_from_all(
