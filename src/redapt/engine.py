@@ -1,7 +1,8 @@
 """MAPE feedback engine: monitor, diagnose, plan and execute.
 
 The engine is generic over any managed system that answers the probe
-contract (class instances that can be read) and accepts the effector
+contract (its clock, the instances filling each sensor class's slots, and a
+snapshot of every probe, readings included) and accepts the effector
 contract (settable parameters and rebindable component slots).  Violations
 are classified by the uncertainty source written in the specification
 document: context uncertainty is diagnosed through invariants (functional)
@@ -179,10 +180,10 @@ class ProbeSource(Protocol):
         """(slot, active instance id) pairs for one sensor class."""
         ...
 
-    def read(self, slot: str) -> Optional[float]: ...
-
     def snapshot(self) -> Mapping[str, object]:
-        """Current derived variables (metrics, parameters, utilities)."""
+        """Every probe's value at this instant: the derived variables
+        (metrics, parameters, utilities) and each slot's reading, ``None``
+        for an absent one."""
         ...
 
 
@@ -235,9 +236,9 @@ def missing_plan_steps(specs: SpecDocument, cfg: EngineConfig) -> list[str]:
 
 
 def monitor_step(specs: SpecDocument, target: ProbeSource) -> State:
-    """Observe the target once, as the cycle's ``State``: its derived variables,
-    and each slot of the monitored classes, in the target's order, read once
-    into both ``values[slot]`` and the slot's ``Instance``."""
+    """Observe the target once, as the cycle's ``State``: its snapshot as the
+    values, and each slot of the monitored classes, in the target's order,
+    as an ``Instance`` holding the slot's reading from that snapshot."""
     values: dict[str, object] = dict(target.snapshot())
     instances: dict[str, dict[str, Instance]] = {}
     for entity in specs.of_kind(EntityKind.MONITOR):
@@ -257,8 +258,9 @@ def monitor_step(specs: SpecDocument, target: ProbeSource) -> State:
                 )
             members = instances[cls.name] = {}
             for slot, instance_id in pairs:
-                value = values[slot] = target.read(slot)
-                members[slot] = Instance(instance_id, value, gauge=value is not None)
+                if slot not in values:
+                    raise ContractViolationError(f"the target's snapshot lacks slot {slot!r}")
+                members[slot] = Instance(instance_id, values[slot], gauge=values[slot] is not None)
     return State(time=target.now(), values=values, instances=instances)
 
 

@@ -62,7 +62,7 @@ def contract_of(sim: Simulator) -> ProbeEffectorContract:
     """The probe/effector surface the simulator exposes to the engine."""
     sensors = {slot for name in (FLOW_CLASS, LUX_CLASS) for slot, _ in sim.instances(name)}
     return ProbeEffectorContract(
-        frozenset(sensors | set(sim.snapshot())),  # the derived variables too
+        frozenset(sim.columns[1:]),  # every column of a row but its time
         frozenset(sensors | set(sim.parameters())),
     )
 

@@ -8,15 +8,16 @@ trailing end clears.  Queued vehicles restart through the gate at a fixed
 discharge rate.  Sensors gauging vehicle flow and illuminance can be failed
 or made noisy at configured times and replaced at runtime.
 
-The simulator exposes the probe interface (``now``, ``instances``, ``read``,
+The simulator exposes the probe interface (``now``, ``instances``,
 ``snapshot``) and the effector interface (``set_parameter``,
 ``bind_instance``) consumed by the adaptation engine.
 
 One instant is described by one row: the value of every column in
-``Simulator.columns``, as ``Simulator.row()`` gives it.  ``snapshot()`` is
-the row's derived columns and ``read()`` its sensor columns, and a sensor is
-gauged at most once per instant, so the engine sees what ``trace.csv``
-records.  At every sample instant a full run records the row.
+``Simulator.columns``, as ``Simulator.row()`` gives it.  A full run records
+the row at every sample instant, which gauges each sensor once, and
+``snapshot()`` is the row recorded at the current clock without its ``time``,
+so the engine sees what ``trace.csv`` records; a swap shows from the next
+sample on.
 
 As it goes, a run counts by direction the vehicles that ``entered``, those
 that ``exited`` and those that exited ``fast`` (in under
@@ -58,7 +59,7 @@ from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from typing import Iterator, Mapping, Optional, TextIO
 
-from ..engine import is_finite
+from ..engine import ContractViolationError, is_finite
 from .utilities import (
     DARK_LUX_BOUND, DomainError, OPTIMAL_INTERVAL_S, check_gate_timing, eval_utilities,
 )
@@ -419,9 +420,6 @@ class Simulator:
         self._slot_index = {sensor.slot: i for i, sensor in enumerate(self._sensors)}
         self._utilities_key: Optional[tuple[float, float, float]] = None
         self._utilities = None
-        # the readings of every sensor at the instant ``_gauged_at``
-        self._gauged_at: Optional[float] = None
-        self._gauged: tuple[Optional[float], ...] = ()
         # no sensor failed or noisy: every gauge reads the truth, no noise drawn
         self._all_healthy = True
 
@@ -432,11 +430,6 @@ class Simulator:
             "U_E", "U_safety", "U_pass",
         )
         self._row_type = namedtuple("Row", self.columns)  # cells also read by name
-        # the first column is the clock; the others no sensor gauges are derived
-        self._derived = tuple(
-            (i, name) for i, name in enumerate(self.columns)
-            if i and name not in self._slot_index
-        )
 
         self._rows: list[tuple] = []
         self.n_peak = 0
@@ -612,7 +605,6 @@ class Simulator:
         else:
             sensor.noise_sigma = fault.sigma
         self._all_healthy = False
-        self._gauged_at = None
 
     # -- derived state -------------------------------------------------------
 
@@ -644,24 +636,17 @@ class Simulator:
         return self._utilities
 
     def _gauges(self) -> tuple[Optional[float], ...]:
-        """What every sensor reads now, failed ones ``None``.
-
-        Gauged once per instant: flows before lux, each in slot order, which
-        is the order of the noise draws.  A fault or a replacement changes
-        what a sensor reads, so either gauges the instant afresh."""
-        if self._gauged_at != self.clock:
-            flow, lux = self.flow_per_min(), self.illuminance
-            if self._all_healthy:
-                cfg = self.cfg
-                self._gauged = (flow,) * cfg.flow_sensor_count + (lux,) * cfg.lux_sensor_count
-            else:
-                gauge = self._gauge
-                self._gauged = tuple([
-                    gauge(sensor, flow if sensor.class_name == FLOW_CLASS else lux)
-                    for sensor in self._sensors
-                ])
-            self._gauged_at = self.clock
-        return self._gauged
+        """What every sensor reads now, failed ones ``None``: flows before
+        lux, each in slot order, which is the order of the noise draws."""
+        flow, lux = self.flow_per_min(), self.illuminance
+        if self._all_healthy:
+            cfg = self.cfg
+            return (flow,) * cfg.flow_sensor_count + (lux,) * cfg.lux_sensor_count
+        gauge = self._gauge
+        return tuple([
+            gauge(sensor, flow if sensor.class_name == FLOW_CLASS else lux)
+            for sensor in self._sensors
+        ])
 
     def _gauge(self, sensor: _SensorState, truth: float) -> Optional[float]:
         """What one sensor reads when the true value is ``truth``."""
@@ -692,15 +677,11 @@ class Simulator:
     def instances(self, class_name: str) -> list[tuple[str, str]]:
         return [(s.slot, s.instance_id) for s in self._sensors if s.class_name == class_name]
 
-    def read(self, slot: str) -> Optional[float]:
-        index = self._slot_index.get(slot)
-        if index is None:
-            raise UnknownSensorError(slot)
-        return self._gauges()[index]  # the sensor cells of ``row()``
-
     def snapshot(self) -> dict[str, object]:
-        row = self.row()
-        return {name: row[i] for i, name in self._derived}
+        """The row recorded at the current instant, without ``time``."""
+        if not self._rows or self._rows[-1][0] != self.clock:
+            raise ContractViolationError(f"the simulator recorded no row at {self.clock!r} s")
+        return dict(zip(self.columns[1:], self._rows[-1][1:]))
 
     def parameters(self) -> dict[str, float]:
         """The current value of each parameter ``set_parameter`` accepts."""
@@ -739,7 +720,6 @@ class Simulator:
         sensor.failed = False
         sensor.noise_sigma = 0.0
         self._all_healthy = not any(s.failed or s.noise_sigma > 0 for s in self._sensors)
-        self._gauged_at = None
 
     # -- trace export ------------------------------------------------------------
 

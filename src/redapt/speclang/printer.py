@@ -3,10 +3,15 @@
 The printer reads the binding strengths and grouping in ``CONNECTIVES``
 (``ast.py``), the table the parser climbs, and inserts exactly the
 parentheses needed for the output to reparse to a structurally equal AST;
-the operands of ``G``, ``F`` and ``X`` are always parenthesized.
+the operands of ``G``, ``F`` and ``X`` are parenthesized, but for one that
+begins with a variable or function named ``forall`` or ``exists``: inside a
+parenthesis that name would read as a quantifier, so such an operand follows
+the letter after a space, where the parser reads it at the letter's strength.
 """
 
 from __future__ import annotations
+
+import re
 
 from .ast import (
     Atom,
@@ -45,13 +50,20 @@ def print_term(term: Term) -> str:
     raise TypeError(f"unknown term node {term!r}")
 
 
+_QUANTIFIER_WORD = re.compile(r"(forall|exists)\b")
+
+
 def print_formula(node: Formula) -> str:
     syntax = CONNECTIVES.get(type(node))
     if syntax is not None:
         token, strength, fixity = syntax
-        if fixity == "prefix":  # G(x): a letter's operand is always parenthesized
-            floor = COMPARISON + 1 if token.isalpha() else strength + 1
-            return token + _operand(node.operand, floor)
+        if fixity == "prefix":
+            if not token.isalpha():
+                return token + _operand(node.operand, strength + 1)
+            text = print_formula(node.operand)
+            if _strength(node.operand) >= strength and _QUANTIFIER_WORD.match(text):
+                return f"{token} {text}"
+            return f"{token}({text})"
         lhs = _operand(node.lhs, strength + (fixity == "right"))
         return f"{lhs} {token} {_operand(node.rhs, strength + (fixity == 'left'))}"
     if isinstance(node, (Forall, Exists)):
@@ -66,12 +78,15 @@ def print_formula(node: Formula) -> str:
     raise TypeError(f"unknown formula node {node!r}")
 
 
+def _strength(node: Formula) -> int:
+    syntax = CONNECTIVES.get(type(node))
+    return syntax.strength if syntax else QUANTIFIER if isinstance(node, (Forall, Exists)) else COMPARISON
+
+
 def _operand(node: Formula, floor: int) -> str:
     """``node`` as the operand of a connective that reads it at strength ``floor``."""
     text = print_formula(node)
-    syntax = CONNECTIVES.get(type(node))
-    strength = syntax.strength if syntax else QUANTIFIER if isinstance(node, (Forall, Exists)) else COMPARISON
-    return f"({text})" if strength < floor else text
+    return f"({text})" if _strength(node) < floor else text
 
 
 def print_entity(entity: EntitySpec) -> str:

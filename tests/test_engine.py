@@ -550,11 +550,8 @@ class FakeTarget:
             return []
         return [(slot, self.bindings.get(slot, f"{prefix}_{slot[2:]}")) for slot in sorted(slots)]
 
-    def read(self, slot):
-        return {**self.slot_values, **self.lux_values}[slot]
-
     def snapshot(self):
-        return dict(self.values)
+        return {**self.values, **self.slot_values, **self.lux_values}
 
     def set_parameter(self, name, value):
         self.parameters[name] = value
@@ -574,10 +571,6 @@ class CountingTarget(FakeTarget):
     def instances(self, class_name):
         self.calls["instances", class_name] += 1
         return super().instances(class_name)
-
-    def read(self, slot):
-        self.calls["read", slot] += 1
-        return super().read(slot)
 
     def snapshot(self):
         self.calls["snapshot"] += 1
@@ -642,6 +635,20 @@ class TestEngineCycle:
         assert all(v == "none" for v in report.violation.values())
         assert report.reconfiguration == {}
         assert report.plan_iterations == {}
+
+    def test_a_listed_slot_missing_from_the_snapshot_fails_monitoring(self, specs):
+        class Lacking(FakeTarget):
+            def snapshot(self):
+                values = super().snapshot()
+                del values["f_2"]  # the slot ``instances`` still lists
+                return values
+
+        engine = self.engine(specs)
+        target = Lacking()
+        report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
+        assert report.errors == ["monitoring failed: the target's snapshot lacks slot 'f_2'"]
+        assert report.instances == {} and report.violation == {}
+        assert engine.trace.states == () and engine.cycle_index == 1
 
     def test_failed_sensor_cycle_replaces_in_same_cycle(self, specs):
         target = FakeTarget(slot_values={"f_1": 15.0, "f_2": None})
@@ -768,8 +775,7 @@ class TestEngineCycle:
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
         assert set(report.violation.values()) == {"none"}
         assert target.calls == Counter({
-            ("instances", "I_sensor"): 1, ("instances", "I_lux"): 1,
-            ("read", "f_1"): 1, ("read", "f_2"): 1, ("read", "e_1"): 1, "snapshot": 1,
+            ("instances", "I_sensor"): 1, ("instances", "I_lux"): 1, "snapshot": 1,
         })
 
     def test_a_components_violation_observes_the_target_once(self, specs):

@@ -190,11 +190,8 @@ class ReplayTarget:
     def instances(self, class_name):
         return [(slot, instance_id) for slot, (instance_id, _) in self.cycle.items()]
 
-    def read(self, slot):
-        return self.cycle[slot][1]
-
     def snapshot(self):
-        return {}
+        return {slot: value for slot, (_, value) in self.cycle.items()}
 
     def set_parameter(self, name, value):
         pass

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from redapt.cli import trace_from_csv
+from redapt.engine import ContractViolationError
 from redapt.hrcs import (
     FLOW_CLASS,
     LUX_CLASS,
@@ -296,12 +297,27 @@ class TestFluidStability:
         assert metrics.n_peak < 350
 
 
+class TestSnapshot:
+    @pytest.mark.parametrize("record_rows, until", [
+        (True, None),  # before the first sample
+        (True, 90.0),  # between the samples at 60 and 120 s
+        (False, 120.0),  # on a sample instant of a run that records no rows
+    ])
+    def test_snapshot_raises_where_no_row_was_recorded(self, record_rows, until):
+        sim = Simulator(quick_cfg(sample_interval_s=60.0), record_rows=record_rows)
+        if until is not None:
+            sim.run_until(until)
+        with pytest.raises(ContractViolationError, match=f"recorded no row at {sim.clock!r} s"):
+            sim.snapshot()
+
+
 class TestSensors:
     def test_all_healthy_sensors_agree(self):
         cfg = quick_cfg()
         sim = Simulator(cfg)
         sim.run_until(300.0)
-        values = [sim.read(slot) for slot, _ in sim.instances(FLOW_CLASS)]
+        snapshot = sim.snapshot()
+        values = [snapshot[slot] for slot, _ in sim.instances(FLOW_CLASS)]
         assert len(values) == cfg.flow_sensor_count
         assert len(set(values)) == 1
         assert values[0] == pytest.approx(24.0, abs=8.0)
@@ -324,8 +340,8 @@ class TestSensors:
         cfg = quick_cfg(sensor_faults=(SensorFault("f_3", "fail", 100.0),))
         sim = Simulator(cfg)
         sim.run_until(200.0)
-        assert sim.read("f_3") is None
-        assert sim.read("f_4") is not None
+        assert sim.snapshot()["f_3"] is None
+        assert sim.snapshot()["f_4"] is not None
 
     def test_noisy_sensor_exceeds_noise_threshold(self):
         cfg = quick_cfg(sensor_faults=(SensorFault("f_5", "noise", 100.0, sigma=10.0),))
@@ -333,7 +349,7 @@ class TestSensors:
         window = []
         for t in range(120, 420, 60):
             sim.run_until(float(t))
-            window.append(sim.read("f_5"))
+            window.append(sim.snapshot()["f_5"])
         mean = sum(window) / len(window)
         sample_std = math.sqrt(sum((v - mean) ** 2 for v in window) / (len(window) - 1))
         assert sample_std > 3.0  # three times the 1.0 nominal sigma
@@ -344,7 +360,7 @@ class TestSensors:
         def observed():
             sim = Simulator(cfg)
             sim.run_until(150.0)
-            return sim.read("f_5")
+            return sim.snapshot()["f_5"]
 
         assert observed() == observed()
 
@@ -352,9 +368,11 @@ class TestSensors:
         cfg = quick_cfg(sensor_faults=(SensorFault("f_3", "fail", 100.0),))
         sim = Simulator(cfg)
         sim.run_until(200.0)
-        assert sim.read("f_3") is None
+        assert sim.snapshot()["f_3"] is None
         sim.bind_instance("f_3", "ir_13")
-        assert sim.read("f_3") is not None
+        assert sim.snapshot()["f_3"] is None  # this instant's row was recorded before the swap
+        sim.run_until(201.0)
+        assert sim.snapshot()["f_3"] is not None
         assert sim._sensor("f_3").instance_id == "ir_13"
 
 

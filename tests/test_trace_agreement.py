@@ -1,8 +1,8 @@
 """What the engine observes is what ``trace.csv`` records.
 
-The simulator describes an instant by one row; the engine's readings and its
-snapshot are cells of that row, and a sensor is gauged once per instant, so
-even a noisy sensor reads the same in ``cycles.jsonl`` and ``trace.csv``.
+The simulator describes an instant by one row, and the engine's snapshot is
+the row recorded at its instant, so even a noisy sensor reads the same in
+``cycles.jsonl`` and ``trace.csv``.
 """
 
 import pytest
@@ -56,14 +56,13 @@ def test_every_reading_is_its_trace_cell(recorded):
     assert checked == len(result.reports) * (scenario.flow_sensor_count + scenario.lux_sensor_count)
 
 
-def test_snapshot_is_the_rows_derived_columns(recorded):
+def test_snapshot_is_the_row_without_time(recorded):
     _, result, snapshots = recorded
     rows = {row.time: row for row in result.trace.rows}
-    slots = {slot for members in result.reports[0].instances.values() for slot in members}
     assert len(snapshots) == len(result.reports)
     for time, snapshot in snapshots:
         row = rows[time]
-        assert set(snapshot) == set(result.trace.columns) - {"time"} - slots
+        assert list(snapshot) == list(result.trace.columns[1:])
         assert snapshot == {column: getattr(row, column) for column in snapshot}
 
 
