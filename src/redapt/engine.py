@@ -3,18 +3,20 @@
 The engine is generic over any managed system that answers the probe
 contract (its clock, the instances filling each sensor class's slots, and a
 snapshot of every probe, readings included) and accepts the effector
-contract (settable parameters and rebindable component slots).  Violations
-are classified by the uncertainty source written in the specification
-document: context uncertainty is diagnosed through invariants (functional)
-or utility thresholds (non-functional); components uncertainty through the
-instances of the sensor class the source declares, as each slot's noise
-window holds them: an absent reading (failure) or unstable readings since
-the instance was bound (noise).  Each cycle observes the target once, in
-``monitor_step``, and the monitored ``State`` it builds is the cycle's one
-record of what it observed: it advances the windows, diagnosis reads it, and
-the cycle report's readings are written from it; it is never changed.
-Planning is intertwined with analysis: every candidate reconfiguration is
-re-checked through a caller-supplied verifier before it is returned.
+contract (settable parameters and rebindable component slots).  The target
+is the one record of which instance fills each slot; the engine keeps only
+each slot's spares.  Violations are classified by the uncertainty source
+written in the specification document: context uncertainty is diagnosed
+through invariants (functional) or utility thresholds (non-functional);
+components uncertainty through the instances of the sensor class the source
+declares, as each slot's noise window holds them: an absent reading
+(failure) or unstable readings since the instance was bound (noise).  Each
+cycle observes the target once, in ``monitor_step``, and the monitored
+``State`` it builds is the cycle's one record of what it observed: it
+advances the windows, diagnosis reads it, and the cycle report's readings
+are written from it; it is never changed.  Planning is intertwined with
+analysis: every candidate reconfiguration is re-checked through a
+caller-supplied verifier before it is returned.
 """
 
 from __future__ import annotations
@@ -87,19 +89,8 @@ class Structural(Reconfiguration):
     replacements: tuple[tuple[str, str], ...]  # (slot, replacement instance)
 
 
-@dataclass
-class ComponentPool:
-    active: dict[str, str]
-    standby: dict[str, list[str]]
-
-    def copy(self) -> "ComponentPool":
-        return ComponentPool(dict(self.active), {k: list(v) for k, v in self.standby.items()})
-
-    def all_instances(self) -> list[str]:
-        out = list(self.active.values())
-        for instances in self.standby.values():
-            out.extend(instances)
-        return out
+# slot -> the standby instances that may fill it, in the order they are taken
+Spares = dict[str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,8 @@ class ProbeSource(Protocol):
 class EffectorSink(Protocol):
     def set_parameter(self, name: str, value: float) -> None: ...
 
-    def bind_instance(self, slot: str, instance_id: str) -> None: ...
+    def bind_instance(self, slot: str, instance_id: str) -> Optional[str]:
+        """Fill ``slot``; returns the instance it replaced, None if it was empty."""
 
 
 Verifier = Callable[[Reconfiguration], ViolationType]
@@ -456,7 +448,7 @@ def plan(
     goal: str,
     violation: ViolationType,
     params: Mapping[str, float],
-    pool: ComponentPool,
+    spares: Mapping[str, Sequence[str]],
     verifier: Verifier,
     cfg: EngineConfig,
     failing: Sequence[str] = (),
@@ -465,7 +457,7 @@ def plan(
 
     Context violations step the goal's plan parameters by their configured
     increments, re-verifying after each step; components violations swap the
-    failing slots onto the first standby instance.  Raises
+    failing slots onto their first spare.  Raises
     :class:`PlanFailedError` when the budget or the options run out.
     """
     if violation is ViolationType.NONE:
@@ -515,7 +507,7 @@ def plan(
         raise PlanFailedError(f"components violation on {goal!r} without identified slots")
     replacements = []
     for slot in failing:
-        standby = pool.standby.get(slot, [])
+        standby = spares.get(slot)
         if not standby:
             raise PlanFailedError(f"no standby instance available for slot {slot!r}")
         replacements.append((slot, standby[0]))
@@ -531,12 +523,13 @@ def plan(
 def execute(
     reconfig: Reconfiguration,
     target: EffectorSink,
-    pool: ComponentPool,
+    spares: Spares,
     cfg: EngineConfig,
-) -> ComponentPool:
-    """Apply a reconfiguration; returns the updated component pool."""
+) -> None:
+    """Apply a reconfiguration.  A swap takes its replacement off the slot's
+    spares and puts the instance the target reports replaced at their back."""
     if isinstance(reconfig, NoChange):
-        return pool
+        return
     if isinstance(reconfig, Parametric):
         for name, value in reconfig.changes:
             low, high = cfg.param_domains.get(name, (-math.inf, math.inf))
@@ -546,22 +539,19 @@ def execute(
                 )
         for name, value in reconfig.changes:
             target.set_parameter(name, value)
-        return pool
+        return
     if isinstance(reconfig, Structural):
-        updated = pool.copy()
         for slot, replacement in reconfig.replacements:
-            standby = updated.standby.get(slot, [])
+            standby = spares.get(slot, [])
             if replacement not in standby:
                 raise EffectorRejectedError(
                     f"instance {replacement!r} is not on standby for slot {slot!r}"
                 )
-            previous = updated.active.get(slot)
             standby.remove(replacement)
+            previous = target.bind_instance(slot, replacement)
             if previous is not None:
                 standby.append(previous)
-            updated.active[slot] = replacement
-            target.bind_instance(slot, replacement)
-        return updated
+        return
     raise TypeError(f"unknown reconfiguration {reconfig!r}")
 
 
@@ -625,8 +615,8 @@ def reconfiguration_to_dict(reconfig: Reconfiguration) -> dict:
 class AdaptationEngine:
     """Drives one managed system through monitor/diagnose/plan/execute cycles.
 
-    Cycles never overlap; state carried between cycles is the component
-    pool, the cycle counter, the last ``noise_window`` monitored states and
+    Cycles never overlap; state carried between cycles is each slot's
+    spares, the cycle counter, the last ``noise_window`` monitored states and
     each slot's noise window, advanced once per cycle by ``reading_windows``.
     Those suffice: every invariant is future-time and evaluated at the last
     state, and noise detection reads the windows and the states' class
@@ -635,10 +625,10 @@ class AdaptationEngine:
     of what it observed; its report holds that state's sensor instances.
     """
 
-    def __init__(self, specs: SpecDocument, cfg: EngineConfig, pool: ComponentPool):
+    def __init__(self, specs: SpecDocument, cfg: EngineConfig, spares: Spares):
         self.specs = specs
         self.cfg = cfg
-        self.pool = pool
+        self.spares = spares
         self.trace = Trace()
         self.windows: Windows = {}
         self.cycle_index = 0
@@ -693,7 +683,7 @@ class AdaptationEngine:
 
             try:
                 reconfig = plan(
-                    self.specs, goal, vt, params, self.pool,
+                    self.specs, goal, vt, params, self.spares,
                     counted, self.cfg, failing,
                 )
             except PlanFailedError as exc:
@@ -703,7 +693,7 @@ class AdaptationEngine:
                 continue
             report.plan_iterations[goal] = calls
             report.reconfiguration[goal] = reconfiguration_to_dict(reconfig)
-            self.pool = execute(reconfig, effector, self.pool, self.cfg)
+            execute(reconfig, effector, self.spares, self.cfg)
             if isinstance(reconfig, Parametric):
                 params.update(reconfig.changes)
             report.post_verdicts[goal] = ViolationType.NONE.value

@@ -1,7 +1,7 @@
 """Wires the adaptation engine to the crossing simulator.
 
-The runner owns the live simulator, builds the component pool from its
-sensor slots, and supplies the verifiers that close the plan/analyze loop,
+The runner owns the live simulator, which records which instance fills each
+sensor slot, gives the engine each slot's standby spares, and supplies the verifiers that close the plan/analyze loop,
 chosen by the kind of violation: a functional context violation's
 candidates are verified by re-running the scenario model under the
 candidate dispatch interval, a non-functional one's by the closed-form
@@ -20,7 +20,6 @@ from typing import Optional, TextIO
 
 from ..engine import (
     AdaptationEngine,
-    ComponentPool,
     ContractViolationError,
     CycleReport,
     EngineConfig,
@@ -36,8 +35,6 @@ from ..engine import (
 )
 from ..speclang import SpecDocument
 from .simulator import (
-    FLOW_CLASS,
-    LUX_CLASS,
     Metrics,
     ScenarioConfig,
     SimTrace,
@@ -60,26 +57,23 @@ PLANNING_SETTINGS = {
 
 def contract_of(sim: Simulator) -> ProbeEffectorContract:
     """The probe/effector surface the simulator exposes to the engine."""
-    sensors = {slot for name in (FLOW_CLASS, LUX_CLASS) for slot, _ in sim.instances(name)}
+    sensors = {slot for _, slot, _ in sim.cfg.sensor_names().slots()}
     return ProbeEffectorContract(
         frozenset(sim.columns[1:]),  # every column of a row but its time
         frozenset(sensors | set(sim.parameters())),
     )
 
 
-def build_pool(cfg: ScenarioConfig) -> ComponentPool:
-    """Active sensors plus per-slot standby spares with distinct serials."""
-    active: dict[str, str] = {}
-    standby: dict[str, list[str]] = {}
+def build_pool(cfg: ScenarioConfig) -> dict[str, list[str]]:
+    """Each sensor slot's standby spares, in the order they are taken; their
+    serials follow every serial the simulator binds first, and are distinct."""
     names = cfg.sensor_names()
     count = max(cfg.flow_sensor_count, cfg.lux_sensor_count)
-    for class_name, slot, index in names.slots():
-        active[slot] = names.instance(class_name, index)
-        standby[slot] = [
-            names.instance(class_name, index + (k + 1) * count)
-            for k in range(cfg.standby_per_slot)
-        ]
-    return ComponentPool(active=active, standby=standby)
+    return {
+        slot: [names.instance(class_name, index + k * count)
+               for k in range(1, cfg.standby_per_slot + 1)]
+        for class_name, slot, index in names.slots()
+    }
 
 
 @dataclass

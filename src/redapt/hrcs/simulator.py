@@ -714,12 +714,14 @@ class Simulator:
             return
         raise DomainError(f"unknown parameter {name!r}")
 
-    def bind_instance(self, slot: str, instance_id: str) -> None:
+    def bind_instance(self, slot: str, instance_id: str) -> str:
+        """Fill ``slot`` with a healthy instance; returns the one it replaced."""
         sensor = self._sensor(slot)
-        sensor.instance_id = instance_id
+        previous, sensor.instance_id = sensor.instance_id, instance_id
         sensor.failed = False
         sensor.noise_sigma = 0.0
         self._all_healthy = not any(s.failed or s.noise_sigma > 0 for s in self._sensors)
+        return previous
 
     # -- trace export ------------------------------------------------------------
 

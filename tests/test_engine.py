@@ -6,7 +6,6 @@ import pytest
 
 from redapt.engine import (
     AdaptationEngine,
-    ComponentPool,
     ContractViolationError,
     EffectorRejectedError,
     EngineConfig,
@@ -382,7 +381,7 @@ class FakeVerifier:
 class TestPlan:
     def test_none_returns_no_change(self, specs):
         verifier = FakeVerifier(set())
-        out = plan(specs, "hold p and n", NONE, {}, ComponentPool({}, {}), verifier, EngineConfig())
+        out = plan(specs, "hold p and n", NONE, {}, {}, verifier, EngineConfig())
         assert out == NoChange()
         assert verifier.calls == 0
 
@@ -390,7 +389,7 @@ class TestPlan:
         verifier = FakeVerifier({(("t_dispatch", 6.0),)})
         out = plan(
             specs, "hold p and n", ViolationType.CONU_FR,
-            {"t_dispatch": 5.0}, ComponentPool({}, {}), verifier, crossing_config(),
+            {"t_dispatch": 5.0}, {}, verifier, crossing_config(),
         )
         assert out == Parametric((("t_dispatch", 6.0),))
         assert verifier.calls == 2  # current setting first, then one step
@@ -399,7 +398,7 @@ class TestPlan:
         verifier = FakeVerifier({(("t_dispatch", 5.0),)})
         out = plan(
             specs, "hold p and n", ViolationType.CONU_FR,
-            {"t_dispatch": 5.0}, ComponentPool({}, {}), verifier, EngineConfig(),
+            {"t_dispatch": 5.0}, {}, verifier, EngineConfig(),
         )
         assert out == NoChange()
         assert verifier.calls == 1
@@ -419,7 +418,7 @@ class TestPlan:
 
         out = plan(
             specs, "keep safety utility", ViolationType.CONU_NFR,
-            {"t_close": 4.0, "t_open": 4.0}, ComponentPool({}, {}), verifier, crossing_config(),
+            {"t_close": 4.0, "t_open": 4.0}, {}, verifier, crossing_config(),
         )
         assert out == Parametric((("t_close", 1.5), ("t_open", 6.5)))
         assert path == [
@@ -436,7 +435,7 @@ class TestPlan:
         with pytest.raises(PlanFailedError):
             plan(
                 specs, "hold p and n", ViolationType.CONU_FR,
-                {"t_dispatch": 5.0}, ComponentPool({}, {}), verifier,
+                {"t_dispatch": 5.0}, {}, verifier,
                 crossing_config(max_plan_iterations=4),
             )
         assert verifier.calls <= 4  # boundedness
@@ -447,84 +446,86 @@ class TestPlan:
         with pytest.raises(PlanFailedError):
             plan(
                 specs, "keep safety utility", ViolationType.CONU_NFR,
-                {"t_close": 1.5, "t_open": 6.5}, ComponentPool({}, {}), verifier, cfg,
+                {"t_close": 1.5, "t_open": 6.5}, {}, verifier, cfg,
             )
 
     def test_structural_takes_first_standby(self, specs):
-        pool = ComponentPool({"f_3": "s_03"}, {"f_3": ["s_11", "s_12"]})
         out = plan(
             specs, "flow monitor", ViolationType.COMU_FR,
-            {}, pool, FakeVerifier(set()), EngineConfig(), failing=["f_3"],
+            {}, {"f_3": ["s_11", "s_12"]}, FakeVerifier(set()), EngineConfig(), failing=["f_3"],
         )
         assert out == Structural((("f_3", "s_11"),))
 
     def test_empty_standby_raises_plan_failed(self, specs):
-        pool = ComponentPool({"f_3": "s_03"}, {"f_3": []})
         with pytest.raises(PlanFailedError):
             plan(
                 specs, "flow monitor", ViolationType.COMU_FR,
-                {}, pool, FakeVerifier(set()), EngineConfig(), failing=["f_3"],
+                {}, {"f_3": []}, FakeVerifier(set()), EngineConfig(), failing=["f_3"],
             )
 
 
 class FakeSink:
-    def __init__(self):
+    def __init__(self, bindings=None):
         self.parameters = {}
-        self.bindings = {}
+        self.bindings = dict(bindings or {})
 
     def set_parameter(self, name, value):
         self.parameters[name] = value
 
     def bind_instance(self, slot, instance_id):
-        self.bindings[slot] = instance_id
+        previous, self.bindings[slot] = self.bindings.get(slot), instance_id
+        return previous
 
 
 class TestExecute:
     def test_parametric_sets_target(self):
         sink = FakeSink()
-        pool = ComponentPool({}, {})
-        execute(Parametric((("t_dispatch", 6.0),)), sink, pool, EngineConfig())
+        execute(Parametric((("t_dispatch", 6.0),)), sink, {}, EngineConfig())
         assert sink.parameters == {"t_dispatch": 6.0}
 
     def test_parametric_is_idempotent(self):
         sink = FakeSink()
         reconfig = Parametric((("t_dispatch", 6.0),))
-        execute(reconfig, sink, ComponentPool({}, {}), EngineConfig())
+        execute(reconfig, sink, {}, EngineConfig())
         once = dict(sink.parameters)
-        execute(reconfig, sink, ComponentPool({}, {}), EngineConfig())
+        execute(reconfig, sink, {}, EngineConfig())
         assert sink.parameters == once
 
     def test_out_of_domain_value_rejected(self):
         with pytest.raises(EffectorRejectedError):
             execute(
-                Parametric((("t_close", 0.25),)), FakeSink(), ComponentPool({}, {}),
+                Parametric((("t_close", 0.25),)), FakeSink(), {},
                 crossing_config(),
             )
 
-    def test_structural_swaps_pool_and_rebinds(self):
-        sink = FakeSink()
-        pool = ComponentPool({"f_3": "s_03"}, {"f_3": ["s_11", "s_12"]})
-        updated = execute(Structural((("f_3", "s_11"),)), sink, pool, EngineConfig())
-        assert updated.active == {"f_3": "s_11"}
-        assert updated.standby == {"f_3": ["s_12", "s_03"]}
+    def test_structural_swaps_spares_and_rebinds(self):
+        sink = FakeSink({"f_3": "s_03"})
+        spares = {"f_3": ["s_11", "s_12"]}
+        execute(Structural((("f_3", "s_11"),)), sink, spares, EngineConfig())
+        assert spares == {"f_3": ["s_12", "s_03"]}
         assert sink.bindings == {"f_3": "s_11"}
 
     def test_structural_conserves_instances(self):
-        pool = ComponentPool({"f_3": "s_03", "f_4": "s_04"}, {"f_3": ["s_11"], "f_4": ["s_12"]})
-        before = sorted(pool.all_instances())
-        updated = execute(Structural((("f_3", "s_11"),)), FakeSink(), pool, EngineConfig())
-        assert sorted(updated.all_instances()) == before
+        sink = FakeSink({"f_3": "s_03", "f_4": "s_04"})
+        spares = {"f_3": ["s_11"], "f_4": ["s_12"]}
+
+        def instances():
+            return sorted([*sink.bindings.values(), *(i for s in spares.values() for i in s)])
+
+        before = instances()
+        execute(Structural((("f_3", "s_11"),)), sink, spares, EngineConfig())
+        assert instances() == before
 
     def test_unknown_replacement_rejected(self):
-        pool = ComponentPool({"f_3": "s_03"}, {"f_3": ["s_11"]})
         with pytest.raises(EffectorRejectedError):
-            execute(Structural((("f_3", "ghost"),)), FakeSink(), pool, EngineConfig())
+            execute(Structural((("f_3", "ghost"),)), FakeSink(), {"f_3": ["s_11"]}, EngineConfig())
 
     def test_no_change_is_identity(self):
-        sink = FakeSink()
-        pool = ComponentPool({"f_3": "s_03"}, {"f_3": ["s_11"]})
-        updated = execute(NoChange(), sink, pool, EngineConfig())
-        assert updated is pool and not sink.parameters and not sink.bindings
+        sink = FakeSink({"f_3": "s_03"})
+        spares = {"f_3": ["s_11"]}
+        execute(NoChange(), sink, spares, EngineConfig())
+        assert spares == {"f_3": ["s_11"]} and sink.bindings == {"f_3": "s_03"}
+        assert not sink.parameters
 
 
 class FakeTarget:
@@ -548,7 +549,11 @@ class FakeTarget:
             slots, prefix = self.lux_values, "lux"
         else:
             return []
-        return [(slot, self.bindings.get(slot, f"{prefix}_{slot[2:]}")) for slot in sorted(slots)]
+        return [(slot, self.bound(slot)) for slot in sorted(slots)]
+
+    def bound(self, slot):
+        prefix = "ir" if slot in self.slot_values else "lux"
+        return self.bindings.get(slot, f"{prefix}_{slot[2:]}")
 
     def snapshot(self):
         return {**self.values, **self.slot_values, **self.lux_values}
@@ -557,8 +562,9 @@ class FakeTarget:
         self.parameters[name] = value
 
     def bind_instance(self, slot, instance_id):
-        self.bindings[slot] = instance_id
+        previous, self.bindings[slot] = self.bound(slot), instance_id
         self.slot_values[slot] = 15.0
+        return previous
 
 
 class CountingTarget(FakeTarget):
@@ -624,10 +630,7 @@ class TestMonitorStep:
 
 class TestEngineCycle:
     def engine(self, specs):
-        pool = ComponentPool(
-            {"f_1": "ir_1", "f_2": "ir_2"}, {"f_1": ["ir_11"], "f_2": ["ir_12"]}
-        )
-        return AdaptationEngine(specs, EngineConfig(), pool)
+        return AdaptationEngine(specs, EngineConfig(), {"f_1": ["ir_11"], "f_2": ["ir_12"]})
 
     def test_healthy_cycle_reports_no_change(self, specs):
         engine = self.engine(specs)
@@ -678,10 +681,9 @@ class TestEngineCycle:
         monkeypatch.setattr(engine_module, "faulty_slots", counted)
         monkeypatch.setattr(engine_module, "diagnose", kept)
         target = FakeTarget(slot_values={"f_1": None, "f_2": 15.0, "f_3": None})
-        engine = AdaptationEngine(specs, EngineConfig(), ComponentPool(
-            {"f_1": "ir_1", "f_2": "ir_2", "f_3": "ir_3"},
-            {"f_1": ["ir_11"], "f_2": ["ir_12"], "f_3": ["ir_13"]},
-        ))
+        engine = AdaptationEngine(specs, EngineConfig(), {
+            "f_1": ["ir_11"], "f_2": ["ir_12"], "f_3": ["ir_13"],
+        })
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
         assert calls.count("gauge failure") == 1
         assert diagnosed_slots == [["f_1", "f_3"]]
@@ -692,7 +694,7 @@ class TestEngineCycle:
     def test_plan_failure_is_recorded_not_raised(self, specs):
         target = FakeTarget(slot_values={"f_1": 15.0, "f_2": None})
         engine = self.engine(specs)
-        engine.pool.standby["f_2"] = []
+        engine.spares["f_2"] = []
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
         assert any("plan failed" in e for e in report.errors)
         assert target.bindings == {}
@@ -770,7 +772,7 @@ class TestEngineCycle:
 
     def test_a_cycle_gauges_each_class_and_slot_once(self):
         specs = parse_document(ENGINE_SPEC + LUX_MONITOR)
-        engine = AdaptationEngine(specs, EngineConfig(), ComponentPool({}, {}))
+        engine = AdaptationEngine(specs, EngineConfig(), {})
         target = CountingTarget(lux_values={"e_1": 300.0})
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
         assert set(report.violation.values()) == {"none"}
@@ -793,7 +795,7 @@ class TestEngineCycle:
 
         doc = parse_document(ENGINE_SPEC + SECOND_DISPATCH_GOAL)
         cfg = EngineConfig(param_step={"t_dispatch": 1.0})
-        engine = AdaptationEngine(doc, cfg, ComponentPool({}, {}))
+        engine = AdaptationEngine(doc, cfg, {})
         target = LiveTarget(values={"p": 0.3, "n": 100, "U_safety": 1.0, "t_dispatch": 5.0})
         report = engine.cycle(target, target, lambda g, v: FakeVerifier({(("t_dispatch", 6.0),)}))
         assert report.violation["hold p and n"] == report.violation["hold p"] == "ConU_FR"
@@ -805,14 +807,14 @@ class TestEngineCycle:
 
     def test_a_class_two_monitors_share_is_read_once(self):
         doc = parse_document(ENGINE_SPEC + SECOND_FLOW_MONITOR)
-        engine = AdaptationEngine(doc, EngineConfig(), ComponentPool({}, {}))
+        engine = AdaptationEngine(doc, EngineConfig(), {})
         report = engine.cycle(FakeTarget(), FakeTarget(), lambda g, v: FakeVerifier(set()))
         readings = report.to_json_dict()["readings"]
         assert [r["variable"] for r in readings] == ["f_1", "f_2"]
 
     def test_absent_lux_reading_does_not_fire_flow_sources(self):
         specs = parse_document(ENGINE_SPEC + LUX_MONITOR)
-        engine = AdaptationEngine(specs, EngineConfig(), ComponentPool({}, {}))
+        engine = AdaptationEngine(specs, EngineConfig(), {})
         target = FakeTarget(lux_values={"e_1": None, "e_2": 300.0})
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
         assert ("e_1", None) in [(r.variable, r.value) for r in readings_of(report)]

@@ -6,10 +6,11 @@ Four inputs are mutated: the bundled spec (one-character edits, through
 (through ``verify``), the engine configuration (through ``from_dict`` laid
 over the crossing's settings) and a scenario (through
 ``ScenarioConfig.from_dict``; an accepted one must build a simulator that
-describes t = 0 and a component pool that matches its sensors).  The
-generated numbers stay small, so that each accepted scenario builds quickly;
-``validate()`` bounds the arrivals in the flow window, the sensor counts and
-the standby spares, in proportion to which the simulator allocates.
+describes t = 0, and spares for each of its slots, none of them bound and
+no two alike).  The generated numbers stay small, so that each accepted
+scenario builds quickly; ``validate()`` bounds the arrivals in the flow
+window, the sensor counts and the standby spares, in proportion to which the
+simulator allocates.
 """
 
 import json
@@ -142,5 +143,9 @@ def test_accepted_scenario_describes_its_first_instant(edits):
         return
     sim = Simulator(scenario)
     assert sim.row().time == 0.0
-    bound = {slot: instance for c in (FLOW_CLASS, LUX_CLASS) for slot, instance in sim.instances(c)}
-    assert build_pool(scenario).active == bound
+    bound = dict(pair for c in (FLOW_CLASS, LUX_CLASS) for pair in sim.instances(c))
+    spares = build_pool(scenario)
+    assert spares.keys() == bound.keys()
+    taken = [instance for standby in spares.values() for instance in standby]
+    # at the first instant no spare is bound, and no two spares share an id
+    assert set(bound.values()).isdisjoint(taken) and len(set(taken)) == len(taken)

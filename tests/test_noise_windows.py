@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from redapt import engine
 from redapt.engine import (
     AdaptationEngine,
-    ComponentPool,
     EngineConfig,
     ViolationType,
     diagnose,
@@ -214,7 +213,7 @@ def test_a_running_engine_diagnoses_what_its_whole_trace_shows(run):
 
     target = ReplayTarget()
     # no standby instances: a components violation ends in a recorded plan failure
-    adaptation = AdaptationEngine(SPEC, cfg, ComponentPool({}, {}))
+    adaptation = AdaptationEngine(SPEC, cfg, {})
     monitored = []
     with mock.patch.object(engine, "diagnose", kept):
         for k, cycle in enumerate(cycles, start=1):
