@@ -30,6 +30,7 @@ from typing import Callable, Mapping, Optional, Protocol, Sequence
 from .speclang import (
     EntityKind,
     EntitySpec,
+    EvaluationError,
     Instance,
     SpecDocument,
     State,
@@ -181,8 +182,8 @@ class ProbeSource(Protocol):
 class EffectorSink(Protocol):
     def set_parameter(self, name: str, value: float) -> None: ...
 
-    def bind_instance(self, slot: str, instance_id: str) -> Optional[str]:
-        """Fill ``slot``; returns the instance it replaced, None if it was empty."""
+    def bind_instance(self, slot: str, instance_id: str) -> str:
+        """Fill ``slot`` with ``instance_id``; returns the instance it replaced."""
 
 
 Verifier = Callable[[Reconfiguration], ViolationType]
@@ -273,12 +274,6 @@ def window_is_noisy(values: Sequence[Optional[float]], cfg: EngineConfig) -> boo
 
 
 # -- diagnosis ------------------------------------------------------------
-
-
-def affected_entities(specs: SpecDocument) -> Sequence[tuple[EntitySpec, Sequence[EntitySpec]]]:
-    """Entities targeted by at least one uncertainty, with their sources in
-    document order, as the document resolves them once."""
-    return specs.affected
 
 
 def utility_attribute(entity: EntitySpec) -> Optional[str]:
@@ -373,15 +368,26 @@ def faulty_slots(
 
 
 def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
-    """Each affected goal's invariant evaluated at the trace's last state."""
+    """Each affected goal's invariant evaluated at the trace's last state.
+
+    An invariant the target cannot answer, one that reads a variable it does
+    not probe, applies a function or ranges over a class no monitor gauges,
+    raises ``ContractViolationError`` naming the goal: the target's probes do
+    not change, so no later cycle could evaluate it either."""
     if not trace.states:
         return {}
     last = len(trace.states) - 1
-    return {
-        entity.name: evaluate(entity.invariant, trace, last)
-        for entity, _ in affected_entities(specs)
-        if entity.invariant is not None
-    }
+    verdicts = {}
+    for entity, _ in specs.affected:
+        if entity.invariant is None:
+            continue
+        try:
+            verdicts[entity.name] = evaluate(entity.invariant, trace, last)
+        except EvaluationError as exc:
+            raise ContractViolationError(
+                f"the invariant of {entity.name!r} cannot be evaluated: {exc}"
+            ) from exc
+    return verdicts
 
 
 def diagnose(
@@ -404,7 +410,7 @@ def diagnose(
     other violation.
     """
     result: dict[str, tuple[ViolationType, list[str]]] = {}
-    for entity, sources in affected_entities(specs):
+    for entity, sources in specs.affected:
         verdict, failing = ViolationType.NONE, []
         for source in sources:
             context = source.kind is EntityKind.CONTEXT_UNCERTAINTY
@@ -548,9 +554,7 @@ def execute(
                     f"instance {replacement!r} is not on standby for slot {slot!r}"
                 )
             standby.remove(replacement)
-            previous = target.bind_instance(slot, replacement)
-            if previous is not None:
-                standby.append(previous)
+            standby.append(target.bind_instance(slot, replacement))
         return
     raise TypeError(f"unknown reconfiguration {reconfig!r}")
 
@@ -651,6 +655,7 @@ class AdaptationEngine:
         self.windows = reading_windows((state,), self.cfg, self.windows)
         report.instances = state.instances
 
+        # unlike a stage failure, an invariant the target cannot answer ends the run
         verdicts = invariant_verdicts(self.specs, self.trace)
         report.verdicts = {goal: outcome.value for goal, outcome in verdicts.items()}
 

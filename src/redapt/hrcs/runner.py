@@ -1,12 +1,13 @@
 """Wires the adaptation engine to the crossing simulator.
 
 The runner owns the live simulator, which records which instance fills each
-sensor slot, gives the engine each slot's standby spares, and supplies the verifiers that close the plan/analyze loop,
-chosen by the kind of violation: a functional context violation's
-candidates are verified by re-running the scenario model under the
-candidate dispatch interval, a non-functional one's by the closed-form
-utilities against the goal's utility threshold, and sensor replacements by
-the health of the standby instance.
+sensor slot, gives the engine each slot's standby spares, and supplies the
+verifiers that close the plan/analyze loop, chosen by the kind of
+violation: a functional context violation's candidates are verified by
+re-running the scenario model under the candidate dispatch interval, a
+non-functional one's by the closed-form utilities against the goal's
+utility threshold, and sensor replacements by the health of the standby
+instance.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ CLASSLESS_MONITOR = (
     '  from_goal: "Determine t_dispatch to make p > 50% and n < 350"\n}\n'
 )
 HUGE = 10**400  # an integer too large for a float
+DISPATCH_INVARIANT = "G(p >= 50% && n <= 350)"  # the bundled spec's one affected invariant
 
 
 @pytest.fixture()
@@ -208,6 +209,40 @@ class TestRun:
         assert run.stderr.startswith("error: ")
         assert "t_dispatcf" in run.stderr
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("edits, cause", [
+        pytest.param(
+            [("f_i, F, p, n\n", "f_i, F, p, n, zzz\n"), (DISPATCH_INVARIANT, "G(zzz >= 1)")],
+            "variable 'zzz' is not bound", id="unprobed-variable",
+        ),
+        pytest.param([(DISPATCH_INVARIANT, "G(f(p) > 0)")], "function 'f'", id="function"),
+        pytest.param(
+            [("    class I_sensor\n  init.pre", "    class I_sensor\n    class I_radar\n  init.pre"),
+             (DISPATCH_INVARIANT, "G(forall s in I_radar . s.value > 0)")],
+            "quantifier domain 'I_radar'", id="ungauged-class",
+        ),
+    ])
+    def test_invariant_the_target_cannot_answer_exits_one_without_traceback(
+        self, tmp_path, spec_path, edits, cause
+    ):
+        text = Path(spec_path).read_text()
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        spec = tmp_path / "unanswerable.agmspec"
+        spec.write_text(text)
+        scenario = tmp_path / "scenario.json"
+        short = json.loads(redapt.data_path("experiment1.json").read_text())
+        short["duration_min"] = 2.0
+        scenario.write_text(json.dumps(short))
+        assert run_process("check", "--spec", str(spec)).returncode == 0
+        out = tmp_path / "o"
+        run = run_process("run", "--spec", str(spec), "--scenario", str(scenario), "--out", str(out))
+        assert run.returncode == 1
+        goal = "Determine t_dispatch to make p > 50% and n < 350"
+        assert run.stderr.startswith(f"error: the invariant of {goal!r} cannot be evaluated: ")
+        assert cause in run.stderr and "Traceback" not in run.stderr
+        assert run.stdout == "" and list(out.iterdir()) == []
 
     def test_output_path_that_is_a_file_exits_one_without_traceback(self, tmp_path, spec_path):
         taken = tmp_path / "taken"

@@ -498,7 +498,7 @@ class TestExecute:
                 crossing_config(),
             )
 
-    def test_structural_swaps_spares_and_rebinds(self):
+    def test_structural_swaps_pool_and_rebinds(self):
         sink = FakeSink({"f_3": "s_03"})
         spares = {"f_3": ["s_11", "s_12"]}
         execute(Structural((("f_3", "s_11"),)), sink, spares, EngineConfig())
@@ -515,6 +515,20 @@ class TestExecute:
         before = instances()
         execute(Structural((("f_3", "s_11"),)), sink, spares, EngineConfig())
         assert instances() == before
+
+    def test_spares_rotate_through_one_slot(self):
+        # the first spare goes in and the replaced instance goes to the back
+        sink = FakeSink({"f_3": "s_03"})
+        spares = {"f_3": ["s_11", "s_12"]}
+        swapped = []
+        for _ in range(3):
+            execute(Structural((("f_3", spares["f_3"][0]),)), sink, spares, EngineConfig())
+            swapped.append((sink.bindings["f_3"], list(spares["f_3"])))
+        assert swapped == [
+            ("s_11", ["s_12", "s_03"]),
+            ("s_12", ["s_03", "s_11"]),
+            ("s_03", ["s_11", "s_12"]),
+        ]
 
     def test_unknown_replacement_rejected(self):
         with pytest.raises(EffectorRejectedError):
@@ -725,7 +739,6 @@ class TestEngineCycle:
 
     def test_each_invariant_is_evaluated_once_per_cycle(self, specs, monkeypatch):
         import redapt.engine as engine_module
-        from redapt.engine import affected_entities
 
         calls = []
         original = engine_module.evaluate
@@ -738,7 +751,7 @@ class TestEngineCycle:
         engine = self.engine(specs)
         target = FakeTarget(slot_values={"f_1": 15.0, "f_2": None})
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
-        goals = {e.name: e.invariant for e, _ in affected_entities(specs) if e.invariant is not None}
+        goals = {e.name: e.invariant for e, _ in specs.affected if e.invariant is not None}
         assert goals and calls == list(goals.values())
         assert set(report.verdicts) == set(goals)
 

@@ -375,6 +375,13 @@ class TestSensors:
         assert sim.snapshot()["f_3"] is not None
         assert sim._sensor("f_3").instance_id == "ir_13"
 
+    def test_binding_returns_the_instance_it_replaced(self):
+        sim = Simulator(quick_cfg())
+        bound = dict(sim.instances(FLOW_CLASS))["f_3"]
+        assert sim.bind_instance("f_3", "ir_13") == bound
+        assert sim.bind_instance("f_3", "ir_23") == "ir_13"
+        assert dict(sim.instances(FLOW_CLASS))["f_3"] == "ir_23"
+
 
 class TestTables:
     """Each sensor slot and each vehicle is kept once, in one table."""
