@@ -20,7 +20,7 @@ print(f"scenario: {cfg.lambda_north:g}/{cfg.lambda_south:g} veh/min, "
 trace = simulate(cfg)
 metrics = compute_metrics(trace, cfg)
 print(f"\ncrossing-time percentages: north {metrics.p_north:.2%}, south {metrics.p_south:.2%}")
-print(f"occupancy peak: {metrics.n_peak} vehicles (limit {cfg.n_limit})")
+print(f"occupancy peak: {metrics.n_peak} vehicles")
 print(f"mean flow: north {metrics.mean_f_north:.1f}, south {metrics.mean_f_south:.1f} veh/min")
 
 # a taste of the exported trace

@@ -283,15 +283,6 @@ def utility_attribute(entity: EntitySpec) -> Optional[str]:
     return None
 
 
-def utility_threshold(entity: EntitySpec, cfg: EngineConfig) -> Optional[float]:
-    if entity.name in cfg.desired_utilities:
-        return cfg.desired_utilities[entity.name]
-    attr = utility_attribute(entity)
-    if attr is not None and attr in cfg.desired_utilities:
-        return cfg.desired_utilities[attr]
-    return None
-
-
 # fewer present readings than this in a state, and two sensors moving
 # together outvote the rest on what the class reads
 _CONSENSUS_MIN_READINGS = 4
@@ -334,19 +325,17 @@ def reading_windows(
 
 
 def faulty_slots(
-    source: EntitySpec, trace: Trace, cfg: EngineConfig, windows: Optional[Windows] = None
+    source: EntitySpec, trace: Trace, cfg: EngineConfig, windows: Windows
 ) -> list[str]:
     """Slots, in the target's order, of the classes a components-uncertainty
     source declares whose instance has failed (FR: it reads absent) or is noisy
-    (NFR: its window, from ``windows`` or else folded from the trace, is noisy).
+    (NFR: its window in ``windows`` is noisy).
 
     A real change in what the class gauges spreads every healthy sensor's
     window alike.  So a window that fails is tested again on its residuals
     from the class's median reading in each state, when every one of those
     states has enough readings for a consensus; the residuals decide."""
     window = trace.states[-cfg.noise_window :]
-    if windows is None:
-        windows = reading_windows(window, cfg)
     out: list[str] = []
     for cls in source.class_attributes():
         medians: Optional[list[Optional[float]]] = None  # by window position, once one fires
@@ -367,27 +356,38 @@ def faulty_slots(
     return out
 
 
-def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
-    """Each affected goal's invariant evaluated at the trace's last state.
+def invariant_verdict(entity: EntitySpec, state: State) -> Verdict:
+    """The goal's invariant evaluated on ``state`` alone, which is its verdict
+    at the last state of any trace ending in ``state``: no operator reads an
+    earlier position.  An invariant that reads a variable the state lacks,
+    applies a function or ranges over a class it does not hold raises
+    ``ContractViolationError`` naming the goal."""
+    try:
+        return evaluate(entity.invariant, Trace((state,)))
+    except EvaluationError as exc:
+        raise ContractViolationError(
+            f"the invariant of {entity.name!r} cannot be evaluated: {exc}"
+        ) from exc
 
-    An invariant the target cannot answer, one that reads a variable it does
-    not probe, applies a function or ranges over a class no monitor gauges,
-    raises ``ContractViolationError`` naming the goal: the target's probes do
+
+def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
+    """Each affected goal's invariant verdict at the trace's last state.  An
+    invariant the target cannot answer ends the run: the target's probes do
     not change, so no later cycle could evaluate it either."""
     if not trace.states:
         return {}
-    last = len(trace.states) - 1
-    verdicts = {}
-    for entity, _ in specs.affected:
-        if entity.invariant is None:
-            continue
-        try:
-            verdicts[entity.name] = evaluate(entity.invariant, trace, last)
-        except EvaluationError as exc:
-            raise ContractViolationError(
-                f"the invariant of {entity.name!r} cannot be evaluated: {exc}"
-            ) from exc
-    return verdicts
+    affected = (e for e, _ in specs.affected if e.invariant is not None)
+    return {e.name: invariant_verdict(e, trace.states[-1]) for e in affected}
+
+
+def utility_violated(entity: EntitySpec, state: State, cfg: EngineConfig) -> bool:
+    """Whether the goal's utility attribute reads below its threshold in
+    ``state``: the desired utility the config gives for the goal, or else
+    for the attribute.  False without either, or without the state's value."""
+    attr = utility_attribute(entity)
+    threshold = cfg.desired_utilities.get(entity.name, cfg.desired_utilities.get(attr))
+    value = state.values.get(attr)  # None when the goal has no utility attribute
+    return threshold is not None and value is not None and float(value) < threshold
 
 
 def diagnose(
@@ -395,7 +395,7 @@ def diagnose(
     trace: Trace,
     cfg: EngineConfig,
     verdicts: Mapping[str, Verdict],
-    windows: Optional[Windows] = None,
+    windows: Windows,
 ) -> dict[str, tuple[ViolationType, list[str]]]:
     """Classify each affected goal's state into the violation taxonomy, with
     the slots that fail it.
@@ -404,10 +404,10 @@ def diagnose(
     requirement kind; the first source reporting a violation wins, and an
     inconclusive invariant verdict counts as no violation.  ``verdicts`` are
     the invariant verdicts at the last state, as ``invariant_verdicts``
-    gives them.  Components uncertainty is read from the noise windows
-    (``faulty_slots``, with ``windows``); the failing slots are those of the
-    components source that fired, in the target's order, and empty for any
-    other violation.
+    gives them; a utility is judged by ``utility_violated``.  Components
+    uncertainty is read from the noise windows (``faulty_slots``, with
+    ``windows``); the failing slots are those of the components source that
+    fired, in the target's order, and empty for any other violation.
     """
     result: dict[str, tuple[ViolationType, list[str]]] = {}
     for entity, sources in specs.affected:
@@ -418,13 +418,9 @@ def diagnose(
             if context and functional:
                 if verdicts.get(entity.name) is Verdict.VIOL:
                     verdict = ViolationType.CONU_FR
-            elif context and not functional:
-                attr = utility_attribute(entity)
-                threshold = utility_threshold(entity, cfg)
-                if attr is not None and threshold is not None and trace.states:
-                    value = trace.states[-1].values.get(attr)
-                    if value is not None and float(value) < threshold:
-                        verdict = ViolationType.CONU_NFR
+            elif context:
+                if trace.states and utility_violated(entity, trace.states[-1], cfg):
+                    verdict = ViolationType.CONU_NFR
             elif failing := faulty_slots(source, trace, cfg, windows):
                 verdict = ViolationType.COMU_FR if functional else ViolationType.COMU_NFR
             if verdict is not ViolationType.NONE:

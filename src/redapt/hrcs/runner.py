@@ -3,11 +3,10 @@
 The runner owns the live simulator, which records which instance fills each
 sensor slot, gives the engine each slot's standby spares, and supplies the
 verifiers that close the plan/analyze loop, chosen by the kind of
-violation: a functional context violation's candidates are verified by
-re-running the scenario model under the candidate dispatch interval, a
-non-functional one's by the closed-form utilities against the goal's
-utility threshold, and sensor replacements by the health of the standby
-instance.
+violation.  A context violation's candidate is judged by the engine's own
+test of the goal, on the state the candidate predicts: a model run under the
+candidate dispatch interval, or the closed-form utilities of the candidate
+gate timing.  Sensor replacements are judged by the standby's health.
 """
 
 from __future__ import annotations
@@ -30,11 +29,12 @@ from ..engine import (
     Reconfiguration,
     Structural,
     ViolationType,
+    invariant_verdict,
     missing_plan_steps,
-    utility_threshold,
+    utility_violated,
     verify_contract,
 )
-from ..speclang import SpecDocument
+from ..speclang import EntitySpec, SpecDocument, State, Verdict
 from .simulator import (
     Metrics,
     ScenarioConfig,
@@ -127,24 +127,24 @@ class _Verifiers:
 
     def for_goal(self, goal: str, violation: ViolationType):
         if violation is ViolationType.CONU_FR:
-            return self._verify_dispatch
+            return partial(self._verify_dispatch, self.specs.by_name(goal))
         if violation is ViolationType.CONU_NFR:
-            threshold = utility_threshold(self.specs.by_name(goal), self.cfg)
-            return partial(self._verify_gate_timing, threshold=threshold)
+            return partial(self._verify_gate_timing, self.specs.by_name(goal))
         return self._verify_replacement
 
-    def _verify_dispatch(self, candidate: Reconfiguration) -> ViolationType:
+    def _verify_dispatch(self, goal: EntitySpec, candidate: Reconfiguration) -> ViolationType:
         """Model-based verification: re-run the fault-free scenario under the
-        candidate and check p and the occupancy peak against their limits.
+        candidate and judge the goal's invariant on its outcome: ``p`` the
+        smaller final share, ``n`` the occupancy peak.
 
         The model run records no rows; its trace returns the vehicle store,
-        but the verdict reads only the simulator's fast and exit counts and
-        ``n_peak``.  The model is a pure function of the candidate, so
-        verdicts are cached.
+        but the state is built only from the simulator's fast and exit counts
+        and ``n_peak``.  The verdict is a pure function of the goal and the
+        candidate, so it is cached by both.
         """
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_FR
-        key = tuple(sorted(candidate.changes))
+        key = (goal.name, candidate)
         if key in self._dispatch_cache:
             return self._dispatch_cache[key]
         overrides = dict(candidate.changes)
@@ -155,25 +155,30 @@ class _Verifiers:
         )
         try:
             metrics = compute_metrics(simulate(model_cfg, record_rows=False), model_cfg)
-            ok = (
-                min(metrics.p_north, metrics.p_south) >= model_cfg.p_min
-                and metrics.n_peak <= model_cfg.n_limit
-            )
         except DomainError:  # the scenario does not admit the candidate
-            ok = False
-        verdict = ViolationType.NONE if ok else ViolationType.CONU_FR
+            verdict = ViolationType.CONU_FR
+        else:
+            predicted = State(model_cfg.duration_s, dict(
+                p=min(metrics.p_north, metrics.p_south), n=metrics.n_peak, p_north=metrics.p_north,
+                p_south=metrics.p_south, t_dispatch=model_cfg.t_dispatch_min,
+            ))
+            violated = invariant_verdict(goal, predicted) is Verdict.VIOL
+            verdict = ViolationType.CONU_FR if violated else ViolationType.NONE
         self._dispatch_cache[key] = verdict
         return verdict
 
-    def _verify_gate_timing(self, candidate: Reconfiguration, threshold: float) -> ViolationType:
+    def _verify_gate_timing(self, goal: EntitySpec, candidate: Reconfiguration) -> ViolationType:
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_NFR
         values = {**self.sim.parameters(), **dict(candidate.changes)}
         try:
-            utilities = eval_utilities(values["t_close"], values["t_open"], self.sim.illuminance)
+            u = eval_utilities(values["t_close"], values["t_open"], self.sim.illuminance)
         except DomainError:
             return ViolationType.CONU_NFR
-        return ViolationType.NONE if utilities.u_safety >= threshold else ViolationType.CONU_NFR
+        utilities = dict(values, U_E=u.u_e, U_safety=u.u_safety, U_pass=u.u_pass)
+        if utility_violated(goal, State(self.sim.now(), utilities), self.cfg):
+            return ViolationType.CONU_NFR
+        return ViolationType.NONE
 
     def _verify_replacement(self, candidate: Reconfiguration) -> ViolationType:
         # standby instances are healthy by construction; a concrete

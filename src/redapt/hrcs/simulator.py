@@ -148,8 +148,6 @@ class ScenarioConfig:
     illuminance_profile: tuple[tuple[float, float], ...] = ((0.0, 100.0),)
     sensor_faults: tuple[SensorFault, ...] = ()
     p_time_threshold_s: float = 400.0  # 300 is the tighter config alternative
-    n_limit: int = 350
-    p_min: float = 0.5
     flow_sensor_count: int = 10
     lux_sensor_count: int = 3
     flow_window_s: float = 600.0

@@ -244,6 +244,68 @@ class TestRun:
         assert cause in run.stderr and "Traceback" not in run.stderr
         assert run.stdout == "" and list(out.iterdir()) == []
 
+    def test_dispatch_candidates_are_judged_by_the_goals_own_invariant(
+        self, tmp_path, spec_path, capsys
+    ):
+        # no interval in the search domain keeps a model run's occupancy peak
+        # within 30, so every cycle steps the interval to its bound and fails
+        spec = tmp_path / "tight.agmspec"
+        spec.write_text(Path(spec_path).read_text().replace(
+            DISPATCH_INVARIANT, "G(p >= 50% && n <= 30)"))
+        scenario = tmp_path / "scenario.json"
+        short = json.loads(redapt.data_path("experiment2.json").read_text())
+        short["duration_min"] = 10.0
+        scenario.write_text(json.dumps(short))
+        out = tmp_path / "o"
+        code = run_cli("run", "--spec", str(spec), "--scenario", str(scenario), "--out", str(out))
+        assert code == 3
+        metrics = json.loads(capsys.readouterr().out)
+        assert metrics["plan_failures"] == 10
+        assert metrics["final_parameters"]["t_dispatch"] == 5.0
+        goal = "Determine t_dispatch to make p > 50% and n < 350"
+        cycles = [json.loads(line) for line in (out / "cycles.jsonl").read_text().splitlines()]
+        assert len(cycles) == 10
+        for cycle in cycles:
+            assert cycle["violation"][goal] == "ConU_FR" and cycle["reconfiguration"] == {}
+            [error] = cycle["errors"]
+            assert error.startswith(f"plan failed for {goal!r}: ")
+            assert "clamped at their domain bounds" in error
+
+    def test_invariant_a_model_run_cannot_answer_exits_one_without_traceback(
+        self, tmp_path, spec_path
+    ):
+        # the target probes the flow F, so every cycle evaluates the
+        # invariant; a model run predicts p and n but no F.  The first
+        # violation, and with it the first model run, is at t = 2,520 s
+        spec = tmp_path / "unpredicted.agmspec"
+        spec.write_text(Path(spec_path).read_text().replace(
+            DISPATCH_INVARIANT, "G(p >= 50% && F <= 100)"))
+        scenario = tmp_path / "scenario.json"
+        short = json.loads(redapt.data_path("experiment2.json").read_text())
+        short["duration_min"] = 45.0
+        scenario.write_text(json.dumps(short))
+        out = tmp_path / "o"
+        run = run_process("run", "--spec", str(spec), "--scenario", str(scenario), "--out", str(out))
+        assert run.returncode == 1
+        goal = "Determine t_dispatch to make p > 50% and n < 350"
+        assert run.stderr.startswith(f"error: the invariant of {goal!r} cannot be evaluated: ")
+        assert "variable 'F' is not bound" in run.stderr and "Traceback" not in run.stderr
+        assert run.stdout == "" and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("limit", ["n_limit", "p_min"])
+    def test_scenario_naming_a_goal_limit_exits_one(self, tmp_path, spec_path, limit):
+        # the limits are the goal's invariant's, and a scenario has none
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("experiment1.json").read_text())
+        base[limit] = 350
+        scenario.write_text(json.dumps(base))
+        out = tmp_path / "o"
+        run = run_process("run", "--spec", spec_path, "--scenario", str(scenario), "--out", str(out))
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ")
+        assert f"unexpected keyword argument '{limit}'" in run.stderr
+        assert "Traceback" not in run.stderr and not out.exists()
+
     def test_output_path_that_is_a_file_exits_one_without_traceback(self, tmp_path, spec_path):
         taken = tmp_path / "taken"
         taken.write_text("")

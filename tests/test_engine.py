@@ -19,6 +19,7 @@ from redapt.engine import (
     invariant_verdicts,
     monitor_step,
     plan,
+    reading_windows,
     window_is_noisy,
 )
 from redapt.hrcs.runner import PLANNING_SETTINGS
@@ -178,10 +179,17 @@ def crossing_config(**overrides):
     return EngineConfig.from_dict(overrides, PLANNING_SETTINGS)
 
 
+def diagnosis(specs, trace):
+    """Each goal's violation and failing slots, from the noise windows the
+    trace's last ``noise_window`` states fill."""
+    cfg = crossing_config()
+    windows = reading_windows(trace.states[-cfg.noise_window:], cfg)
+    return diagnose(specs, trace, cfg, invariant_verdicts(specs, trace), windows)
+
+
 def diagnosed(specs, trace):
     """Each goal's violation, without its failing slots."""
-    out = diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
-    return {goal: violation for goal, (violation, _) in out.items()}
+    return {goal: violation for goal, (violation, _) in diagnosis(specs, trace).items()}
 
 
 class TestEngineConfig:
@@ -334,7 +342,7 @@ class TestDiagnose:
                 for i, flow in enumerate(falling)
             ]
             trace = trace_of(*rows)
-            return diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
+            return diagnosis(specs, trace)
 
         assert diagnosed_flow()["flow monitor"] == (NONE, [])
         # a noisy sensor still stands out from the others
@@ -352,12 +360,12 @@ class TestDiagnose:
             for i, v in enumerate([5, 50, 5, 50, None])
         ]
         trace = trace_of(*rows)
-        out = diagnose(specs, trace, crossing_config(), invariant_verdicts(specs, trace))
+        out = diagnosis(specs, trace)
         # f_1 and f_2 are noisy as well, but the failure source comes first
         assert out["flow monitor"] == (ViolationType.COMU_FR, ["f_1", "f_2"])
         assert out["hold p and n"] == (NONE, [])
         noisy = trace_of(*rows[:-1])
-        out = diagnose(specs, noisy, crossing_config(), invariant_verdicts(specs, noisy))
+        out = diagnosis(specs, noisy)
         assert out["flow monitor"] == (ViolationType.COMU_NFR, ["f_1", "f_2"])
 
 

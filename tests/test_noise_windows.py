@@ -2,11 +2,12 @@
 
 An ``AdaptationEngine`` keeps only what its next cycles need.  Driven through
 generated cycles, it must diagnose what ``diagnose`` gives on the trace of
-every state it monitored, and the sensor faults it finds must be those that
-``reference_faulty_slots`` finds.  That function is a reference copy of the
-diagnosis that walked each slot's readings back through the kept states,
-with its own two-pass noise test; it is kept here, apart from the engine,
-as ``oracle_eval.py`` keeps an evaluator apart from ``speclang``.
+every state it monitored and the windows folded from it, and the sensor
+faults it finds must be those that ``reference_faulty_slots`` finds.  That
+function is a reference copy of the diagnosis that walked each slot's
+readings back through the kept states, with its own two-pass noise test; it
+is kept here, apart from the engine, as ``oracle_eval.py`` keeps an
+evaluator apart from ``speclang``.
 
 The cycles swap instances, drop readings, lose slots and get them back, often
 have too few readings for a class consensus, and hold windows whose spread
@@ -224,12 +225,13 @@ def test_a_running_engine_diagnoses_what_its_whole_trace_shows(run):
                 continue
             monitored.append(adaptation.trace.states[-1])
             trace = Trace(tuple(monitored))
-            assert diagnosed.pop() == diagnose(SPEC, trace, cfg, invariant_verdicts(SPEC, trace))
+            windows = reading_windows(trace.states[-cfg.noise_window:], cfg)
+            assert diagnosed.pop() == diagnose(SPEC, trace, cfg, invariant_verdicts(SPEC, trace), windows)
             # the windows advanced one state per cycle are those folded from the trace
-            assert adaptation.windows == reading_windows(trace.states[-cfg.noise_window:], cfg)
+            assert adaptation.windows == windows
             for source in SOURCES:
                 want = reference_faulty_slots(source, trace, cfg)
-                assert faulty_slots(source, trace, cfg) == want
+                assert faulty_slots(source, trace, cfg, windows) == want
                 assert faulty_slots(source, adaptation.trace, cfg, adaptation.windows) == want
     assert not diagnosed
 
@@ -253,13 +255,13 @@ def test_the_generated_runs_reach_each_kind_of_fault():
             target.time, target.cycle = 60.0 * k, cycle
             states.append(engine.monitor_step(SPEC, target))
             trace = Trace(tuple(states))
-            ((violation, _),) = diagnose(SPEC, trace, cfg, {}).values()
+            window = trace.states[-cfg.noise_window:]
+            ((violation, _),) = diagnose(SPEC, trace, cfg, {}, reading_windows(window, cfg)).values()
             seen.add(violation)
             noise = SOURCES[1]
             raw = reference_faulty_slots(noise, trace, cfg, consensus=False)
             if raw != reference_faulty_slots(noise, trace, cfg):
                 seen.add("cleared by consensus")
-            window = trace.states[-cfg.noise_window:]
             for slot in cycle:
                 present = [v for v in reference_window(window, "I_sensor", slot) if v is not None]
                 if len(present) >= 2 and abs(max(present) - min(present) - edge) <= 4 * math.ulp(edge):

@@ -305,6 +305,21 @@ def test_definitive_verdicts_stable_under_extension(data):
         assert evaluate(formula, full) is before
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_last_position_reads_only_the_last_state(data):
+    # the engine judges an invariant on one state (`engine.invariant_verdict`)
+    # and takes that as its verdict at the last state of the monitored trace
+    from formula_gen import random_formula
+
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    bits = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    trace = trace_of(*_bool_states(bits))
+    formula = _project_boolean(random_formula(rng, 3))
+    alone = Trace(trace.states[-1:])
+    assert evaluate(formula, trace, len(trace.states) - 1) is evaluate(formula, alone)
+
+
 def _project_boolean(formula):
     """Rewrite generated formulas onto the two boolean state variables."""
     from redapt.speclang import Exists, Func
