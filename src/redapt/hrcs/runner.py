@@ -12,6 +12,7 @@ gate timing.  Sensor replacements are judged by the standby's health.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -34,7 +35,7 @@ from ..engine import (
     utility_violated,
     verify_contract,
 )
-from ..speclang import EntitySpec, SpecDocument, State, Verdict
+from ..speclang import EntitySpec, Interval, SpecDocument, State, Verdict
 from .simulator import (
     Metrics,
     ScenarioConfig,
@@ -54,6 +55,10 @@ PLANNING_SETTINGS = {
     "param_step": {"t_dispatch": 1.0, "t_close": -0.5, "t_open": 0.5},
     "param_domains": {"t_dispatch": (1.0, 30.0), "t_close": (1.5, 4.0), "t_open": (4.0, 6.5)},
 }
+
+
+_UNKNOWN_SHARE = Interval(0.0, 1.0)  # a share before its run has ended
+_MODEL_RUN_PREDICTS = "a model run predicts only p, n, p_north, p_south and t_dispatch"
 
 
 def contract_of(sim: Simulator) -> ProbeEffectorContract:
@@ -114,6 +119,36 @@ class RunResult:
         out.writelines(json.dumps(r.to_json_dict()) + "\n" for r in self.reports)
 
 
+def _early_verdict(goal: EntitySpec, n_peak: int, model_cfg: ScenarioConfig) -> Optional[Verdict]:
+    """The goal's invariant on what a model run still going knows: ``n`` is
+    at least the peak so far and each share lies in [0, 1].  The verdict if
+    it is SAT or VIOL, which every final state gives too; None if it is
+    inconclusive or cannot be evaluated on this state yet."""
+    known = State(model_cfg.duration_s, dict(
+        p=_UNKNOWN_SHARE, n=Interval(n_peak, math.inf), p_north=_UNKNOWN_SHARE,
+        p_south=_UNKNOWN_SHARE, t_dispatch=model_cfg.t_dispatch_min,
+    ))
+    try:
+        verdict = invariant_verdict(goal, known)
+    except ContractViolationError:
+        return None
+    return None if verdict is Verdict.INCONCLUSIVE else verdict
+
+
+def _final_verdict(goal: EntitySpec, trace: SimTrace, model_cfg: ScenarioConfig) -> Verdict:
+    """The goal's invariant on the state a whole model run predicts, every
+    value a point."""
+    metrics = compute_metrics(trace, model_cfg)
+    predicted = State(model_cfg.duration_s, dict(
+        p=min(metrics.p_north, metrics.p_south), n=metrics.n_peak, p_north=metrics.p_north,
+        p_south=metrics.p_south, t_dispatch=model_cfg.t_dispatch_min,
+    ))
+    try:
+        return invariant_verdict(goal, predicted)
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"{exc}; {_MODEL_RUN_PREDICTS}") from exc
+
+
 class _Verifiers:
     """Per-goal analyzers the planner calls on each candidate."""
 
@@ -133,14 +168,21 @@ class _Verifiers:
         return self._verify_replacement
 
     def _verify_dispatch(self, goal: EntitySpec, candidate: Reconfiguration) -> ViolationType:
-        """Model-based verification: re-run the fault-free scenario under the
-        candidate and judge the goal's invariant on its outcome: ``p`` the
-        smaller final share, ``n`` the occupancy peak.
+        """Model-based verification: re-simulate the whole fault-free
+        scenario from t = 0, with its seed, under the candidate, and judge
+        the goal's invariant on the state that run predicts: ``p`` the
+        smaller final share, ``n`` the occupancy peak, ``p_north``,
+        ``p_south`` and the candidate's ``t_dispatch``.  A model run is not
+        a forecast from the live state.
 
-        The model run records no rows; its trace returns the vehicle store,
-        but the state is built only from the simulator's fast and exit counts
-        and ``n_peak``.  The verdict is a pure function of the goal and the
-        candidate, so it is cached by both.
+        At each whole simulated minute at which the peak has moved, the run
+        judges what it knows so far: ``n`` is an ``Interval`` from the peak
+        to infinity and each share an ``Interval`` over [0, 1].  It stops at
+        the first definite verdict, which every final state would give too;
+        an invariant that cannot yet be evaluated is not decided.  Otherwise
+        the final state, all points, is judged, and only that judgement may
+        raise.  The model run records no rows, and the verdict is a pure
+        function of the goal and the candidate, so it is cached by both.
         """
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_FR
@@ -153,19 +195,25 @@ class _Verifiers:
             t_dispatch_min=overrides.get("t_dispatch", self.scenario.t_dispatch_min),
             sensor_faults=(),
         )
+        decided: Optional[Verdict] = None  # the verdict that stopped the run, if one did
+        judged_peak = -1
+
+        def stop(sim: Simulator) -> bool:
+            nonlocal decided, judged_peak
+            if sim.n_peak != judged_peak:
+                judged_peak = sim.n_peak
+                decided = _early_verdict(goal, sim.n_peak, model_cfg)
+            return decided is not None
+
         try:
-            metrics = compute_metrics(simulate(model_cfg, record_rows=False), model_cfg)
+            trace = simulate(model_cfg, record_rows=False, stop=stop)
         except DomainError:  # the scenario does not admit the candidate
-            verdict = ViolationType.CONU_FR
+            verdict = Verdict.VIOL
         else:
-            predicted = State(model_cfg.duration_s, dict(
-                p=min(metrics.p_north, metrics.p_south), n=metrics.n_peak, p_north=metrics.p_north,
-                p_south=metrics.p_south, t_dispatch=model_cfg.t_dispatch_min,
-            ))
-            violated = invariant_verdict(goal, predicted) is Verdict.VIOL
-            verdict = ViolationType.CONU_FR if violated else ViolationType.NONE
-        self._dispatch_cache[key] = verdict
-        return verdict
+            verdict = _final_verdict(goal, trace, model_cfg) if decided is None else decided
+        violation = ViolationType.CONU_FR if verdict is Verdict.VIOL else ViolationType.NONE
+        self._dispatch_cache[key] = violation
+        return violation
 
     def _verify_gate_timing(self, goal: EntitySpec, candidate: Reconfiguration) -> ViolationType:
         if not isinstance(candidate, Parametric):

@@ -57,7 +57,7 @@ from collections import deque, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Iterator, Mapping, Optional, TextIO
+from typing import Callable, Iterator, Mapping, Optional, TextIO
 
 from ..engine import ContractViolationError, is_finite
 from .utilities import (
@@ -73,6 +73,7 @@ LUX_CLASS = "I_lux"
 
 _GAP_BLOCK = 256  # arrival gaps drawn at once from a direction's generator
 _NO_SAMPLE = (float("inf"), 0)  # the next sample instant once the run has taken its last
+_STOP_CADENCE_S = 60.0  # how often ``simulate`` asks its ``stop`` whether to end the run
 
 # what a scenario may make the simulator allocate before its run: the flow
 # window is pre-filled with its expected arrivals, and each sensor and spare
@@ -740,12 +741,27 @@ class Simulator:
         )
 
 
-def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
+def simulate(
+    cfg: ScenarioConfig,
+    *,
+    record_rows: bool = True,
+    stop: Optional[Callable[[Simulator], bool]] = None,
+) -> SimTrace:
     """Run one scenario start to finish without an adaptation engine.
 
     ``record_rows=False`` (for model runs) returns a trace without rows
-    whose vehicles and counts are those of the full run."""
+    whose vehicles and counts are those of the full run.  ``stop``, if
+    given, is asked with the simulator at each whole simulated minute
+    before the end whether to end the run there; a run it ends returns the
+    trace so far."""
     sim = Simulator(cfg, record_rows=record_rows)
+    if stop is not None:
+        t = _STOP_CADENCE_S
+        while t < cfg.duration_s:
+            sim.run_until(t)
+            if stop(sim):
+                return sim.trace()
+            t += _STOP_CADENCE_S
     sim.run_to_end()
     return sim.trace()
 

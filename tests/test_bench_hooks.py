@@ -5,7 +5,9 @@ CLI, the runner and the engine look them up.  A renamed or moved hook fails
 here, on a five-minute run, rather than in a traced benchmark run.
 """
 
+import hashlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import redapt
 from redapt import cli, engine
 from redapt.engine import EngineConfig
 from redapt.hrcs import runner, simulator
+from test_golden_artifacts import GOLDEN
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -85,6 +88,26 @@ def test_tracer_sees_one_read_and_one_evaluation_per_invariant(tmp_path, spec_pa
     assert names.count("cli.evaluate") == len(invariants) == 3
     [(_, start, end, _)] = [span for span in tracer.spans if span[0] == "cli.trace_from_csv"]
     assert end > start
+
+
+def test_experiment2_makes_two_model_runs_through_the_runners_simulate(
+    monkeypatch, bundled_spec, experiment2
+):
+    # the tracer's `runner.model_runs` counts `runner.simulate` calls: one
+    # model run per candidate tried (5, then 6), however early each stops
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].t_dispatch_min)
+        return simulator.simulate(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate", counted)
+    result = runner.run_scenario(bundled_spec, experiment2)
+    assert calls == [5.0, 6.0]
+    cycles = io.StringIO()
+    result.write_cycles_jsonl(cycles)
+    digest = hashlib.sha256(cycles.getvalue().encode()).hexdigest()
+    assert digest == GOLDEN["experiment2"]["cycles.jsonl"]
 
 
 def test_a_default_simulation_keeps_the_vehicles_model_vehicles_reads():
