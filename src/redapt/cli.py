@@ -18,7 +18,6 @@ import sys
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
-from types import MappingProxyType
 from typing import Collection, Optional
 
 from .engine import EngineConfig, EngineError
@@ -29,7 +28,6 @@ from .speclang import (
     EvaluationError,
     ParseError,
     SpecLangError,
-    State,
     Trace,
     Verdict,
     check_wellformed,
@@ -46,9 +44,6 @@ EXIT_IO = 2
 EXIT_PLAN_FAILED = 3
 
 _BLOCK_ROWS = 1024  # trace rows split at a time; bounds the cell strings alive at once
-# a recorded trace holds no class instances: one read-only empty mapping
-# serves every state
-_NO_INSTANCES = MappingProxyType({})
 
 
 def read_input(path: str) -> str:
@@ -160,7 +155,8 @@ def cmd_verify(spec_path: str, trace_path: str) -> int:
 
 
 def trace_from_csv(text: str, columns: Optional[Collection[str]] = None) -> Trace:
-    """Rebuild an evaluable trace from an exported trace.csv.
+    """Rebuild an evaluable trace from an exported trace.csv, held by
+    column as ``Trace.from_columns`` takes it: no state is built per row.
 
     Each column is typed once, as a whole.  A column whose every cell is a
     number becomes floats.  Any other column is typed cell by cell: an empty
@@ -188,16 +184,13 @@ def trace_from_csv(text: str, columns: Optional[Collection[str]] = None) -> Trac
     cells: dict[str, list[str]] = {name: [] for name in kept}
     # A block of rows is split into one flat list, so no list or tuple is
     # made per row: each object a row leaves alive brings the collector
-    # round sooner, and the states already make two per row.
+    # round sooner.
     for start in range(0, len(body), _BLOCK_ROWS):
         flat = ",".join(body[start : start + _BLOCK_ROWS]).split(",")
         for name, i in kept.items():
             cells[name] += flat[i::width]
     times = _times(cells.pop("time"))
-    names = list(cells)
-    rows = zip(*map(_typed, cells.values())) if names else repeat(())
-    states = map(State, times, map(dict, map(zip, repeat(names), rows)), repeat(_NO_INSTANCES))
-    return Trace(tuple(states))
+    return Trace.from_columns(times, {name: _typed(column) for name, column in cells.items()})
 
 
 def _times(cells: list[str]) -> list[float]:

@@ -129,9 +129,9 @@ class ProcedureRef(Formula):
 def children(node: Union[Formula, Term]) -> tuple[Union[Formula, Term], ...]:
     """The formulas and terms directly under ``node``, in field order.
 
-    Fields are read by name: on CPython 3.11, ``vars(node)`` gives the node
-    a ``__dict__`` of its own, after which the evaluator's attribute reads
-    of it are slower (about 8% of evaluation time on nested invariants)."""
+    Fields are read by name: on CPython 3.11 a node keeps its attributes
+    inline, and ``vars(node)`` would give it a ``__dict__`` object of its
+    own, about 64 bytes more per node walked."""
     if isinstance(node, Func):
         return node.args
     values = (getattr(node, f.name) for f in fields(node))

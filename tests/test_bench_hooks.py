@@ -27,7 +27,7 @@ def load_tracing():
     return module
 
 
-def test_tracer_and_cycle_timer_record_a_run(tmp_path, spec_path):
+def test_tracer_and_cycle_timer_record_a_run(tmp_path, spec_path, bundled_spec):
     tracing = load_tracing()
     scenario = json.loads(redapt.data_path("experiment1.json").read_text())
     scenario["duration_min"] = 5.0
@@ -35,7 +35,7 @@ def test_tracer_and_cycle_timer_record_a_run(tmp_path, spec_path):
     scenario_path.write_text(json.dumps(scenario))
     hooked = [
         (cli, "run_scenario"), (cli, "write_artifacts"), (runner, "simulate"),
-        (engine, "monitor_step"), (engine, "diagnose"), (engine, "plan"),
+        (engine, "monitor_step"), (engine, "diagnose"), (engine, "plan"), (engine, "evaluate"),
         (engine.AdaptationEngine, "cycle"), (simulator.Simulator, "run_until"),
     ]
     before = [getattr(owner, attr) for owner, attr in hooked]
@@ -66,6 +66,9 @@ def test_tracer_and_cycle_timer_record_a_run(tmp_path, spec_path):
     } <= names
     cycles, probes = timer.take()
     assert len(cycles) == 5 and probes == [(0, 0.0)]
+    # `engine.eval_ms`: each cycle judges every affected goal's invariant once
+    judged = [e for e, _ in bundled_spec.affected if e.invariant is not None]
+    assert [span[0] for span in tracer.spans].count("engine.evaluate") == 5 * len(judged) > 0
 
 
 def test_tracer_sees_one_read_and_one_evaluation_per_invariant(tmp_path, spec_path, bundled_spec):
@@ -74,14 +77,18 @@ def test_tracer_sees_one_read_and_one_evaluation_per_invariant(tmp_path, spec_pa
     tracing = load_tracing()
     trace = tmp_path / "trace.csv"
     trace.write_text("time,n,p,gate,U_safety,U_pass\n0,10,1,open,1,1\n1,12,0.9,closed,0.8,1\n")
+    hooked = [(cli, "evaluate"), (cli, "trace_from_csv")]
+    before = [getattr(owner, attr) for owner, attr in hooked]
     tracer = tracing.Tracer()
     restore = tracer.install()
     try:
+        assert [getattr(owner, attr) for owner, attr in hooked] != before
         code = cli.main(["verify", "--spec", spec_path, str(trace)])
     finally:
         restore()
 
     assert code == 0
+    assert [getattr(owner, attr) for owner, attr in hooked] == before
     invariants = [e for e in bundled_spec.entities if e.invariant is not None]
     names = [span[0] for span in tracer.spans]
     assert names.count("cli.trace_from_csv") == 1

@@ -3,17 +3,20 @@
 The reader types each column once; ``reference`` below types every cell on
 its own, as a plain loop.  On any file whose times are finite and strictly
 increasing the two must give the same trace, and a projected read must give
-the full trace restricted to the columns asked for.
+the full trace restricted to the columns asked for.  The trace it gives is
+held by column; every formula must evaluate on it as on its states.
 """
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formula_gen import formula_strategy
 from redapt.cli import trace_from_csv
-from redapt.speclang import State, Trace
+from redapt.speclang import Formula, Func, State, Term, Trace, Var, evaluate
 
 
 def reference(text):
@@ -100,6 +103,49 @@ def test_typed_columns_read_as_cell_by_cell(text, data):
     header = text.splitlines()[0].split(",")
     columns = data.draw(st.sets(st.sampled_from(header + ["absent"])))
     assert cells_of(trace_from_csv(text, columns)) == cells_of(restricted(full, columns))
+
+
+# formula_gen's names that no header here has, onto header names
+RENAMED = {"q": "gate", "t_close": "f_1", "U_safety": "U_pass", "f_3": "e_1"}
+
+
+def on_header_names(node):
+    """``node`` over header names, a function application read as ``p``."""
+    if isinstance(node, Var):
+        return Var(RENAMED.get(node.name, node.name))
+    if isinstance(node, Func):
+        return Var("p")
+    children = {
+        f.name: on_header_names(getattr(node, f.name)) for f in dataclasses.fields(node)
+        if isinstance(getattr(node, f.name), (Formula, Term))
+    }
+    return dataclasses.replace(node, **children)
+
+
+DOMAINS = {"levels": (0.0, 1.5, "open"), "I_sensor": ("n", "gate")}
+
+
+def outcomes(formula, trace):
+    """The verdict at every position, or the error's type and message."""
+    found = []
+    for position in range(len(trace)):
+        try:
+            found.append(evaluate(formula, trace, position, domains=DOMAINS))
+        except Exception as exc:  # the error is part of the outcome
+            found.append((type(exc), str(exc)))
+    return found
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), formula_strategy().map(on_header_names))
+def test_a_columnar_trace_evaluates_as_its_states(text, formula):
+    # `trace_from_csv` builds no state; the states it gives on demand, held
+    # as states, must evaluate alike, errors included: a header may lack a
+    # name the formula reads
+    if not well_timed(text):
+        return
+    by_state = Trace(trace_from_csv(text).states)
+    assert outcomes(formula, trace_from_csv(text)) == outcomes(formula, by_state)
 
 
 class TestColumns:
