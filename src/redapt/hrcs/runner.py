@@ -181,8 +181,12 @@ class _Verifiers:
         the first definite verdict, which every final state would give too;
         an invariant that cannot yet be evaluated is not decided.  Otherwise
         the final state, all points, is judged, and only that judgement may
-        raise.  The model run records no rows, and the verdict is a pure
-        function of the goal and the candidate, so it is cached by both.
+        raise.  The model run records no rows, so ``simulate`` computes it
+        by queue recurrence rather than the event heap; it asks ``stop``
+        the same questions at the same minutes, so the run is decided where
+        the event loop would decide it (under experiment 2, at 5 at minute
+        79).  The verdict is a pure function of the goal and the candidate,
+        so it is cached by both.
         """
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_FR
@@ -198,11 +202,11 @@ class _Verifiers:
         decided: Optional[Verdict] = None  # the verdict that stopped the run, if one did
         judged_peak = -1
 
-        def stop(sim: Simulator) -> bool:
+        def stop(run) -> bool:
             nonlocal decided, judged_peak
-            if sim.n_peak != judged_peak:
-                judged_peak = sim.n_peak
-                decided = _early_verdict(goal, sim.n_peak, model_cfg)
+            if run.n_peak != judged_peak:
+                judged_peak = run.n_peak
+                decided = _early_verdict(goal, run.n_peak, model_cfg)
             return decided is not None
 
         try:

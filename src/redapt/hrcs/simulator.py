@@ -329,6 +329,24 @@ def compute_metrics(trace: SimTrace, cfg: ScenarioConfig) -> Metrics:
     )
 
 
+def row_columns(cfg: ScenarioConfig) -> tuple[str, ...]:
+    """The columns of a row, in order: the one place they are named, which
+    ``Simulator.row()`` fills."""
+    return (
+        "time", "E", "n", "gate", "F", *(slot for _, slot, _ in cfg.sensor_names().slots()),
+        "p_north", "p_south", "p", "t_dispatch", "t_close", "t_open",
+        "U_E", "U_safety", "U_pass",
+    )
+
+
+def random_streams(seed: int) -> list:
+    """A run's three generators, spawned from ``seed``: north arrivals,
+    south arrivals and sensor noise."""
+    import numpy as np  # here, not at the top: `check` and `verify` never simulate
+
+    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(3)]
+
+
 @dataclass(slots=True)
 class _SensorState:
     class_name: str
@@ -346,8 +364,17 @@ class Simulator:
     Every sample instant updates ``n_peak``, and ``sampled_at`` is the
     last one taken.  A full run also records the instant's row.
     ``record_rows=False`` is for model runs: a sample builds no row, so no
-    sensor is read.  Either way the trace returns the per-id vehicle store
-    as a ``VehicleView``, not as records.
+    sensor is read.  ``simulate`` computes such a run by queue recurrence
+    (``recurrence.counting_run``) and builds a simulator for it only where
+    the recurrence hands the run back.  Either way the trace returns the
+    per-id vehicle store as a ``VehicleView``, not as records.
+
+    Each direction's queue keeps one invariant, which the recurrence relies
+    on: while the gate is open and the queue holds a vehicle, one service is
+    pending.  The gate's open pushes a service for a queue that holds one,
+    and a service pushes the next while the queue still does.  A vehicle
+    that reaches the open gate with nobody waiting passes at once, so one
+    that joins the queue while the gate is open finds a service pending.
     """
 
     def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
@@ -365,14 +392,8 @@ class Simulator:
         self._p_threshold_s = cfg.p_time_threshold_s
         self._flow_window_s = cfg.flow_window_s
 
-        import numpy as np  # here, not at the top: `check` and `verify` never build a simulator
-
-        streams = np.random.SeedSequence(cfg.seed).spawn(3)
-        self._rng_arrivals = {
-            NORTH: np.random.Generator(np.random.PCG64(streams[0])),
-            SOUTH: np.random.Generator(np.random.PCG64(streams[1])),
-        }
-        self._rng_noise = np.random.Generator(np.random.PCG64(streams[2]))
+        north, south, self._rng_noise = random_streams(cfg.seed)
+        self._rng_arrivals = {NORTH: north, SOUTH: south}
         # mean gap of each direction that has arrivals, and its undrawn gaps,
         # last first
         rates = {NORTH: cfg.lambda_north / 60.0, SOUTH: cfg.lambda_south / 60.0}
@@ -422,12 +443,7 @@ class Simulator:
         # no sensor failed or noisy: every gauge reads the truth, no noise drawn
         self._all_healthy = True
 
-        # the one place the columns are named; ``row()`` fills them in order
-        self.columns = (
-            "time", "E", "n", "gate", "F", *self._slot_index,
-            "p_north", "p_south", "p", "t_dispatch", "t_close", "t_open",
-            "U_E", "U_safety", "U_pass",
-        )
+        self.columns = row_columns(cfg)
         self._row_type = namedtuple("Row", self.columns)  # cells also read by name
 
         self._rows: list[tuple] = []
@@ -517,10 +533,6 @@ class Simulator:
             heappush(self._heap, (exit_at, self._next_seq(), Simulator._on_exit, (vehicle,)))
             return
         queue.append(vehicle)
-        if self.gate_open and len(queue) == 1:
-            service_at = self.clock + self._service_gap_s
-            payload = (direction, self._service_version[direction])
-            heappush(self._heap, (service_at, self._next_seq(), Simulator._on_service, payload))
 
     def _on_service(self, direction: str, version: int) -> None:
         if not self.gate_open or version != self._service_version[direction]:
@@ -745,15 +757,30 @@ def simulate(
     cfg: ScenarioConfig,
     *,
     record_rows: bool = True,
-    stop: Optional[Callable[[Simulator], bool]] = None,
+    stop: Optional[Callable[[object], bool]] = None,
 ) -> SimTrace:
     """Run one scenario start to finish without an adaptation engine.
 
     ``record_rows=False`` (for model runs) returns a trace without rows
     whose vehicles and counts are those of the full run.  ``stop``, if
-    given, is asked with the simulator at each whole simulated minute
-    before the end whether to end the run there; a run it ends returns the
-    trace so far."""
+    given, is asked at each whole simulated minute before the end whether
+    to end the run there, with an object whose ``clock`` is that minute and
+    whose ``n_peak`` is the peak so far; a run it ends returns the trace so
+    far.
+
+    A run with rows goes through the event loop.  One without is computed
+    by queue recurrence (``recurrence.counting_run``), which gives the
+    event loop's trace and asks ``stop`` the same questions at the same
+    minutes; where two events tie on one instant and only the event loop
+    can order them, it hands the run back before asking any, and the event
+    loop runs it."""
+    if not record_rows:
+        from .recurrence import HandBack, counting_run
+
+        try:
+            return counting_run(cfg, stop)
+        except HandBack:
+            pass
     sim = Simulator(cfg, record_rows=record_rows)
     if stop is not None:
         t = _STOP_CADENCE_S

@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given
@@ -28,6 +28,7 @@ from redapt.hrcs import (
     trace_to_csv,
     vehicles_to_json,
 )
+from redapt.hrcs import recurrence
 from redapt.hrcs.simulator import _nine_digits
 from redapt.hrcs.utilities import DomainError
 
@@ -592,6 +593,124 @@ class TestModelRuns:
         sim.run_to_end()
         assert sim.trace().rows == ()
         assert sim._rng_noise.bit_generator.state == state
+
+
+def bundled(name, **overrides):
+    import redapt
+
+    return replace(ScenarioConfig.from_json(redapt.data_path(f"{name}.json").read_text()), **overrides)
+
+
+def event_loop_trace(cfg, until=None):
+    """The event loop's counting trace, run to ``until`` or to the end."""
+    sim = Simulator(cfg, record_rows=False)
+    sim.run_until(cfg.duration_s if until is None else until)
+    return sim.trace()
+
+
+def hand_back(cfg, stop=None):
+    raise recurrence.HandBack
+
+
+def counted(cfg, stop_minute=None):
+    """``simulate(cfg, record_rows=False)``, stopped at ``stop_minute`` if
+    given, and each ``stop`` question's ``(clock, n_peak)``."""
+    asked = []
+
+    def stop(run):
+        asked.append((run.clock, run.n_peak))
+        return stop_minute is not None and run.clock >= stop_minute * 60.0
+
+    return simulate(cfg, record_rows=False, stop=stop), asked
+
+
+# one discharge per second puts every queued vehicle's exit on a whole
+# second, so on 1 Hz and 6 s sample instants; with 94 s trains a gate opens
+# at 398 s and a queued vehicle passes at 400 s, so at 100 s sampling its
+# exit at 500 s was scheduled on the sample instant before it
+TIE_PRONE = dict(lambda_north=30.0, lambda_south=24.0, duration_min=30.0, seed=7)
+# a dark start with its own gate timing; bright light pins both intervals at
+# 4 s from its first change on
+DARK = dict(lambda_north=20.0, lambda_south=16.0, duration_min=40.0, seed=3,
+            t_close_s=2.0, t_open_s=6.0)
+
+RECURRENCE_CASES = {
+    **{f"experiment2 at {t:g}": (lambda t=t: bundled("experiment2", t_dispatch_min=t))
+       for t in (4.0, 5.0, 6.0, 7.0, 19.0)},
+    "experiment1": lambda: bundled("experiment1"),
+    "experiment1 at 3": lambda: bundled("experiment1", t_dispatch_min=3.0),
+    "nfr_lowlight": lambda: bundled("nfr_lowlight"),
+    "nfr_lowlight at 2": lambda: bundled("nfr_lowlight", t_dispatch_min=2.0),
+    "sensor_failure": lambda: bundled("sensor_failure"),
+    "sensor_noise": lambda: bundled("sensor_noise"),
+    # at these rates 60 / rate is not 1 / (rate / 60), the event loop's mean gap
+    "11 and 22 vehicles a minute": lambda: quick_cfg(lambda_north=11.0, lambda_south=22.0),
+    **{f"discharge {rate:g}, sampling {interval:g} s": (
+        lambda rate=rate, interval=interval: quick_cfg(
+            **TIE_PRONE, discharge_rate=rate, sample_interval_s=interval))
+       for rate in (0.5, 1.0) for interval in (1.0, 6.0)},
+    "a pass scheduled on the sample instant before its exit": lambda: quick_cfg(
+        **TIE_PRONE, discharge_rate=1.0, sample_interval_s=100.0, train_pass_time_s=94.0),
+    "dark episodes": lambda: quick_cfg(**DARK, illuminance_profile=(
+        (0.0, 10.0), (600.0, 100.0), (1200.0, 5.0), (1500.0, 100.0))),
+    # the first detection is scheduled before the profile's changes, and runs first
+    "light on the first detection": lambda: quick_cfg(
+        **DARK, illuminance_profile=((0.0, 10.0), (290.0, 100.0))),
+    # every later one is scheduled after them, and runs after
+    "light on the second detection": lambda: quick_cfg(
+        **DARK, illuminance_profile=((0.0, 10.0), (590.0, 100.0))),
+}
+
+
+class TestQueueRecurrence:
+    """A run without rows is computed by queue recurrence, and gives the
+    event loop's counting trace field by field, stopped or not."""
+
+    def test_a_counting_run_is_the_event_loops(self, monkeypatch):
+        handed_back = []
+        for name, make in RECURRENCE_CASES.items():
+            cfg = make()
+            try:
+                recurrence.counting_run(cfg)
+            except recurrence.HandBack:
+                handed_back.append(name)
+            minute = int(cfg.duration_min) // 2
+            for stop_minute, until in ((None, None), (minute, minute * 60.0)):
+                trace, asked = counted(cfg, stop_minute)
+                expected = event_loop_trace(cfg, until)
+                for f in fields(SimTrace):
+                    assert getattr(trace, f.name) == getattr(expected, f.name), (name, f.name)
+                assert type(trace.n_peak) is int
+                with monkeypatch.context() as patched:
+                    patched.setattr(recurrence, "counting_run", hand_back)
+                    assert counted(cfg, stop_minute) == (trace, asked), name
+        assert handed_back == ["a pass scheduled on the sample instant before its exit"]
+
+    @pytest.mark.parametrize("path", ["recurrence", "event loop"])
+    @pytest.mark.parametrize("minute", [1, 7, 19])
+    def test_a_stopped_run_returns_the_trace_so_far(self, monkeypatch, path, minute):
+        if path == "event loop":
+            monkeypatch.setattr(recurrence, "counting_run", hand_back)
+        cfg = quick_cfg(lambda_north=20.0, lambda_south=16.0, train_pass_time_s=110.0)
+        trace, asked = counted(cfg, minute)
+        assert trace == event_loop_trace(cfg, minute * 60.0)
+        assert [clock for clock, _ in asked] == [60.0 * m for m in range(1, minute + 1)]
+        assert asked[-1][1] == trace.n_peak > 0
+        assert trace.rows == ()
+        # vehicles that entered by then, some still on the highway
+        assert len(trace.vehicles) == sum(trace.entered.values()) > sum(trace.exited.values())
+        assert max(v.entry_time for v in trace.vehicles) <= minute * 60.0
+        assert any(v.exit_time is None for v in trace.vehicles)
+        assert all(v.exit_time is None or v.exit_time <= minute * 60.0 for v in trace.vehicles)
+
+    def test_gate_events_alternate_from_a_close(self):
+        cfg = quick_cfg(**DARK, illuminance_profile=((0.0, 10.0), (590.0, 100.0)))
+        times, scheduled = recurrence.gate_events(cfg)
+        # trains at 5, 10, ... min, detected 10 s ahead, 30 s long; the first
+        # is timed in the dark, the rest in the light
+        assert times[:6] == [292.0, 336.0, 594.0, 634.0, 894.0, 934.0]
+        assert scheduled[:6] == [290.0, 330.0, 590.0, 630.0, 890.0, 930.0]
+        assert len(times) == 2 * 8  # the detection at 2,390 s is within the 40 minutes
 
 
 class TestVehiclesJson:
