@@ -5,8 +5,9 @@ contract (its clock, the instances filling each sensor class's slots, and a
 snapshot of every probe, readings included) and accepts the effector
 contract (settable parameters and rebindable component slots).  The target
 is the one record of which instance fills each slot; the engine keeps only
-each slot's spares.  Violations are classified by the uncertainty source
-written in the specification document: context uncertainty is diagnosed
+each slot's spares.  The engine reads the specification document once per
+run, in ``resolve``; every stage reads the ``Program`` it gives.  Violations
+are classified by the uncertainty source: context uncertainty is diagnosed
 through invariants (functional) or utility thresholds (non-functional);
 components uncertainty through the instances of the sensor class the source
 declares, as each slot's noise window holds them: an absent reading
@@ -25,20 +26,21 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .speclang import (
+    AttributeDecl,
     EntityKind,
-    EntitySpec,
     EvaluationError,
+    Formula,
     Instance,
     SpecDocument,
     State,
     Trace,
+    UNCERTAINTY_KINDS,
     Verdict,
     evaluate,
 )
-from .speclang.ast import AttrSort
 
 
 class EngineError(Exception):
@@ -54,10 +56,6 @@ class PlanFailedError(EngineError):
 
 
 class EffectorRejectedError(EngineError):
-    pass
-
-
-class UnknownAdaptiveGoalError(EngineError):
     pass
 
 
@@ -189,71 +187,106 @@ class EffectorSink(Protocol):
 Verifier = Callable[[Reconfiguration], ViolationType]
 
 
-def verify_contract(specs: SpecDocument, contract: ProbeEffectorContract) -> list[str]:
+class Source(NamedTuple):
+    """An uncertainty affecting a goal: the violation it fires and its sensor classes."""
+    name: str
+    violation: ViolationType
+    classes: tuple[str, ...]
+
+
+class Goal(NamedTuple):
+    """An entity that uncertainty affects, as the engine judges and plans it."""
+    name: str
+    invariant: Optional[Formula]
+    sources: tuple[Source, ...]  # in document order; the first to fire wins
+    utility: Optional[str]  # its utility attribute
+    threshold: Optional[float]  # the desired utility, for the goal or else for the attribute
+    parameters: Optional[tuple[str, ...]]  # what the first plan serving it sets; None without one
+
+
+class Program(NamedTuple):
+    """What the engine reads of a spec document and an engine config, once per run."""
+    classes: Mapping[str, str]  # each monitored class, in order -> the first monitor naming it
+    goals: Mapping[str, Goal]  # the affected goals, in document order
+    gauges: tuple[tuple[str, AttributeDecl], ...]  # (monitor, numeric attribute)
+    plans: tuple[tuple[str, str, tuple[str, ...]], ...]  # (plan, goal it serves, parameters)
+    problems: tuple[str, ...]  # what would stop a run before it starts
+
+
+def resolve(specs: SpecDocument, cfg: EngineConfig) -> Program:
+    """The program of ``specs`` under ``cfg``.  Never raises: a plan parameter
+    without a step, a monitor without a sensor class and a context-affected
+    goal that no plan serves are listed in its ``problems``."""
+    classes, sources, goals, gauges, plans, problems = {}, {}, {}, [], [], []
+    for entity in specs.entities:
+        if entity.kind is EntityKind.MONITOR:
+            if not entity.class_attributes():
+                problems.append(f"monitor {entity.name!r} declares no sensor class to gauge through")
+            for cls in entity.class_attributes():
+                classes.setdefault(cls.name, entity.name)
+            gauges += [(entity.name, attr) for attr in entity.numeric_attributes()]
+        elif entity.kind is EntityKind.PLAN:
+            # a plan output ``x_new`` is the new value of the effector parameter ``x``
+            parameters = tuple(name.removesuffix("_new") for name in entity.output)
+            plans.append((entity.name, entity.from_goal, parameters))
+            problems += [
+                f"plan {entity.name!r} produces {name!r} but the engine config gives it no param_step"
+                for name in parameters if name not in cfg.param_step
+            ]
+        elif entity.kind in UNCERTAINTY_KINDS:
+            functional = entity.affected_violation_kind == "FR"
+            if entity.kind is EntityKind.CONTEXT_UNCERTAINTY:
+                violation = ViolationType.CONU_FR if functional else ViolationType.CONU_NFR
+            else:
+                violation = ViolationType.COMU_FR if functional else ViolationType.COMU_NFR
+            source = Source(entity.name, violation, tuple(c.name for c in entity.class_attributes()))
+            sources.setdefault(entity.affected_goal, []).append(source)
+    for entity in (e for e in specs.entities if e.name in sources):
+        utility = next((a.name for a in entity.numeric_attributes() if a.name.startswith("U_")), None)
+        threshold = cfg.desired_utilities.get(entity.name, cfg.desired_utilities.get(utility))
+        parameters = next((p for _, served, p in plans if served == entity.name), None)
+        goals[entity.name] = Goal(entity.name, entity.invariant, tuple(sources[entity.name]),
+                                  utility, threshold, parameters)
+        fired = {source.violation for source in sources[entity.name]}
+        if parameters is None and fired & {ViolationType.CONU_FR, ViolationType.CONU_NFR}:
+            problems.append(f"no plan entity serves goal {entity.name!r}")
+    return Program(MappingProxyType(classes), MappingProxyType(goals), tuple(gauges),
+                   tuple(plans), tuple(problems))
+
+
+def verify_contract(program: Program, contract: ProbeEffectorContract) -> list[str]:
     """Check that every monitored variable has a probe and every planned
     parameter has an effector; returns one message per breach."""
-    problems: list[str] = []
-
-    def probed(attr) -> bool:
-        return any(attr.matches(v) for v in contract.probes)
-
-    for entity in specs.of_kind(EntityKind.MONITOR):
-        for attr in entity.numeric_attributes():
-            if not probed(attr):
-                problems.append(
-                    f"monitor {entity.name!r} gauges {attr.name!r} but the target "
-                    f"answers no such probe"
-                )
-    for entity in specs.of_kind(EntityKind.PLAN):
-        for name in plan_parameters(entity):
-            if name not in contract.effectors:
-                problems.append(
-                    f"plan {entity.name!r} produces {name!r} but the target "
-                    f"accepts no such effector"
-                )
-    return problems
-
-
-def missing_plan_steps(specs: SpecDocument, cfg: EngineConfig) -> list[str]:
-    """Check that every planned parameter has a step size, without which
-    ``plan`` cannot move it; returns one message per parameter without one."""
     return [
-        f"plan {entity.name!r} produces {name!r} but the engine config gives it no param_step"
-        for entity in specs.of_kind(EntityKind.PLAN)
-        for name in plan_parameters(entity)
-        if name not in cfg.param_step
+        f"monitor {monitor!r} gauges {attr.name!r} but the target answers no such probe"
+        for monitor, attr in program.gauges if not any(map(attr.matches, contract.probes))
+    ] + [
+        f"plan {plan_name!r} produces {name!r} but the target accepts no such effector"
+        for plan_name, _, parameters in program.plans
+        for name in parameters if name not in contract.effectors
     ]
 
 
 # -- monitoring -----------------------------------------------------------
 
 
-def monitor_step(specs: SpecDocument, target: ProbeSource) -> State:
+def monitor_step(program: Program, target: ProbeSource) -> State:
     """Observe the target once, as the cycle's ``State``: its snapshot as the
     values, and each slot of the monitored classes, in the target's order,
     as an ``Instance`` holding the slot's reading from that snapshot."""
     values: dict[str, object] = dict(target.snapshot())
     instances: dict[str, dict[str, Instance]] = {}
-    for entity in specs.of_kind(EntityKind.MONITOR):
-        classes = entity.class_attributes()
-        if not classes:
+    for cls, monitor in program.classes.items():
+        pairs = target.instances(cls)
+        if not pairs:
             raise ContractViolationError(
-                f"monitor {entity.name!r} declares no sensor class to gauge through"
+                f"target exposes no instances of class {cls!r} required by monitor {monitor!r}"
             )
-        for cls in classes:
-            if cls.name in instances:
-                continue
-            pairs = target.instances(cls.name)
-            if not pairs:
-                raise ContractViolationError(
-                    f"target exposes no instances of class {cls.name!r} "
-                    f"required by monitor {entity.name!r}"
-                )
-            members = instances[cls.name] = {}
-            for slot, instance_id in pairs:
-                if slot not in values:
-                    raise ContractViolationError(f"the target's snapshot lacks slot {slot!r}")
-                members[slot] = Instance(instance_id, values[slot], gauge=values[slot] is not None)
+        members = instances[cls] = {}
+        for slot, instance_id in pairs:
+            if slot not in values:
+                raise ContractViolationError(f"the target's snapshot lacks slot {slot!r}")
+            members[slot] = Instance(instance_id, values[slot], gauge=values[slot] is not None)
     return State(time=target.now(), values=values, instances=instances)
 
 
@@ -274,13 +307,6 @@ def window_is_noisy(values: Sequence[Optional[float]], cfg: EngineConfig) -> boo
 
 
 # -- diagnosis ------------------------------------------------------------
-
-
-def utility_attribute(entity: EntitySpec) -> Optional[str]:
-    for attr in entity.attributes:
-        if attr.sort is AttrSort.NUMERIC and attr.name.startswith("U_"):
-            return attr.name
-    return None
 
 
 # fewer present readings than this in a state, and two sensors moving
@@ -325,7 +351,7 @@ def reading_windows(
 
 
 def faulty_slots(
-    source: EntitySpec, trace: Trace, cfg: EngineConfig, windows: Windows
+    source: Source, trace: Trace, cfg: EngineConfig, windows: Windows
 ) -> list[str]:
     """Slots, in the target's order, of the classes a components-uncertainty
     source declares whose instance has failed (FR: it reads absent) or is noisy
@@ -337,16 +363,16 @@ def faulty_slots(
     states has enough readings for a consensus; the residuals decide."""
     window = trace.states[-cfg.noise_window :]
     out: list[str] = []
-    for cls in source.class_attributes():
+    for cls in source.classes:
         medians: Optional[list[Optional[float]]] = None  # by window position, once one fires
-        for slot, (_, values) in windows.get(cls.name, {}).items():
-            if source.affected_violation_kind == "FR":
+        for slot, (_, values) in windows.get(cls, {}).items():
+            if source.violation is ViolationType.COMU_FR:
                 faulty = values[-1] is None
             else:
                 faulty = window_is_noisy(values, cfg)
                 if faulty:
                     if medians is None:
-                        medians = [_class_median(state, cls.name) for state in window]
+                        medians = [_class_median(state, cls) for state in window]
                     consensus = medians[len(window) - len(values) :]
                     if None not in consensus:
                         residuals = [v if v is None else v - m for v, m in zip(values, consensus)]
@@ -356,42 +382,39 @@ def faulty_slots(
     return out
 
 
-def invariant_verdict(entity: EntitySpec, state: State) -> Verdict:
+def invariant_verdict(goal: Goal, state: State) -> Verdict:
     """The goal's invariant evaluated on ``state`` alone, which is its verdict
     at the last state of any trace ending in ``state``: no operator reads an
     earlier position.  An invariant that reads a variable the state lacks,
     applies a function or ranges over a class it does not hold raises
     ``ContractViolationError`` naming the goal."""
     try:
-        return evaluate(entity.invariant, Trace((state,)))
+        return evaluate(goal.invariant, Trace((state,)))
     except EvaluationError as exc:
         raise ContractViolationError(
-            f"the invariant of {entity.name!r} cannot be evaluated: {exc}"
+            f"the invariant of {goal.name!r} cannot be evaluated: {exc}"
         ) from exc
 
 
-def invariant_verdicts(specs: SpecDocument, trace: Trace) -> dict[str, Verdict]:
+def invariant_verdicts(program: Program, trace: Trace) -> dict[str, Verdict]:
     """Each affected goal's invariant verdict at the trace's last state.  An
     invariant the target cannot answer ends the run: the target's probes do
     not change, so no later cycle could evaluate it either."""
     if not trace.states:
         return {}
-    affected = (e for e, _ in specs.affected if e.invariant is not None)
-    return {e.name: invariant_verdict(e, trace.states[-1]) for e in affected}
+    judged = (goal for goal in program.goals.values() if goal.invariant is not None)
+    return {goal.name: invariant_verdict(goal, trace.states[-1]) for goal in judged}
 
 
-def utility_violated(entity: EntitySpec, state: State, cfg: EngineConfig) -> bool:
+def utility_violated(goal: Goal, state: State) -> bool:
     """Whether the goal's utility attribute reads below its threshold in
-    ``state``: the desired utility the config gives for the goal, or else
-    for the attribute.  False without either, or without the state's value."""
-    attr = utility_attribute(entity)
-    threshold = cfg.desired_utilities.get(entity.name, cfg.desired_utilities.get(attr))
-    value = state.values.get(attr)  # None when the goal has no utility attribute
-    return threshold is not None and value is not None and float(value) < threshold
+    ``state``.  False without a threshold, or without the state's value."""
+    value = state.values.get(goal.utility)  # None when the goal has no utility attribute
+    return goal.threshold is not None and value is not None and float(value) < goal.threshold
 
 
 def diagnose(
-    specs: SpecDocument,
+    program: Program,
     trace: Trace,
     cfg: EngineConfig,
     verdicts: Mapping[str, Verdict],
@@ -410,43 +433,27 @@ def diagnose(
     fired, in the target's order, and empty for any other violation.
     """
     result: dict[str, tuple[ViolationType, list[str]]] = {}
-    for entity, sources in specs.affected:
+    for goal in program.goals.values():
         verdict, failing = ViolationType.NONE, []
-        for source in sources:
-            context = source.kind is EntityKind.CONTEXT_UNCERTAINTY
-            functional = source.affected_violation_kind == "FR"
-            if context and functional:
-                if verdicts.get(entity.name) is Verdict.VIOL:
-                    verdict = ViolationType.CONU_FR
-            elif context:
-                if trace.states and utility_violated(entity, trace.states[-1], cfg):
-                    verdict = ViolationType.CONU_NFR
-            elif failing := faulty_slots(source, trace, cfg, windows):
-                verdict = ViolationType.COMU_FR if functional else ViolationType.COMU_NFR
-            if verdict is not ViolationType.NONE:
+        for source in goal.sources:
+            if source.violation is ViolationType.CONU_FR:
+                fired = verdicts.get(goal.name) is Verdict.VIOL
+            elif source.violation is ViolationType.CONU_NFR:
+                fired = bool(trace.states) and utility_violated(goal, trace.states[-1])
+            else:
+                fired = bool(failing := faulty_slots(source, trace, cfg, windows))
+            if fired:
+                verdict = source.violation
                 break
-        result[entity.name] = (verdict, failing)
+        result[goal.name] = (verdict, failing)
     return result
 
 
 # -- planning -------------------------------------------------------------
 
 
-def plan_entity_for(specs: SpecDocument, goal: str) -> Optional[EntitySpec]:
-    for entity in specs.of_kind(EntityKind.PLAN):
-        if entity.from_goal == goal:
-            return entity
-    return None
-
-
-def plan_parameters(entity: EntitySpec) -> list[str]:
-    # plan outputs name the produced values; a trailing _new maps onto the
-    # effector parameter being replaced
-    return [name.removesuffix("_new") for name in entity.output]
-
-
 def plan(
-    specs: SpecDocument,
+    program: Program,
     goal: str,
     violation: ViolationType,
     params: Mapping[str, float],
@@ -466,10 +473,10 @@ def plan(
         return NoChange()
 
     if violation in (ViolationType.CONU_FR, ViolationType.CONU_NFR):
-        entity = plan_entity_for(specs, goal)
-        if entity is None:
-            raise UnknownAdaptiveGoalError(f"no plan entity serves goal {goal!r}")
-        names = plan_parameters(entity)
+        parameters = program.goals[goal].parameters
+        if parameters is None:
+            raise PlanFailedError(f"no plan entity serves goal {goal!r}")
+        names = list(parameters)
         if not names:
             raise PlanFailedError(f"plan entity for {goal!r} declares no output parameters")
         missing = [n for n in names if n not in params]
@@ -626,7 +633,7 @@ class AdaptationEngine:
     """
 
     def __init__(self, specs: SpecDocument, cfg: EngineConfig, spares: Spares):
-        self.specs = specs
+        self.program = resolve(specs, cfg)
         self.cfg = cfg
         self.spares = spares
         self.trace = Trace()
@@ -642,7 +649,7 @@ class AdaptationEngine:
         report = CycleReport(cycle_index=self.cycle_index, sim_time=target.now())
         # stage failures are data for the report, not reasons to stop looping
         try:
-            state = monitor_step(self.specs, target)
+            state = monitor_step(self.program, target)
         except EngineError as exc:
             report.errors.append(f"monitoring failed: {exc}")
             self.cycle_index += 1
@@ -652,11 +659,11 @@ class AdaptationEngine:
         report.instances = state.instances
 
         # unlike a stage failure, an invariant the target cannot answer ends the run
-        verdicts = invariant_verdicts(self.specs, self.trace)
+        verdicts = invariant_verdicts(self.program, self.trace)
         report.verdicts = {goal: outcome.value for goal, outcome in verdicts.items()}
 
         try:
-            violations = diagnose(self.specs, self.trace, self.cfg, verdicts, self.windows)
+            violations = diagnose(self.program, self.trace, self.cfg, verdicts, self.windows)
         except EngineError as exc:
             report.errors.append(f"diagnosis failed: {exc}")
             self.cycle_index += 1
@@ -684,7 +691,7 @@ class AdaptationEngine:
 
             try:
                 reconfig = plan(
-                    self.specs, goal, vt, params, self.spares,
+                    self.program, goal, vt, params, self.spares,
                     counted, self.cfg, failing,
                 )
             except PlanFailedError as exc:

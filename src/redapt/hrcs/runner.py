@@ -25,17 +25,18 @@ from ..engine import (
     CycleReport,
     EngineConfig,
     EngineError,
+    Goal,
     Parametric,
     ProbeEffectorContract,
+    Program,
     Reconfiguration,
     Structural,
     ViolationType,
     invariant_verdict,
-    missing_plan_steps,
     utility_violated,
     verify_contract,
 )
-from ..speclang import EntitySpec, Interval, SpecDocument, State, Verdict
+from ..speclang import Interval, SpecDocument, State, Verdict
 from .simulator import (
     Metrics,
     ScenarioConfig,
@@ -119,7 +120,7 @@ class RunResult:
         out.writelines(json.dumps(r.to_json_dict()) + "\n" for r in self.reports)
 
 
-def _early_verdict(goal: EntitySpec, n_peak: int, model_cfg: ScenarioConfig) -> Optional[Verdict]:
+def _early_verdict(goal: Goal, n_peak: int, model_cfg: ScenarioConfig) -> Optional[Verdict]:
     """The goal's invariant on what a model run still going knows: ``n`` is
     at least the peak so far and each share lies in [0, 1].  The verdict if
     it is SAT or VIOL, which every final state gives too; None if it is
@@ -135,7 +136,7 @@ def _early_verdict(goal: EntitySpec, n_peak: int, model_cfg: ScenarioConfig) -> 
     return None if verdict is Verdict.INCONCLUSIVE else verdict
 
 
-def _final_verdict(goal: EntitySpec, trace: SimTrace, model_cfg: ScenarioConfig) -> Verdict:
+def _final_verdict(goal: Goal, trace: SimTrace, model_cfg: ScenarioConfig) -> Verdict:
     """The goal's invariant on the state a whole model run predicts, every
     value a point."""
     metrics = compute_metrics(trace, model_cfg)
@@ -152,22 +153,20 @@ def _final_verdict(goal: EntitySpec, trace: SimTrace, model_cfg: ScenarioConfig)
 class _Verifiers:
     """Per-goal analyzers the planner calls on each candidate."""
 
-    def __init__(self, specs: SpecDocument, scenario: ScenarioConfig, sim: Simulator,
-                 cfg: EngineConfig):
-        self.specs = specs
+    def __init__(self, program: Program, scenario: ScenarioConfig, sim: Simulator):
+        self.program = program
         self.scenario = scenario
         self.sim = sim
-        self.cfg = cfg
         self._dispatch_cache: dict[tuple, ViolationType] = {}
 
     def for_goal(self, goal: str, violation: ViolationType):
         if violation is ViolationType.CONU_FR:
-            return partial(self._verify_dispatch, self.specs.by_name(goal))
+            return partial(self._verify_dispatch, self.program.goals[goal])
         if violation is ViolationType.CONU_NFR:
-            return partial(self._verify_gate_timing, self.specs.by_name(goal))
+            return partial(self._verify_gate_timing, self.program.goals[goal])
         return self._verify_replacement
 
-    def _verify_dispatch(self, goal: EntitySpec, candidate: Reconfiguration) -> ViolationType:
+    def _verify_dispatch(self, goal: Goal, candidate: Reconfiguration) -> ViolationType:
         """Model-based verification: re-simulate the whole fault-free
         scenario from t = 0, with its seed, under the candidate, and judge
         the goal's invariant on the state that run predicts: ``p`` the
@@ -219,7 +218,7 @@ class _Verifiers:
         self._dispatch_cache[key] = violation
         return violation
 
-    def _verify_gate_timing(self, goal: EntitySpec, candidate: Reconfiguration) -> ViolationType:
+    def _verify_gate_timing(self, goal: Goal, candidate: Reconfiguration) -> ViolationType:
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_NFR
         values = {**self.sim.parameters(), **dict(candidate.changes)}
@@ -228,7 +227,7 @@ class _Verifiers:
         except DomainError:
             return ViolationType.CONU_NFR
         utilities = dict(values, U_E=u.u_e, U_safety=u.u_safety, U_pass=u.u_pass)
-        if utility_violated(goal, State(self.sim.now(), utilities), self.cfg):
+        if utility_violated(goal, State(self.sim.now(), utilities)):
             return ViolationType.CONU_NFR
         return ViolationType.NONE
 
@@ -247,14 +246,15 @@ def run_scenario(
 ) -> RunResult:
     """Run the scenario under MAPE control for its configured duration,
     by default with the crossing's planning settings.  A cycle sees the row
-    of its instant, so a cycle between sample instants raises ``EngineError``."""
+    of its instant, so a cycle between sample instants raises ``EngineError``;
+    the program's problems and contract breaches raise ``ContractViolationError`` first."""
     cfg = engine_cfg if engine_cfg is not None else EngineConfig.from_dict({}, PLANNING_SETTINGS)
     sim = Simulator(scenario)
-    problems = verify_contract(specs, contract_of(sim)) + missing_plan_steps(specs, cfg)
+    engine = AdaptationEngine(specs, cfg, build_pool(scenario))
+    problems = verify_contract(engine.program, contract_of(sim)) + list(engine.program.problems)
     if problems:
         raise ContractViolationError("; ".join(problems))
-    engine = AdaptationEngine(specs, cfg, build_pool(scenario))
-    verifiers = _Verifiers(specs, scenario, sim, cfg)
+    verifiers = _Verifiers(engine.program, scenario, sim)
 
     reports: list[CycleReport] = []
     t = cfg.cycle_period_s

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 Value = Union[float, bool, str]
@@ -285,13 +284,3 @@ class SpecDocument:
 
     def of_kind(self, *kinds: EntityKind) -> tuple[EntitySpec, ...]:
         return tuple(e for e in self.entities if e.kind in kinds)
-
-    @cached_property
-    def affected(self) -> tuple[tuple[EntitySpec, tuple[EntitySpec, ...]], ...]:
-        """Each entity that an uncertainty targets, with those uncertainties,
-        both in document order; worked out once, as documents are immutable."""
-        sources: dict[str, list[EntitySpec]] = {}
-        for u in self.entities:
-            if u.kind in UNCERTAINTY_KINDS:
-                sources.setdefault(u.affected_goal, []).append(u)
-        return tuple((e, tuple(sources[e.name])) for e in self.entities if e.name in sources)

@@ -67,7 +67,10 @@ def test_tracer_and_cycle_timer_record_a_run(tmp_path, spec_path, bundled_spec):
     cycles, probes = timer.take()
     assert len(cycles) == 5 and probes == [(0, 0.0)]
     # `engine.eval_ms`: each cycle judges every affected goal's invariant once
-    judged = [e for e, _ in bundled_spec.affected if e.invariant is not None]
+    judged = [
+        g for g in engine.resolve(bundled_spec, EngineConfig()).goals.values()
+        if g.invariant is not None
+    ]
     assert [span[0] for span in tracer.spans].count("engine.evaluate") == 5 * len(judged) > 0
 
 

@@ -194,6 +194,24 @@ class TestRun:
         assert "missing-class" in run.stderr and "Traceback" not in run.stderr
         assert run.stdout == "" and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scenario", ["experiment1", "experiment2"])
+    def test_goal_that_no_plan_serves_exits_one_before_the_run(self, tmp_path, spec_path, scenario):
+        # the dispatch goal stays context-affected; a run would meet the
+        # missing plan only at its first ConU_FR cycle, which experiment 1
+        # never has
+        text = Path(spec_path).read_text()
+        start = text.index('plan "Decide t_dispatch to hold p and n" {')
+        spec = tmp_path / "unplanned.agmspec"
+        spec.write_text(text[:start] + text[text.index("\n}\n", start) + 3:])
+        assert run_process("check", "--spec", str(spec)).returncode == 0
+        out = tmp_path / "o"
+        run = run_process("run", "--spec", str(spec), "--scenario",
+                          str(redapt.data_path(f"{scenario}.json")), "--out", str(out))
+        assert run.returncode == 1
+        goal = "Determine t_dispatch to make p > 50% and n < 350"
+        assert run.stderr == f"error: no plan entity serves goal {goal!r}\n"
+        assert run.stdout == "" and list(out.iterdir()) == []
+
     def test_contract_violation_exits_one_without_traceback(self, tmp_path, spec_path):
         # renamed everywhere, the plan output is declared and passes check,
         # but it names no effector, so run must reject it

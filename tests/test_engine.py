@@ -12,6 +12,7 @@ from redapt.engine import (
     NoChange,
     Parametric,
     PlanFailedError,
+    Source,
     Structural,
     ViolationType,
     diagnose,
@@ -20,6 +21,7 @@ from redapt.engine import (
     monitor_step,
     plan,
     reading_windows,
+    resolve,
     window_is_noisy,
 )
 from redapt.hrcs.runner import PLANNING_SETTINGS
@@ -146,6 +148,11 @@ def specs():
     return parse_document(ENGINE_SPEC)
 
 
+@pytest.fixture(scope="module")
+def program(specs):
+    return resolve(specs, EngineConfig())
+
+
 def trace_of(*states):
     return Trace(tuple(states))
 
@@ -184,7 +191,8 @@ def diagnosis(specs, trace):
     trace's last ``noise_window`` states fill."""
     cfg = crossing_config()
     windows = reading_windows(trace.states[-cfg.noise_window:], cfg)
-    return diagnose(specs, trace, cfg, invariant_verdicts(specs, trace), windows)
+    program = resolve(specs, cfg)
+    return diagnose(program, trace, cfg, invariant_verdicts(program, trace), windows)
 
 
 def diagnosed(specs, trace):
@@ -387,31 +395,31 @@ class FakeVerifier:
 
 
 class TestPlan:
-    def test_none_returns_no_change(self, specs):
+    def test_none_returns_no_change(self, program):
         verifier = FakeVerifier(set())
-        out = plan(specs, "hold p and n", NONE, {}, {}, verifier, EngineConfig())
+        out = plan(program, "hold p and n", NONE, {}, {}, verifier, EngineConfig())
         assert out == NoChange()
         assert verifier.calls == 0
 
-    def test_single_step_dispatch_increase(self, specs):
+    def test_single_step_dispatch_increase(self, program):
         verifier = FakeVerifier({(("t_dispatch", 6.0),)})
         out = plan(
-            specs, "hold p and n", ViolationType.CONU_FR,
+            program, "hold p and n", ViolationType.CONU_FR,
             {"t_dispatch": 5.0}, {}, verifier, crossing_config(),
         )
         assert out == Parametric((("t_dispatch", 6.0),))
         assert verifier.calls == 2  # current setting first, then one step
 
-    def test_current_configuration_verifying_clean_keeps_it(self, specs):
+    def test_current_configuration_verifying_clean_keeps_it(self, program):
         verifier = FakeVerifier({(("t_dispatch", 5.0),)})
         out = plan(
-            specs, "hold p and n", ViolationType.CONU_FR,
+            program, "hold p and n", ViolationType.CONU_FR,
             {"t_dispatch": 5.0}, {}, verifier, EngineConfig(),
         )
         assert out == NoChange()
         assert verifier.calls == 1
 
-    def test_gate_retiming_reaches_derived_optimum(self, specs):
+    def test_gate_retiming_reaches_derived_optimum(self, program):
         # the closed-form admissible path: safety utility climbs
         # 1/6, 1/3, 1/2, 2/3 and first clears 0.7 at (1.5, 6.5) with 5/6
         from redapt.hrcs import eval_utilities
@@ -425,7 +433,7 @@ class TestPlan:
             return NONE if u.u_safety >= 0.7 else ViolationType.CONU_NFR
 
         out = plan(
-            specs, "keep safety utility", ViolationType.CONU_NFR,
+            program, "keep safety utility", ViolationType.CONU_NFR,
             {"t_close": 4.0, "t_open": 4.0}, {}, verifier, crossing_config(),
         )
         assert out == Parametric((("t_close", 1.5), ("t_open", 6.5)))
@@ -438,36 +446,36 @@ class TestPlan:
             (1.5, 6.5, pytest.approx(5 / 6)),
         ]
 
-    def test_budget_exhaustion_raises_plan_failed(self, specs):
+    def test_budget_exhaustion_raises_plan_failed(self, program):
         verifier = FakeVerifier(set())
         with pytest.raises(PlanFailedError):
             plan(
-                specs, "hold p and n", ViolationType.CONU_FR,
+                program, "hold p and n", ViolationType.CONU_FR,
                 {"t_dispatch": 5.0}, {}, verifier,
                 crossing_config(max_plan_iterations=4),
             )
         assert verifier.calls <= 4  # boundedness
 
-    def test_clamped_at_both_ends_raises_plan_failed(self, specs):
+    def test_clamped_at_both_ends_raises_plan_failed(self, program):
         verifier = FakeVerifier(set())
         cfg = crossing_config(param_domains={"t_close": (1.5, 4.0), "t_open": (4.0, 6.5)})
         with pytest.raises(PlanFailedError):
             plan(
-                specs, "keep safety utility", ViolationType.CONU_NFR,
+                program, "keep safety utility", ViolationType.CONU_NFR,
                 {"t_close": 1.5, "t_open": 6.5}, {}, verifier, cfg,
             )
 
-    def test_structural_takes_first_standby(self, specs):
+    def test_structural_takes_first_standby(self, program):
         out = plan(
-            specs, "flow monitor", ViolationType.COMU_FR,
+            program, "flow monitor", ViolationType.COMU_FR,
             {}, {"f_3": ["s_11", "s_12"]}, FakeVerifier(set()), EngineConfig(), failing=["f_3"],
         )
         assert out == Structural((("f_3", "s_11"),))
 
-    def test_empty_standby_raises_plan_failed(self, specs):
+    def test_empty_standby_raises_plan_failed(self, program):
         with pytest.raises(PlanFailedError):
             plan(
-                specs, "flow monitor", ViolationType.COMU_FR,
+                program, "flow monitor", ViolationType.COMU_FR,
                 {}, {"f_3": []}, FakeVerifier(set()), EngineConfig(), failing=["f_3"],
             )
 
@@ -615,39 +623,39 @@ class TestContract:
         sim = Simulator(
             ScenarioConfig.from_json(redapt.data_path("experiment1.json").read_text())
         )
-        assert verify_contract(redapt.load_bundled_spec(), contract_of(sim)) == []
+        assert verify_contract(resolve(redapt.load_bundled_spec(), EngineConfig()), contract_of(sim)) == []
 
-    def test_missing_probe_and_effector_reported(self, specs):
+    def test_missing_probe_and_effector_reported(self, program):
         from redapt.engine import ProbeEffectorContract, verify_contract
 
         contract = ProbeEffectorContract(frozenset({"f_1"}), frozenset())
-        problems = verify_contract(specs, contract)
+        problems = verify_contract(program, contract)
         assert any("effector" in p for p in problems)
         assert not any("'f_i'" in p for p in problems)  # the family is probed
         empty = ProbeEffectorContract(frozenset(), frozenset({"t_dispatch", "t_close", "t_open"}))
-        assert any("probe" in p for p in verify_contract(specs, empty))
+        assert any("probe" in p for p in verify_contract(program, empty))
 
 
 class TestMonitorStep:
-    def test_one_reading_per_slot(self, specs):
+    def test_one_reading_per_slot(self, program):
         target = FakeTarget()
-        out = readings_of(monitor_step(specs, target))
+        out = readings_of(monitor_step(program, target))
         assert [(r.variable, r.value) for r in out] == [("f_1", 15.0), ("f_2", 15.0)]
         assert all(r.timestamp == 60.0 for r in out)
 
-    def test_failed_slot_reads_absent(self, specs):
+    def test_failed_slot_reads_absent(self, program):
         target = FakeTarget(slot_values={"f_1": 15.0, "f_3": None})
-        out = readings_of(monitor_step(specs, target))
+        out = readings_of(monitor_step(program, target))
         assert ("f_3", None) in [(r.variable, r.value) for r in out]
 
-    def test_missing_instances_violate_contract(self, specs):
+    def test_missing_instances_violate_contract(self, program):
         target = FakeTarget(slot_values={})
         with pytest.raises(ContractViolationError):
-            monitor_step(specs, target)
+            monitor_step(program, target)
 
     def test_document_without_monitors_reads_nothing(self):
         doc = parse_document('goal "g" {\n  attributes:\n    numeric x\n}')
-        assert readings_of(monitor_step(doc, FakeTarget())) == []
+        assert readings_of(monitor_step(resolve(doc, EngineConfig()), FakeTarget())) == []
 
 
 class TestEngineCycle:
@@ -759,7 +767,10 @@ class TestEngineCycle:
         engine = self.engine(specs)
         target = FakeTarget(slot_values={"f_1": 15.0, "f_2": None})
         report = engine.cycle(target, target, lambda g, v: FakeVerifier(set()))
-        goals = {e.name: e.invariant for e, _ in specs.affected if e.invariant is not None}
+        goals = {
+            g.name: g.invariant for g in resolve(specs, EngineConfig()).goals.values()
+            if g.invariant is not None
+        }
         assert goals and calls == list(goals.values())
         assert set(report.verdicts) == set(goals)
 
@@ -841,3 +852,101 @@ class TestEngineCycle:
         assert ("e_1", None) in [(r.variable, r.value) for r in readings_of(report)]
         assert report.violation["flow monitor"] == "none"
         assert report.reconfiguration == {} and report.errors == []
+
+
+class TestResolve:
+    def test_program_of_a_document(self):
+        doc = parse_document(ENGINE_SPEC + LUX_MONITOR + SECOND_FLOW_MONITOR)
+        program = resolve(doc, crossing_config())
+        assert list(program.classes.items()) == [
+            ("I_sensor", "flow monitor"), ("I_lux", "light monitor"),
+        ]
+        assert {name: goal.sources for name, goal in program.goals.items()} == {
+            "hold p and n": (Source("traffic growth", ViolationType.CONU_FR, ()),),
+            "keep safety utility": (Source("light level", ViolationType.CONU_NFR, ()),),
+            "flow monitor": (
+                Source("gauge failure", ViolationType.COMU_FR, ("I_sensor",)),
+                Source("gauge noise", ViolationType.COMU_NFR, ("I_sensor",)),
+            ),
+        }
+        assert list(program.goals) == ["hold p and n", "keep safety utility", "flow monitor"]
+        assert program.goals["hold p and n"].invariant == doc.by_name("hold p and n").invariant
+        assert [goal.parameters for goal in program.goals.values()] == [
+            ("t_dispatch",), ("t_close", "t_open"), None,
+        ]
+        assert program.plans == (
+            ("step dispatch", "hold p and n", ("t_dispatch",)),
+            ("retime gates", "keep safety utility", ("t_close", "t_open")),
+        )
+        assert [monitor for monitor, _ in program.gauges] == [
+            "flow monitor", "light monitor", "flow cross-check",
+        ]
+        assert program.problems == ()
+
+    @pytest.mark.parametrize("desired, threshold", [
+        ({}, None),
+        ({"U_safety": 0.7}, 0.7),
+        ({"U_safety": 0.7, "keep safety utility": 0.9}, 0.9),
+        ({"keep safety utility": 0.9, "U_safety": 0.7}, 0.9),
+    ])
+    def test_a_threshold_for_the_goal_beats_one_for_its_attribute(self, specs, desired, threshold):
+        goal = resolve(specs, EngineConfig(desired_utilities=desired)).goals["keep safety utility"]
+        assert (goal.utility, goal.threshold) == ("U_safety", threshold)
+
+    def test_problems_that_would_stop_a_run(self):
+        start = ENGINE_SPEC.index('plan "step dispatch" {')
+        unplanned = ENGINE_SPEC[:start] + ENGINE_SPEC[ENGINE_SPEC.index("\n}\n", start) + 3:]
+        doc = parse_document(unplanned + 'monitor "blind" {\n  from_goal: "hold p and n"\n}\n')
+        program = resolve(doc, EngineConfig(param_step={"t_close": -0.5}))
+        assert program.problems == (
+            "plan 'retime gates' produces 't_open' but the engine config gives it no param_step",
+            "monitor 'blind' declares no sensor class to gauge through",
+            "no plan entity serves goal 'hold p and n'",
+        )
+        # an engine run without that check records the goal's plan as failed
+        with pytest.raises(PlanFailedError, match="^no plan entity serves goal 'hold p and n'$"):
+            plan(program, "hold p and n", ViolationType.CONU_FR, {"t_dispatch": 5.0}, {},
+                 FakeVerifier(set()), EngineConfig())
+
+    def test_run_scenario_rejects_a_classless_monitor_before_the_run(self, monkeypatch):
+        import redapt
+        from redapt.hrcs import ScenarioConfig, runner
+
+        def no_cycle(*args):
+            raise AssertionError("a cycle ran")
+
+        monkeypatch.setattr(AdaptationEngine, "cycle", no_cycle)
+        spec = parse_document(redapt.data_path("hrcs.agmspec").read_text() + (
+            '\nmonitor "blind" {\n'
+            '  from_goal: "Determine t_dispatch to make p > 50% and n < 350"\n}\n'
+        ))
+        scenario = ScenarioConfig.from_json(redapt.data_path("experiment1.json").read_text())
+        with pytest.raises(ContractViolationError) as raised:
+            runner.run_scenario(spec, scenario)
+        assert str(raised.value) == "monitor 'blind' declares no sensor class to gauge through"
+
+    def test_the_spec_is_read_once_per_run(self, monkeypatch):
+        import redapt
+        from dataclasses import replace
+        from redapt.hrcs import ScenarioConfig, runner
+        from redapt.speclang import EntitySpec, SpecDocument
+
+        calls = Counter()
+        for owner, name in [
+            (SpecDocument, "of_kind"), (SpecDocument, "by_name"),
+            (EntitySpec, "class_attributes"), (EntitySpec, "numeric_attributes"),
+        ]:
+            def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        spec = redapt.load_bundled_spec()
+        scenario = ScenarioConfig.from_json(redapt.data_path("sensor_noise.json").read_text())
+        counts = []
+        for minutes in (5.0, 60.0):
+            calls.clear()
+            result = runner.run_scenario(spec, replace(scenario, duration_min=minutes))
+            assert len(result.reports) == minutes
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]

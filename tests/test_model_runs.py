@@ -20,6 +20,7 @@ from redapt.engine import (
     Parametric,
     ViolationType,
     invariant_verdict,
+    resolve,
 )
 from redapt.hrcs import runner
 from redapt.hrcs.simulator import Simulator, compute_metrics, simulate
@@ -29,8 +30,8 @@ GOAL = "Determine t_dispatch to make p > 50% and n < 350"
 
 
 def dispatch_goal(specs, invariant=None):
-    goal = specs.by_name(GOAL)
-    return goal if invariant is None else replace(goal, invariant=parse_formula(invariant))
+    goal = resolve(specs, EngineConfig()).goals[GOAL]
+    return goal if invariant is None else goal._replace(invariant=parse_formula(invariant))
 
 
 def candidate(t_dispatch):
@@ -38,7 +39,7 @@ def candidate(t_dispatch):
 
 
 def verify(specs, scenario, goal, t_dispatch):
-    verifiers = runner._Verifiers(specs, scenario, Simulator(scenario), EngineConfig())
+    verifiers = runner._Verifiers(resolve(specs, EngineConfig()), scenario, Simulator(scenario))
     return verifiers._verify_dispatch(goal, candidate(t_dispatch))
 
 

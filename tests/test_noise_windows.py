@@ -32,6 +32,7 @@ from redapt.engine import (
     faulty_slots,
     invariant_verdicts,
     reading_windows,
+    resolve,
 )
 from redapt.speclang import EntityKind, Trace, parse_document
 
@@ -226,13 +227,14 @@ def test_a_running_engine_diagnoses_what_its_whole_trace_shows(run):
             monitored.append(adaptation.trace.states[-1])
             trace = Trace(tuple(monitored))
             windows = reading_windows(trace.states[-cfg.noise_window:], cfg)
-            assert diagnosed.pop() == diagnose(SPEC, trace, cfg, invariant_verdicts(SPEC, trace), windows)
+            program = resolve(SPEC, cfg)
+            assert diagnosed.pop() == diagnose(program, trace, cfg, invariant_verdicts(program, trace), windows)
             # the windows advanced one state per cycle are those folded from the trace
             assert adaptation.windows == windows
-            for source in SOURCES:
+            for source, resolved in zip(SOURCES, program.goals["flow monitor"].sources, strict=True):
                 want = reference_faulty_slots(source, trace, cfg)
-                assert faulty_slots(source, trace, cfg, windows) == want
-                assert faulty_slots(source, adaptation.trace, cfg, adaptation.windows) == want
+                assert faulty_slots(resolved, trace, cfg, windows) == want
+                assert faulty_slots(resolved, adaptation.trace, cfg, adaptation.windows) == want
     assert not diagnosed
 
 
@@ -253,10 +255,12 @@ def test_the_generated_runs_reach_each_kind_of_fault():
             if not cycle:
                 continue
             target.time, target.cycle = 60.0 * k, cycle
-            states.append(engine.monitor_step(SPEC, target))
+            states.append(engine.monitor_step(resolve(SPEC, cfg), target))
             trace = Trace(tuple(states))
             window = trace.states[-cfg.noise_window:]
-            ((violation, _),) = diagnose(SPEC, trace, cfg, {}, reading_windows(window, cfg)).values()
+            ((violation, _),) = diagnose(
+                resolve(SPEC, cfg), trace, cfg, {}, reading_windows(window, cfg)
+            ).values()
             seen.add(violation)
             noise = SOURCES[1]
             raw = reference_faulty_slots(noise, trace, cfg, consensus=False)

@@ -324,12 +324,12 @@ class TestSensors:
         assert values[0] == pytest.approx(24.0, abs=8.0)
 
     def test_sample_sensors_covers_every_slot(self, bundled_spec):
-        from redapt.engine import monitor_step
+        from redapt.engine import EngineConfig, monitor_step, resolve
 
         cfg = quick_cfg(sensor_faults=(SensorFault("f_3", "fail", 100.0),))
         sim = Simulator(cfg)
         sim.run_until(200.0)
-        state = monitor_step(bundled_spec, sim)
+        state = monitor_step(resolve(bundled_spec, EngineConfig()), sim)
         by_slot = {slot: i for members in state.instances.values() for slot, i in members.items()}
         assert len(by_slot) == cfg.flow_sensor_count + cfg.lux_sensor_count
         assert by_slot["f_3"].value is None
