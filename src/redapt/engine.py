@@ -215,8 +215,9 @@ class Program(NamedTuple):
 
 def resolve(specs: SpecDocument, cfg: EngineConfig) -> Program:
     """The program of ``specs`` under ``cfg``.  Never raises: a plan parameter
-    without a step, a monitor without a sensor class and a context-affected
-    goal that no plan serves are listed in its ``problems``."""
+    without a step, a monitor without a sensor class, a context-affected
+    goal that no plan serves and a desired utility that names neither an
+    affected goal nor its utility attribute are listed in its ``problems``."""
     classes, sources, goals, gauges, plans, problems = {}, {}, {}, [], [], []
     for entity in specs.entities:
         if entity.kind is EntityKind.MONITOR:
@@ -250,6 +251,11 @@ def resolve(specs: SpecDocument, cfg: EngineConfig) -> Program:
         fired = {source.violation for source in sources[entity.name]}
         if parameters is None and fired & {ViolationType.CONU_FR, ViolationType.CONU_NFR}:
             problems.append(f"no plan entity serves goal {entity.name!r}")
+    judged = set(goals) | {goal.utility for goal in goals.values()}
+    problems += [
+        f"desired_utilities names {key!r}, which is neither an affected goal nor its utility attribute"
+        for key in cfg.desired_utilities if key not in judged
+    ]
     return Program(MappingProxyType(classes), MappingProxyType(goals), tuple(gauges),
                    tuple(plans), tuple(problems))
 

@@ -1,13 +1,14 @@
 """A run that records no rows, computed by queue recurrence instead of the
 event heap.
 
-Such a run counts vehicles and keeps the occupancy peak; it reads no sensor
-and has no engine.  In each direction it is one FIFO queue at a gate whose
-close and open times are fixed before the run starts: the train chain and
-the illuminance profile set them, and nothing else moves them.  So each
-vehicle's pass time follows from the one before it, as in Lindley's
-recurrence for a single-server queue (D. V. Lindley, "The theory of queues
-with a single server", Proc. Cambridge Phil. Soc. 48, 1952):
+Such a run is computed to its end: it counts vehicles and keeps the
+occupancy peak, and reads no sensor and has no engine.  In each direction
+it is one FIFO queue at a gate whose close and open times are fixed before
+the run starts: the train chain and the illuminance profile set them, and
+nothing else moves them.  So each vehicle's pass time follows from the one
+before it, as in Lindley's recurrence for a single-server queue
+(D. V. Lindley, "The theory of queues with a single server", Proc.
+Cambridge Phil. Soc. 48, 1952):
 
 - a vehicle that reaches the gate while it is open and nobody waits passes
   at once;
@@ -39,14 +40,11 @@ in memory at once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .simulator import (
     _GAP_BLOCK,
-    _STOP_CADENCE_S,
     DIRECTIONS,
     ScenarioConfig,
     SimTrace,
@@ -63,13 +61,6 @@ class HandBack(Exception):
     """A run for the event loop: two events on one instant whose order only
     it can tell, a train chain it schedules into its own past or whose
     closures overlap, or more sample instants than are held at once."""
-
-
-class Progress(NamedTuple):
-    """What ``stop`` is asked with: the run's clock and its peak so far."""
-
-    clock: float
-    n_peak: int
 
 
 def _first(scheduled: float, other: float) -> bool:
@@ -200,22 +191,14 @@ def _before_samples(samples: np.ndarray, times: np.ndarray,
     return count
 
 
-def counting_run(cfg: ScenarioConfig,
-                 stop: Optional[Callable[[Progress], bool]] = None) -> SimTrace:
+def counting_run(cfg: ScenarioConfig) -> SimTrace:
     """The trace the event loop gives for ``cfg`` with ``record_rows=False``:
-    counts, peak and vehicles, no rows.  ``stop`` is asked at each whole
-    minute before the end, once the whole run is computed, and a run it ends
-    returns the trace at that minute.  Raises ``HandBack`` where the event
-    loop must run it instead."""
+    counts, peak and vehicles of the whole run, no rows.  Raises
+    ``HandBack`` where the event loop must run it instead."""
     cfg.validate()
     end = cfg.duration_s
     if end / cfg.sample_interval_s >= MAX_SAMPLES:
         raise HandBack
-    minutes = []  # where ``stop`` is asked
-    t = _STOP_CADENCE_S
-    while stop is not None and t < end:
-        minutes.append(t)
-        t += _STOP_CADENCE_S
 
     half = (cfg.highway_length_m / 2.0) / cfg.free_speed_ms
     gap = 1.0 / cfg.discharge_rate
@@ -237,9 +220,7 @@ def counting_run(cfg: ScenarioConfig,
         entries.append(entry)
         exits.append(exit_)
         fast.append(exit_ - entry < cfg.p_time_threshold_s)
-    # the peak at each minute asked and at the end
-    np.maximum.accumulate(occupancy, out=occupancy)
-    peaks = occupancy[np.searchsorted(samples, [*minutes, end], "right") - 1].tolist()
+    n_peak = int(occupancy.max())
     del samples, occupancy
 
     # ids in arrival order across the directions
@@ -251,28 +232,17 @@ def counting_run(cfg: ScenarioConfig,
     if (southbound[same] != southbound[same + 1]).any():
         raise HandBack  # a north and a south arrival on one instant
     id_exits = np.concatenate(exits)[order]
-    id_entries = arrived.tolist()
-    id_directions = np.array(DIRECTIONS, dtype=object)[southbound.astype(np.intp)].tolist()
-
-    def trace_at(t: float, n_peak: int) -> SimTrace:
-        n = bisect_right(id_entries, t)
-        vehicle_exits = id_exits[:n].tolist()
-        for i in np.flatnonzero(id_exits[:n] > t).tolist():
-            vehicle_exits[i] = None  # still on the highway
-        exited = [int(np.searchsorted(x, t, "right")) for x in exits]
-        return SimTrace(
-            rows=(),
-            vehicles=VehicleView(id_entries[:n] if n < len(id_entries) else id_entries,
-                                 vehicle_exits,
-                                 id_directions[:n] if n < len(id_directions) else id_directions),
-            columns=row_columns(cfg),
-            n_peak=n_peak,
-            entered={d: int(np.searchsorted(e, t, "right")) for d, e in zip(DIRECTIONS, entries)},
-            exited=dict(zip(DIRECTIONS, exited)),
-            fast={d: int(np.count_nonzero(f[:k])) for d, f, k in zip(DIRECTIONS, fast, exited)},
-        )
-
-    for t, n_peak in zip(minutes, peaks):
-        if stop(Progress(t, n_peak)):
-            return trace_at(t, n_peak)
-    return trace_at(end, peaks[-1])
+    vehicle_exits = id_exits.tolist()
+    for i in np.flatnonzero(id_exits > end).tolist():
+        vehicle_exits[i] = None  # still on the highway
+    exited = [int(np.searchsorted(x, end, "right")) for x in exits]
+    return SimTrace(
+        rows=(),
+        vehicles=VehicleView(arrived.tolist(), vehicle_exits,
+                             np.array(DIRECTIONS, dtype=object)[southbound.astype(np.intp)].tolist()),
+        columns=row_columns(cfg),
+        n_peak=n_peak,
+        entered={d: len(e) for d, e in zip(DIRECTIONS, entries)},
+        exited=dict(zip(DIRECTIONS, exited)),
+        fast={d: int(np.count_nonzero(f[:k])) for d, f, k in zip(DIRECTIONS, fast, exited)},
+    )

@@ -12,7 +12,6 @@ gate timing.  Sensor replacements are judged by the standby's health.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -36,7 +35,7 @@ from ..engine import (
     utility_violated,
     verify_contract,
 )
-from ..speclang import Interval, SpecDocument, State, Verdict
+from ..speclang import SpecDocument, State, Verdict
 from .simulator import (
     Metrics,
     ScenarioConfig,
@@ -58,7 +57,6 @@ PLANNING_SETTINGS = {
 }
 
 
-_UNKNOWN_SHARE = Interval(0.0, 1.0)  # a share before its run has ended
 _MODEL_RUN_PREDICTS = "a model run predicts only p, n, p_north, p_south and t_dispatch"
 
 
@@ -120,25 +118,8 @@ class RunResult:
         out.writelines(json.dumps(r.to_json_dict()) + "\n" for r in self.reports)
 
 
-def _early_verdict(goal: Goal, n_peak: int, model_cfg: ScenarioConfig) -> Optional[Verdict]:
-    """The goal's invariant on what a model run still going knows: ``n`` is
-    at least the peak so far and each share lies in [0, 1].  The verdict if
-    it is SAT or VIOL, which every final state gives too; None if it is
-    inconclusive or cannot be evaluated on this state yet."""
-    known = State(model_cfg.duration_s, dict(
-        p=_UNKNOWN_SHARE, n=Interval(n_peak, math.inf), p_north=_UNKNOWN_SHARE,
-        p_south=_UNKNOWN_SHARE, t_dispatch=model_cfg.t_dispatch_min,
-    ))
-    try:
-        verdict = invariant_verdict(goal, known)
-    except ContractViolationError:
-        return None
-    return None if verdict is Verdict.INCONCLUSIVE else verdict
-
-
 def _final_verdict(goal: Goal, trace: SimTrace, model_cfg: ScenarioConfig) -> Verdict:
-    """The goal's invariant on the state a whole model run predicts, every
-    value a point."""
+    """The goal's invariant on the state a whole model run predicts."""
     metrics = compute_metrics(trace, model_cfg)
     predicted = State(model_cfg.duration_s, dict(
         p=min(metrics.p_north, metrics.p_south), n=metrics.n_peak, p_north=metrics.p_north,
@@ -169,22 +150,12 @@ class _Verifiers:
     def _verify_dispatch(self, goal: Goal, candidate: Reconfiguration) -> ViolationType:
         """Model-based verification: re-simulate the whole fault-free
         scenario from t = 0, with its seed, under the candidate, and judge
-        the goal's invariant on the state that run predicts: ``p`` the
-        smaller final share, ``n`` the occupancy peak, ``p_north``,
-        ``p_south`` and the candidate's ``t_dispatch``.  A model run is not
-        a forecast from the live state.
-
-        At each whole simulated minute at which the peak has moved, the run
-        judges what it knows so far: ``n`` is an ``Interval`` from the peak
-        to infinity and each share an ``Interval`` over [0, 1].  It stops at
-        the first definite verdict, which every final state would give too;
-        an invariant that cannot yet be evaluated is not decided.  Otherwise
-        the final state, all points, is judged, and only that judgement may
-        raise.  The model run records no rows, so ``simulate`` computes it
-        by queue recurrence rather than the event heap; it asks ``stop``
-        the same questions at the same minutes, so the run is decided where
-        the event loop would decide it (under experiment 2, at 5 at minute
-        79).  The verdict is a pure function of the goal and the candidate,
+        the goal's invariant on the state that run predicts at its end:
+        ``p`` the smaller final share, ``n`` the occupancy peak,
+        ``p_north``, ``p_south`` and the candidate's ``t_dispatch``.  A model
+        run is not a forecast from the live state.  It records no rows, so
+        ``simulate`` computes it by queue recurrence rather than the event
+        heap.  The verdict is a pure function of the goal and the candidate,
         so it is cached by both.
         """
         if not isinstance(candidate, Parametric):
@@ -198,22 +169,12 @@ class _Verifiers:
             t_dispatch_min=overrides.get("t_dispatch", self.scenario.t_dispatch_min),
             sensor_faults=(),
         )
-        decided: Optional[Verdict] = None  # the verdict that stopped the run, if one did
-        judged_peak = -1
-
-        def stop(run) -> bool:
-            nonlocal decided, judged_peak
-            if run.n_peak != judged_peak:
-                judged_peak = run.n_peak
-                decided = _early_verdict(goal, run.n_peak, model_cfg)
-            return decided is not None
-
         try:
-            trace = simulate(model_cfg, record_rows=False, stop=stop)
+            trace = simulate(model_cfg, record_rows=False)
         except DomainError:  # the scenario does not admit the candidate
             verdict = Verdict.VIOL
         else:
-            verdict = _final_verdict(goal, trace, model_cfg) if decided is None else decided
+            verdict = _final_verdict(goal, trace, model_cfg)
         violation = ViolationType.CONU_FR if verdict is Verdict.VIOL else ViolationType.NONE
         self._dispatch_cache[key] = violation
         return violation

@@ -57,7 +57,7 @@ from collections import deque, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Mapping, Optional, TextIO
+from typing import Iterator, Mapping, Optional, TextIO
 
 from ..engine import ContractViolationError, is_finite
 from .utilities import (
@@ -73,7 +73,6 @@ LUX_CLASS = "I_lux"
 
 _GAP_BLOCK = 256  # arrival gaps drawn at once from a direction's generator
 _NO_SAMPLE = (float("inf"), 0)  # the next sample instant once the run has taken its last
-_STOP_CADENCE_S = 60.0  # how often ``simulate`` asks its ``stop`` whether to end the run
 
 # what a scenario may make the simulator allocate before its run: the flow
 # window is pre-filled with its expected arrivals, and each sensor and spare
@@ -365,9 +364,10 @@ class Simulator:
     last one taken.  A full run also records the instant's row.
     ``record_rows=False`` is for model runs: a sample builds no row, so no
     sensor is read.  ``simulate`` computes such a run by queue recurrence
-    (``recurrence.counting_run``) and builds a simulator for it only where
-    the recurrence hands the run back.  Either way the trace returns the
-    per-id vehicle store as a ``VehicleView``, not as records.
+    (``recurrence.counting_run``), and builds a simulator for it, run to
+    the end, only where the recurrence hands the run back.  Either way the
+    trace returns the per-id vehicle store as a ``VehicleView``, not as
+    records.
 
     Each direction's queue keeps one invariant, which the recurrence relies
     on: while the gate is open and the queue holds a vehicle, one service is
@@ -753,42 +753,23 @@ class Simulator:
         )
 
 
-def simulate(
-    cfg: ScenarioConfig,
-    *,
-    record_rows: bool = True,
-    stop: Optional[Callable[[object], bool]] = None,
-) -> SimTrace:
+def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
     """Run one scenario start to finish without an adaptation engine.
 
     ``record_rows=False`` (for model runs) returns a trace without rows
-    whose vehicles and counts are those of the full run.  ``stop``, if
-    given, is asked at each whole simulated minute before the end whether
-    to end the run there, with an object whose ``clock`` is that minute and
-    whose ``n_peak`` is the peak so far; a run it ends returns the trace so
-    far.
-
-    A run with rows goes through the event loop.  One without is computed
-    by queue recurrence (``recurrence.counting_run``), which gives the
-    event loop's trace and asks ``stop`` the same questions at the same
-    minutes; where two events tie on one instant and only the event loop
-    can order them, it hands the run back before asking any, and the event
-    loop runs it."""
+    whose vehicles and counts are those of the full run.  A run with rows
+    goes through the event loop.  One without is computed by queue
+    recurrence (``recurrence.counting_run``), which gives the event loop's
+    trace; where two events tie on one instant and only the event loop can
+    order them, it hands the run back, and the event loop runs it."""
     if not record_rows:
         from .recurrence import HandBack, counting_run
 
         try:
-            return counting_run(cfg, stop)
+            return counting_run(cfg)
         except HandBack:
             pass
     sim = Simulator(cfg, record_rows=record_rows)
-    if stop is not None:
-        t = _STOP_CADENCE_S
-        while t < cfg.duration_s:
-            sim.run_until(t)
-            if stop(sim):
-                return sim.trace()
-            t += _STOP_CADENCE_S
     sim.run_to_end()
     return sim.trace()
 

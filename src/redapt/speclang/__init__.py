@@ -41,7 +41,6 @@ from .errors import (
 )
 from .evaluate import (
     Instance,
-    Interval,
     State,
     Trace,
     Verdict,
@@ -58,7 +57,7 @@ __all__ = [
     "And", "Atom", "AttrSort", "AttributeDecl", "Cmp", "Const", "Diagnostic",
     "DuplicateEntityError", "EntityKind", "EntitySpec", "EvaluationError",
     "Eventually", "Exists", "Forall", "Formula", "Func", "Globally", "Implies",
-    "INVARIANT_KINDS", "InfiniteDomainError", "Instance", "Interval", "MAPE_KINDS", "Next",
+    "INVARIANT_KINDS", "InfiniteDomainError", "Instance", "MAPE_KINDS", "Next",
     "Not", "Or", "ParseError", "Phase", "ProcedureRef", "Slot", "SpecDocument",
     "SpecLangError", "State", "Term", "Trace", "UNCERTAINTY_KINDS",
     "UnboundVariableError", "Until", "Var", "Verdict", "check_wellformed",

@@ -25,8 +25,7 @@ formula lives, and serves every later call on any trace; only the memo is
 per call.  A comparison of two floats is decided in its closure.  So is a
 variable against a constant under ``=`` / ``!=`` when both are strings, or
 one is a string and the other a float, which are never equal.  Any other
-pair of values, intervals and absent values among them, takes the general
-rules below.
+pair of values, absent values among them, takes the general rules below.
 
 A trace is held by column: its times and one value list per name (after
 Boncz, Zukowski & Nes, "MonetDB/X100", CIDR 2005).  A variable reads its
@@ -38,16 +37,6 @@ A state maps variable names to values, where ``None`` records a value the
 system failed to deliver.  For ``=`` and ``!=`` an absent value behaves like
 the empty string (a failed sensor satisfies ``x = ""``); ordering
 comparisons against an absent value are violations.
-
-A numeric value may also be an ``Interval``: a number known only to lie in
-``[lo, hi]``.  A comparison or a truth test on one is SAT when it holds for
-every number in the interval, VIOL when it holds for none and INCONCLUSIVE
-otherwise, and against a non-number it gives what any number would.  Strong
-Kleene connectives and the temporal unfoldings are monotone, so a verdict
-that is definite on interval values is the verdict of every trace whose
-values lie in those intervals and whose evaluation raises nothing (abstract
-interpretation, after Cousot & Cousot, POPL 1977).  Plain values never
-reach the interval code.
 """
 
 from __future__ import annotations
@@ -83,20 +72,7 @@ from .ast import (
 from .errors import EvaluationError, InfiniteDomainError, UnboundVariableError
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A number known only to lie in the closed interval ``[lo, hi]``; either
-    bound may be infinite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
-            raise ValueError(f"interval bounds out of order: [{self.lo!r}, {self.hi!r}]")
-
-
-Value = Union[float, bool, str, None, Interval]
+Value = Union[float, bool, str, None]
 
 
 class Verdict(Enum):
@@ -645,26 +621,17 @@ def _truthy(value: Value) -> Verdict:
         return Verdict.SAT if value else Verdict.VIOL
     if isinstance(value, str):
         return Verdict.SAT if value else Verdict.VIOL
-    if isinstance(value, Interval):
-        return _interval_verdict(not value.lo <= 0 <= value.hi, not value.lo == value.hi == 0)
     return Verdict.SAT if value != 0 else Verdict.VIOL
 
 
 def _compare(op: str, lhs: Value, rhs: Value) -> Verdict:
     if op in ("=", "!="):
-        try:
-            equal = _values_equal(lhs, rhs)
-        except TypeError:  # an interval reached ``float``
-            if not _interval_operands(lhs, rhs):
-                raise
-            return _compare_intervals(op, lhs, rhs)
+        equal = _values_equal(lhs, rhs)
         if op == "=":
             return Verdict.SAT if equal else Verdict.VIOL
         return Verdict.VIOL if equal else Verdict.SAT
     # ordering requires two proper numbers
     if not _is_number(lhs) or not _is_number(rhs):
-        if _interval_operands(lhs, rhs):
-            return _compare_intervals(op, lhs, rhs)
         return Verdict.VIOL
     a, b = float(lhs), float(rhs)  # type: ignore[arg-type]
     result = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
@@ -685,39 +652,3 @@ def _values_equal(lhs: Value, rhs: Value) -> bool:
 def _is_number(value: Value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-
-def _interval_operands(lhs: Value, rhs: Value) -> bool:
-    """Whether an interval meets a number or another interval: against any
-    other value an interval compares as every number does."""
-    return (isinstance(lhs, Interval) or _is_number(lhs)) and (
-        isinstance(rhs, Interval) or _is_number(rhs)
-    )
-
-
-def _bounds(value: Union[float, Interval]) -> tuple[float, float]:
-    if isinstance(value, Interval):
-        return float(value.lo), float(value.hi)
-    return float(value), float(value)
-
-
-def _compare_intervals(op: str, lhs: Value, rhs: Value) -> Verdict:
-    """``x op y`` for every ``x`` in ``lhs`` and ``y`` in ``rhs``: SAT if it
-    holds for every pair, VIOL if for none, INCONCLUSIVE otherwise."""
-    a, b = _bounds(lhs)  # type: ignore[arg-type]
-    c, d = _bounds(rhs)  # type: ignore[arg-type]
-    if op == "<":
-        return _interval_verdict(b < c, a < d)
-    if op == "<=":
-        return _interval_verdict(b <= c, a <= d)
-    if op == ">":
-        return _interval_verdict(a > d, b > c)
-    if op == ">=":
-        return _interval_verdict(a >= d, b >= c)
-    equal = _interval_verdict(a == b == c == d, a <= d and c <= b)
-    return equal if op == "=" else kleene_not(equal)
-
-
-def _interval_verdict(always: bool, sometimes: bool) -> Verdict:
-    if always:
-        return Verdict.SAT
-    return Verdict.INCONCLUSIVE if sometimes else Verdict.VIOL

@@ -104,7 +104,7 @@ def test_experiment2_makes_two_model_runs_through_the_runners_simulate(
     monkeypatch, bundled_spec, experiment2
 ):
     # the tracer's `runner.model_runs` counts `runner.simulate` calls: one
-    # model run per candidate tried (5, then 6), however early each stops
+    # model run per candidate tried (5, then 6)
     calls = []
 
     def counted(*args, **kwargs):

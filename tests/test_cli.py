@@ -451,6 +451,21 @@ class TestRun:
         assert done.stdout == ""
         assert not (tmp_path / "o" / "cycles.jsonl").exists()
 
+    def test_misspelt_desired_utility_exits_one_before_the_run(self, tmp_path, spec_path):
+        # with the key ignored, no retiming would be judged against a threshold
+        engine_cfg = tmp_path / "engine.json"
+        engine_cfg.write_text(json.dumps({"desired_utilities": {"U_safty": 0.7}}))
+        done = run_process("run", "--spec", spec_path,
+                           "--scenario", str(redapt.data_path("nfr_lowlight.json")),
+                           "--engine-config", str(engine_cfg), "--out", str(tmp_path / "o"))
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == (
+            "error: desired_utilities names 'U_safty', which is neither an affected goal "
+            "nor its utility attribute\n"
+        )
+        assert done.stdout == ""
+        assert not (tmp_path / "o").exists() or list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize(
         "override",
         [{"standby_per_slot": 1.5}, {"flow_sensor_count": 2.5}, {"lux_sensor_count": -3}],

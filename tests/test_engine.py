@@ -893,6 +893,18 @@ class TestResolve:
         goal = resolve(specs, EngineConfig(desired_utilities=desired)).goals["keep safety utility"]
         assert (goal.utility, goal.threshold) == ("U_safety", threshold)
 
+    def test_a_desired_utility_that_names_nothing_judged_is_a_problem(self, specs):
+        # an affected goal and its utility attribute are read; a misspelt
+        # attribute, an entity no uncertainty affects and an unknown name are not
+        desired = {"U_safty": 0.7, "hold p and n": 0.5, "U_safety": 0.7,
+                   "keep safety utility": 0.9, "light monitor": 0.1, "nowhere": 0.2}
+        program = resolve(specs, crossing_config(desired_utilities=desired))
+        assert program.problems == tuple(
+            f"desired_utilities names {key!r}, which is neither an affected goal nor its "
+            "utility attribute" for key in ("U_safty", "light monitor", "nowhere")
+        )
+        assert program.goals["keep safety utility"].threshold == 0.9
+
     def test_problems_that_would_stop_a_run(self):
         start = ENGINE_SPEC.index('plan "step dispatch" {')
         unplanned = ENGINE_SPEC[:start] + ENGINE_SPEC[ENGINE_SPEC.index("\n}\n", start) + 3:]

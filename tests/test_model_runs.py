@@ -1,9 +1,6 @@
-"""The dispatch verifier's model runs stop at the minute their verdict is
-decided, and decide as the whole run would.
-
-Until a model run ends, the state it predicts is partly known: ``n`` is at
-least the peak so far and each share lies in [0, 1].  A definite verdict on
-that state is the verdict of every final state, so the run stops there.
+"""The dispatch verifier judges each candidate on the final state of a
+whole model run: ``p`` the smaller final share, ``n`` the occupancy peak,
+``p_north``, ``p_south`` and the candidate's ``t_dispatch``.
 """
 
 import json
@@ -55,67 +52,22 @@ def full_run_judgement(scenario, goal, t_dispatch):
     return ViolationType.CONU_FR if violated else ViolationType.NONE
 
 
-@pytest.fixture
-def stops(monkeypatch):
-    """The simulated time of every ``stop`` question of each model run, and
-    its answer, with ``runner.simulate`` still the one the tracer wraps."""
-    runs: list[list[tuple[float, bool]]] = []
-
-    def watched_simulate(cfg, **kwargs):
-        asked: list[tuple[float, bool]] = []
-        runs.append(asked)
-        stop = kwargs["stop"]
-
-        def watched(sim):
-            answer = stop(sim)
-            asked.append((sim.clock, answer))
-            return answer
-
-        return simulate(cfg, **{**kwargs, "stop": watched})
-
-    monkeypatch.setattr(runner, "simulate", watched_simulate)
-    return runs
-
-
 @pytest.mark.parametrize("invariant", [
     None, "G(p >= 50% && n <= 200)", "G(p >= 50% && n <= 30)",
 ])
-def test_an_early_stop_decides_as_the_full_run(bundled_spec, experiment2, stops, invariant):
+def test_a_model_run_decides_as_the_full_run(bundled_spec, experiment2, invariant):
     scenario = replace(experiment2, duration_min=90.0)
     goal = dispatch_goal(bundled_spec, invariant)
     for t_dispatch in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
         expected = full_run_judgement(scenario, goal, t_dispatch)
         assert verify(bundled_spec, scenario, goal, t_dispatch) is expected, t_dispatch
-        [asked] = stops[-1:]
-        if asked and asked[-1][1]:  # stopped before the end: only by a violation
-            assert expected is ViolationType.CONU_FR
-    assert len(stops) == 6
-    if invariant == "G(p >= 50% && n <= 30)":
-        assert all(asked[-1] == (60.0, True) for asked in stops)
 
 
-def test_the_run_at_five_stops_by_minute_80(bundled_spec, experiment2, stops):
-    goal = dispatch_goal(bundled_spec)
-    assert verify(bundled_spec, experiment2, goal, 5.0) is ViolationType.CONU_FR
-    [asked] = stops
-    clock, answer = asked[-1]
-    assert answer and clock <= 80 * 60.0
-    assert not any(a for _, a in asked[:-1])
-
-
-def test_the_run_at_six_runs_to_the_end_and_passes(bundled_spec, experiment2, stops):
-    goal = dispatch_goal(bundled_spec)
-    assert verify(bundled_spec, experiment2, goal, 6.0) is ViolationType.NONE
-    [asked] = stops
-    assert not any(a for _, a in asked) and asked[-1][0] == experiment2.duration_s - 60.0
-
-
-def test_an_invariant_a_partial_state_cannot_evaluate_is_not_yet_decided(
+def test_an_until_the_final_state_decides_does_not_read_its_left_side(
     bundled_spec, experiment2
 ):
-    # until the run ends `n <= 350` is inconclusive, so `U` reads `F`, which
-    # a model run does not predict; the final peak satisfies it, and `F` is
-    # never read
+    # the final peak satisfies `n <= 350`, so `U` never reads `F`, which a
+    # model run does not predict
     goal = dispatch_goal(bundled_spec, "G(p >= 50% && ((F <= 100) U (n <= 350)))")
     assert verify(bundled_spec, experiment2, goal, 6.0) is ViolationType.NONE
 

@@ -601,27 +601,15 @@ def bundled(name, **overrides):
     return replace(ScenarioConfig.from_json(redapt.data_path(f"{name}.json").read_text()), **overrides)
 
 
-def event_loop_trace(cfg, until=None):
-    """The event loop's counting trace, run to ``until`` or to the end."""
+def event_loop_trace(cfg):
+    """The event loop's counting trace of the whole run."""
     sim = Simulator(cfg, record_rows=False)
-    sim.run_until(cfg.duration_s if until is None else until)
+    sim.run_to_end()
     return sim.trace()
 
 
-def hand_back(cfg, stop=None):
+def hand_back(cfg):
     raise recurrence.HandBack
-
-
-def counted(cfg, stop_minute=None):
-    """``simulate(cfg, record_rows=False)``, stopped at ``stop_minute`` if
-    given, and each ``stop`` question's ``(clock, n_peak)``."""
-    asked = []
-
-    def stop(run):
-        asked.append((run.clock, run.n_peak))
-        return stop_minute is not None and run.clock >= stop_minute * 60.0
-
-    return simulate(cfg, record_rows=False, stop=stop), asked
 
 
 # one discharge per second puts every queued vehicle's exit on a whole
@@ -664,7 +652,7 @@ RECURRENCE_CASES = {
 
 class TestQueueRecurrence:
     """A run without rows is computed by queue recurrence, and gives the
-    event loop's counting trace field by field, stopped or not."""
+    event loop's counting trace field by field."""
 
     def test_a_counting_run_is_the_event_loops(self, monkeypatch):
         handed_back = []
@@ -674,34 +662,17 @@ class TestQueueRecurrence:
                 recurrence.counting_run(cfg)
             except recurrence.HandBack:
                 handed_back.append(name)
-            minute = int(cfg.duration_min) // 2
-            for stop_minute, until in ((None, None), (minute, minute * 60.0)):
-                trace, asked = counted(cfg, stop_minute)
-                expected = event_loop_trace(cfg, until)
-                for f in fields(SimTrace):
-                    assert getattr(trace, f.name) == getattr(expected, f.name), (name, f.name)
-                assert type(trace.n_peak) is int
-                with monkeypatch.context() as patched:
-                    patched.setattr(recurrence, "counting_run", hand_back)
-                    assert counted(cfg, stop_minute) == (trace, asked), name
+            trace = simulate(cfg, record_rows=False)
+            expected = event_loop_trace(cfg)
+            for f in fields(SimTrace):
+                assert getattr(trace, f.name) == getattr(expected, f.name), (name, f.name)
+            assert type(trace.n_peak) is int
+            # a whole run keeps the vehicles still on the highway at its end
+            assert any(v.exit_time is None for v in trace.vehicles), name
+            with monkeypatch.context() as patched:
+                patched.setattr(recurrence, "counting_run", hand_back)
+                assert simulate(cfg, record_rows=False) == trace, name
         assert handed_back == ["a pass scheduled on the sample instant before its exit"]
-
-    @pytest.mark.parametrize("path", ["recurrence", "event loop"])
-    @pytest.mark.parametrize("minute", [1, 7, 19])
-    def test_a_stopped_run_returns_the_trace_so_far(self, monkeypatch, path, minute):
-        if path == "event loop":
-            monkeypatch.setattr(recurrence, "counting_run", hand_back)
-        cfg = quick_cfg(lambda_north=20.0, lambda_south=16.0, train_pass_time_s=110.0)
-        trace, asked = counted(cfg, minute)
-        assert trace == event_loop_trace(cfg, minute * 60.0)
-        assert [clock for clock, _ in asked] == [60.0 * m for m in range(1, minute + 1)]
-        assert asked[-1][1] == trace.n_peak > 0
-        assert trace.rows == ()
-        # vehicles that entered by then, some still on the highway
-        assert len(trace.vehicles) == sum(trace.entered.values()) > sum(trace.exited.values())
-        assert max(v.entry_time for v in trace.vehicles) <= minute * 60.0
-        assert any(v.exit_time is None for v in trace.vehicles)
-        assert all(v.exit_time is None or v.exit_time <= minute * 60.0 for v in trace.vehicles)
 
     def test_gate_events_alternate_from_a_close(self):
         cfg = quick_cfg(**DARK, illuminance_profile=((0.0, 10.0), (590.0, 100.0)))
