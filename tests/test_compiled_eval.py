@@ -8,30 +8,12 @@ an error: ``oracle_eval`` walks the states itself.
 import gc
 import importlib
 import math
-import random
 import weakref
-from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from formula_gen import formula_strategy
 from oracle_eval import reference_verdict
-from redapt.speclang import (
-    Const,
-    EvaluationError,
-    Formula,
-    Func,
-    Instance,
-    State,
-    Trace,
-    UnboundVariableError,
-    Var,
-    Verdict,
-    evaluate,
-    parse_formula,
-)
+from redapt.speclang import State, Trace, UnboundVariableError, Verdict, evaluate, parse_formula
 from redapt.speclang.evaluate import _Evaluator, _programs
 
 # the package's `evaluate` attribute is the function, not its module
@@ -151,59 +133,3 @@ class TestTimes:
     def test_increasing_times_are_accepted(self):
         trace = Trace((State(0.0, {"x": 1.0}), State(0.5, {"x": 3.0})))
         assert evaluate(parse_formula("G(x <= 2)"), trace) is VIOL
-
-
-# -- plain values over generated formulas -----------------------------------
-
-# the names formula_gen draws; its quantifiers range over `levels` and `I_sensor`
-NAMES = ("p", "q", "n", "t_close", "U_safety", "f_3", "s.value")
-DOMAINS = {"levels": (0.0, 150.0)}
-SENSORS = {"I_sensor": {"ir_01": Instance("ir_01", 12.0), "ir_02": Instance("ir_02", None)}}
-_POINTS = (-math.inf, -1.0, 0.0, 0.5, 1.0, 350.0, math.inf)
-_OTHERS = (None, True, False, "", "ok")
-
-
-def _point(rng):
-    return rng.choice(_POINTS) if rng.random() < 0.7 else rng.uniform(-400.0, 400.0)
-
-
-def _values(rng):
-    """One state's values: mostly numbers, with an occasional non-number or
-    missing name."""
-    values = {}
-    for name in NAMES:
-        roll = rng.random()
-        if roll < 0.04:
-            continue
-        values[name] = rng.choice(_OTHERS) if roll < 0.15 else _point(rng)
-    return values
-
-
-def _without_functions(node):
-    """``node`` with each function application read as a variable: the
-    evaluator raises on every function, and would on most formulas."""
-    if isinstance(node, Func):
-        return Var(NAMES[len(node.name) % len(NAMES)])
-    if isinstance(node, (Var, Const)):
-        return node
-    return replace(node, **{
-        f.name: _without_functions(getattr(node, f.name))
-        for f in fields(node) if isinstance(getattr(node, f.name), (Formula, Func, Var, Const))
-    })
-
-
-@settings(max_examples=300, deadline=None)
-@given(formula_strategy().map(_without_functions), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_plain_values_keep_the_oracles_verdict(formula, length, seed):
-    rng = random.Random(seed)
-    trace = Trace(tuple(State(float(i), _values(rng), SENSORS) for i in range(length)))
-    try:
-        seen = evaluate(formula, trace, domains=DOMAINS)
-    except EvaluationError:
-        seen = None
-    try:
-        expected = reference_verdict(formula, trace.states, domains=DOMAINS)
-    except (KeyError, TypeError):
-        expected = None
-    if seen is not None and expected is not None:
-        assert seen is expected, formula

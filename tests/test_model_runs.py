@@ -63,6 +63,38 @@ def test_a_model_run_decides_as_the_full_run(bundled_spec, experiment2, invarian
         assert verify(bundled_spec, scenario, goal, t_dispatch) is expected, t_dispatch
 
 
+@pytest.fixture
+def model_runs(monkeypatch):
+    """Each model run's config and trace, with ``runner.simulate`` still the
+    one the tracer wraps."""
+    runs = []
+
+    def watched_simulate(cfg, **kwargs):
+        trace = simulate(cfg, **kwargs)
+        runs.append((cfg, trace))
+        return trace
+
+    monkeypatch.setattr(runner, "simulate", watched_simulate)
+    return runs
+
+
+def test_the_run_at_five_violates_on_its_final_peak(bundled_spec, experiment2, model_runs):
+    goal = dispatch_goal(bundled_spec)
+    assert verify(bundled_spec, experiment2, goal, 5.0) is ViolationType.CONU_FR
+    [(cfg, trace)] = model_runs
+    assert cfg.duration_s == experiment2.duration_s
+    assert trace.n_peak > 350
+
+
+def test_the_run_at_six_runs_to_the_end_and_passes(bundled_spec, experiment2, model_runs):
+    goal = dispatch_goal(bundled_spec)
+    assert verify(bundled_spec, experiment2, goal, 6.0) is ViolationType.NONE
+    [(cfg, trace)] = model_runs
+    assert (cfg.duration_s, cfg.t_dispatch_min) == (experiment2.duration_s, 6.0)
+    assert trace.rows == () and 0 < trace.n_peak <= 350
+    assert len(trace.vehicles) == sum(trace.entered.values())
+
+
 def test_an_until_the_final_state_decides_does_not_read_its_left_side(
     bundled_spec, experiment2
 ):

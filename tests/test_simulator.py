@@ -601,10 +601,10 @@ def bundled(name, **overrides):
     return replace(ScenarioConfig.from_json(redapt.data_path(f"{name}.json").read_text()), **overrides)
 
 
-def event_loop_trace(cfg):
-    """The event loop's counting trace of the whole run."""
+def event_loop_trace(cfg, until=None):
+    """The event loop's counting trace, run to ``until`` or to the end."""
     sim = Simulator(cfg, record_rows=False)
-    sim.run_to_end()
+    sim.run_until(cfg.duration_s if until is None else until)
     return sim.trace()
 
 
@@ -673,6 +673,30 @@ class TestQueueRecurrence:
                 patched.setattr(recurrence, "counting_run", hand_back)
                 assert simulate(cfg, record_rows=False) == trace, name
         assert handed_back == ["a pass scheduled on the sample instant before its exit"]
+
+    @pytest.mark.parametrize("path", ["recurrence", "event loop"])
+    @pytest.mark.parametrize("minute", [1, 7, 19])
+    def test_a_stopped_run_returns_the_trace_so_far(self, monkeypatch, path, minute):
+        # a run that ends at `minute` is a longer run's event loop stopped then
+        if path == "event loop":
+            monkeypatch.setattr(recurrence, "counting_run", hand_back)
+        cfg = quick_cfg(lambda_north=20.0, lambda_south=16.0, train_pass_time_s=110.0)
+        trace = simulate(replace(cfg, duration_min=float(minute)), record_rows=False)
+        assert trace == event_loop_trace(cfg, minute * 60.0)
+        assert trace.n_peak > 0
+        assert trace.rows == ()
+        # vehicles that entered by then, some still on the highway
+        assert len(trace.vehicles) == sum(trace.entered.values()) > sum(trace.exited.values())
+        assert max(v.entry_time for v in trace.vehicles) <= minute * 60.0
+        assert any(v.exit_time is None for v in trace.vehicles)
+        assert all(v.exit_time is None or v.exit_time <= minute * 60.0 for v in trace.vehicles)
+
+    @pytest.mark.parametrize(
+        "name", ["experiment1", "experiment2", "nfr_lowlight", "sensor_failure", "sensor_noise"]
+    )
+    def test_the_peak_is_the_largest_sampled_occupancy(self, name):
+        cfg = bundled(name)
+        assert recurrence.counting_run(cfg).n_peak == max(row.n for row in simulate(cfg).rows)
 
     def test_gate_events_alternate_from_a_close(self):
         cfg = quick_cfg(**DARK, illuminance_profile=((0.0, 10.0), (590.0, 100.0)))

@@ -1,14 +1,19 @@
-"""Interval values: a number known only to lie in ``[lo, hi]``.
+"""Comparisons across a range of numbers.
 
-A verdict on interval values is an abstraction of the verdicts of the
-concrete traces they stand for: when it is definite (and nothing raises) it
-is the verdict of every concrete trace whose values lie in the intervals.
-Plain values keep the evaluator's own semantics, pinned to the oracle.
+Each case gives a name a range ``[lo, hi]`` of numbers and the verdict that
+every number of the range agrees on, or INCONCLUSIVE where numbers of the
+range disagree.  The evaluator reads only plain values, so each case is
+checked number by number: the range's bounds and every point of a grid
+inside it.  This pins what the comparisons mean at a bound, at infinity and
+against a non-number.  Plain values keep the evaluator's own semantics,
+pinned to the oracle.
 """
 
+import itertools
 import math
 import random
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,6 @@ from redapt.speclang import (
     Formula,
     Func,
     Instance,
-    Interval,
     State,
     Trace,
     Var,
@@ -39,9 +43,32 @@ NAMES = ("p", "q", "n", "t_close", "U_safety", "f_3", "s.value")
 DOMAINS = {"levels": (0.0, 150.0)}
 SENSORS = {"I_sensor": {"ir_01": Instance("ir_01", 12.0), "ir_02": Instance("ir_02", None)}}
 
+# the points tried inside a range, besides its bounds
+GRID = (-INF, -1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 9.0, 10.0, 11.0,
+        349.0, 350.0, 351.0, 1e9, INF)
+
+
+class Span(NamedTuple):
+    """The numbers from ``lo`` to ``hi``, bounds included."""
+
+    lo: float
+    hi: float
+
+    def members(self):
+        return sorted({self.lo, self.hi, *(v for v in GRID if self.lo <= v <= self.hi)})
+
 
 def verdict(text, **values):
     return evaluate(parse_formula(text), Trace((State(0.0, values),)))
+
+
+def verdict_over(text, **values):
+    """The verdict of ``text`` that every choice of numbers from the
+    ``Span`` values agrees on, or INCONCLUSIVE where choices disagree."""
+    names = list(values)
+    choices = [v.members() if isinstance(v, Span) else [v] for v in values.values()]
+    seen = {verdict(text, **dict(zip(names, pick))) for pick in itertools.product(*choices)}
+    return seen.pop() if len(seen) == 1 else INC
 
 
 class TestComparisons:
@@ -56,69 +83,65 @@ class TestComparisons:
         ("350 >= n", INC),
     ])
     def test_against_a_number(self, text, expected):
-        assert verdict(text, n=Interval(10, INF)) is expected
+        assert verdict_over(text, n=Span(10, INF)) is expected
 
     def test_a_peak_past_the_bound_refutes_the_dispatch_invariant(self):
-        share = Interval(0.0, 1.0)
+        share = Span(0.0, 1.0)
         text = "G(p >= 50% && n <= 350)"
-        assert verdict(text, p=share, n=Interval(351, INF)) is VIOL
-        assert verdict(text, p=share, n=Interval(350, INF)) is INC
-        assert verdict(text, p=0.4, n=Interval(0, INF)) is VIOL
+        assert verdict_over(text, p=share, n=Span(351, INF)) is VIOL
+        assert verdict_over(text, p=share, n=Span(350, INF)) is INC
+        assert verdict_over(text, p=0.4, n=Span(0, INF)) is VIOL
 
     @pytest.mark.parametrize("text, expected", [
         ("a < b", SAT), ("a <= b", SAT), ("b < a", VIOL), ("a = b", VIOL), ("a != b", SAT),
         ("a < c", INC), ("a = c", INC), ("c <= a", INC),
     ])
     def test_against_an_interval(self, text, expected):
-        assert verdict(text, a=Interval(0, 1), b=Interval(2, 3), c=Interval(1, 2)) is expected
+        assert verdict_over(text, a=Span(0, 1), b=Span(2, 3), c=Span(1, 2)) is expected
 
     @pytest.mark.parametrize("other", [True, "ok", "", None])
     def test_against_a_non_number_as_any_number(self, other):
         for op in ("=", "!=", "<", "<=", ">", ">="):
             text = f"x {op} y"
-            assert verdict(text, x=Interval(-1, 1), y=other) is verdict(text, x=0.5, y=other)
-            assert verdict(text, y=Interval(-1, 1), x=other) is verdict(text, y=0.5, x=other)
+            assert verdict_over(text, x=Span(-1, 1), y=other) is verdict(text, x=0.5, y=other)
+            assert verdict_over(text, y=Span(-1, 1), x=other) is verdict(text, y=0.5, x=other)
 
     def test_exact_over_a_grid(self):
-        # each verdict is the one the numbers of the intervals agree on, and
-        # INCONCLUSIVE only where they disagree
+        # the numbers of two ranges agree on a comparison exactly where the
+        # ranges' bounds alone decide it
         bounds = (-INF, 0.0, 1.0, 2.0, INF)
-        grid = (-INF, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, INF)
-        spans = [Interval(lo, hi) for lo in bounds for hi in bounds if lo <= hi]
+        spans = [Span(lo, hi) for lo in bounds for hi in bounds if lo <= hi]
+        spans += [Span(v, v) for v in GRID]
 
-        def members(value):
-            if not isinstance(value, Interval):
-                return [value]
-            return [v for v in grid if value.lo <= v <= value.hi]
+        def by_bounds(op, x, y):
+            if op in ("=", "!="):
+                if x.lo == x.hi == y.lo == y.hi:
+                    decided = SAT
+                elif x.hi < y.lo or y.hi < x.lo:
+                    decided = VIOL
+                else:
+                    return INC
+                return decided if op == "=" else {SAT: VIOL, VIOL: SAT}[decided]
+            if op in (">", ">="):
+                op, x, y = {">": "<", ">=": "<="}[op], y, x
+            if op == "<":
+                return SAT if x.hi < y.lo else VIOL if x.lo >= y.hi else INC
+            return SAT if x.hi <= y.lo else VIOL if x.lo > y.hi else INC
 
         for op in ("=", "!=", "<", "<=", ">", ">="):
             text = f"x {op} y"
             for x in spans:
-                for y in spans + list(grid):
-                    seen = {verdict(text, x=a, y=b) for a in members(x) for b in members(y)}
-                    expected = seen.pop() if len(seen) == 1 else INC
-                    assert verdict(text, x=x, y=y) is expected, (op, x, y)
+                for y in spans:
+                    assert verdict_over(text, x=x, y=y) is by_bounds(op, x, y), (op, x, y)
 
     def test_truth_of_an_interval(self):
-        assert verdict("x", x=Interval(1, 2)) is SAT
-        assert verdict("x", x=Interval(0, 0)) is VIOL
-        assert verdict("x", x=Interval(-1, 1)) is INC
-        assert verdict("!x", x=Interval(0, INF)) is INC
-
-    def test_a_point_interval_is_its_number(self):
-        for op in ("=", "!=", "<", "<=", ">", ">="):
-            for a, b in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
-                text = f"x {op} y"
-                assert verdict(text, x=Interval(a, a), y=b) is verdict(text, x=a, y=b)
-
-    def test_bounds_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            Interval(2, 1)
-        with pytest.raises(ValueError):
-            Interval(math.nan, 1)
+        assert verdict_over("x", x=Span(1, 2)) is SAT
+        assert verdict_over("x", x=Span(0, 0)) is VIOL
+        assert verdict_over("x", x=Span(-1, 1)) is INC
+        assert verdict_over("!x", x=Span(0, INF)) is INC
 
 
-# -- soundness over generated formulas --------------------------------------
+# -- plain values over generated formulas -----------------------------------
 
 _POINTS = (-INF, -1.0, 0.0, 0.5, 1.0, 350.0, INF)
 _OTHERS = (None, True, False, "", "ok")
@@ -128,35 +151,16 @@ def _point(rng):
     return rng.choice(_POINTS) if rng.random() < 0.7 else rng.uniform(-400.0, 400.0)
 
 
-def _values(rng, abstract):
-    """One state's values: mostly numbers, intervals among them when
-    ``abstract``, with an occasional non-number or missing name."""
+def _values(rng):
+    """One state's values: mostly numbers, with an occasional non-number or
+    missing name."""
     values = {}
     for name in NAMES:
         roll = rng.random()
         if roll < 0.04:
             continue
-        if roll < 0.15:
-            values[name] = rng.choice(_OTHERS)
-        elif abstract and roll < 0.7:
-            values[name] = Interval(*sorted((_point(rng), _point(rng))))
-        else:
-            values[name] = _point(rng)
+        values[name] = rng.choice(_OTHERS) if roll < 0.15 else _point(rng)
     return values
-
-
-def _inside(interval):
-    """Numbers of ``interval`` worth trying: its bounds and interior points."""
-    lo, hi = interval.lo, interval.hi
-    if lo == hi:
-        return [lo]
-    if math.isinf(lo) and math.isinf(hi):
-        return [lo, -1.0, 0.0, 1.0, hi]
-    if math.isinf(lo):
-        return [lo, hi - 1.0, hi]
-    if math.isinf(hi):
-        return [lo, lo + 1.0, hi]
-    return [lo, lo + (hi - lo) / 2, hi]
 
 
 def _without_functions(node):
@@ -186,29 +190,11 @@ def _trace(value_maps):
     return Trace(tuple(State(float(i), v, SENSORS) for i, v in enumerate(value_maps)))
 
 
-@settings(max_examples=400, deadline=None)
-@given(FORMULAS, st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_a_definite_verdict_on_intervals_is_every_concretes(formula, length, seed):
-    rng = random.Random(seed)
-    abstract = [_values(rng, abstract=True) for _ in range(length)]
-    verdict_on_intervals = _run(formula, _trace(abstract))
-    if verdict_on_intervals in (None, INC):
-        return
-    picks = [lambda i: i.lo, lambda i: i.hi] + [lambda i: rng.choice(_inside(i))] * 4
-    for pick in picks:
-        concrete = [
-            {k: pick(v) if isinstance(v, Interval) else v for k, v in values.items()}
-            for values in abstract
-        ]
-        seen = _run(formula, _trace(concrete))
-        assert seen in (None, verdict_on_intervals), (formula, abstract, concrete)
-
-
 @settings(max_examples=300, deadline=None)
 @given(FORMULAS, st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_plain_values_keep_the_oracles_verdict(formula, length, seed):
     rng = random.Random(seed)
-    trace = _trace([_values(rng, abstract=False) for _ in range(length)])
+    trace = _trace([_values(rng) for _ in range(length)])
     seen = _run(formula, trace)
     try:
         expected = reference_verdict(formula, trace.states, domains=DOMAINS)
