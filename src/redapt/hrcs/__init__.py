@@ -10,6 +10,7 @@ from .simulator import (
     LUX_CLASS,
     Metrics,
     NORTH,
+    RowView,
     SOUTH,
     ScenarioConfig,
     SensorFault,
@@ -29,7 +30,7 @@ from .utilities import DARK_LUX_BOUND, DomainError, Utilities, eval_utilities
 
 __all__ = [
     "DARK_LUX_BOUND", "DIRECTIONS", "DomainError", "FLOW_CLASS", "LUX_CLASS",
-    "Metrics", "NORTH", "RunResult", "SOUTH", "ScenarioConfig",
+    "Metrics", "NORTH", "RowView", "RunResult", "SOUTH", "ScenarioConfig",
     "SensorFault", "SimTrace", "Simulator", "UnknownSensorError", "Utilities",
     "VehicleRecord", "VehicleView", "build_pool", "compute_metrics",
     "eval_utilities", "run_scenario", "simulate",

@@ -46,6 +46,7 @@ import numpy as np
 from .simulator import (
     _GAP_BLOCK,
     DIRECTIONS,
+    RowView,
     ScenarioConfig,
     SimTrace,
     VehicleView,
@@ -237,7 +238,7 @@ def counting_run(cfg: ScenarioConfig) -> SimTrace:
         vehicle_exits[i] = None  # still on the highway
     exited = [int(np.searchsorted(x, end, "right")) for x in exits]
     return SimTrace(
-        rows=(),
+        rows=RowView.empty(),
         vehicles=VehicleView(arrived.tolist(), vehicle_exits,
                              np.array(DIRECTIONS, dtype=object)[southbound.astype(np.intp)].tolist()),
         columns=row_columns(cfg),

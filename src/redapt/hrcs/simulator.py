@@ -13,11 +13,13 @@ The simulator exposes the probe interface (``now``, ``instances``,
 ``bind_instance``) consumed by the adaptation engine.
 
 One instant is described by one row: the value of every column in
-``Simulator.columns``, as ``Simulator.row()`` gives it.  A full run records
-the row at every sample instant, which gauges each sensor once, and
-``snapshot()`` is the row recorded at the current clock without its ``time``,
-so the engine sees what ``trace.csv`` records; a swap shows from the next
-sample on.
+``Simulator.columns``.  A full run records every sample instant, which
+gauges each sensor once, by column (``SampleRecord``): one list for each
+quantity that varies, one shared tuple of the settings while they hold,
+and the gauges only while some sensor is failed or noisy.  The trace's
+rows are a view of that record (``RowView``), and ``snapshot()`` is the row
+recorded at the current clock without its ``time``, so the engine sees what
+``trace.csv`` records; a swap shows from the next sample on.
 
 As it goes, a run counts by direction the vehicles that ``entered``, those
 that ``exited`` and those that exited ``fast`` (in under
@@ -53,11 +55,12 @@ import io
 import itertools
 import json
 import numbers
+import operator
 from collections import deque, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Iterator, Mapping, Optional, TextIO
+from typing import Callable, Iterator, Mapping, Optional, TextIO
 
 from ..engine import ContractViolationError, is_finite
 from .utilities import (
@@ -77,6 +80,10 @@ _NO_SAMPLE = (float("inf"), 0)  # the next sample instant once the run has taken
 # what a scenario may make the simulator allocate before its run: the flow
 # window is pre-filled with its expected arrivals, and each sensor and spare
 _MAX_WINDOW_ARRIVALS = 1_000_000
+# the sample instants a run may record, each a sample of every column; it
+# also keeps the clock moving, as an interval this far above the duration's
+# precision always advances it
+_MAX_SAMPLE_INSTANTS = 1_000_000
 _MAX_COUNTS = {"flow_sensor_count": 1_000, "lux_sensor_count": 1_000, "standby_per_slot": 100}
 
 # each sensor class's slot prefix and instance prefix
@@ -189,6 +196,12 @@ class ScenarioConfig:
             raise DomainError("discharge rate must be positive")
         if not self.sample_interval_s > 0:
             raise DomainError(f"sample interval {self.sample_interval_s!r} s must be positive")
+        instants = self.duration_s / self.sample_interval_s
+        if instants > _MAX_SAMPLE_INSTANTS:
+            raise DomainError(
+                f"{instants:g} sample instants at a {self.sample_interval_s!r} s interval "
+                f"exceed {_MAX_SAMPLE_INSTANTS}"
+            )
         if not self.flow_window_s > 0:
             raise DomainError(f"flow window {self.flow_window_s!r} s must be positive")
         arrivals = (self.lambda_north + self.lambda_south) / 60.0 * self.flow_window_s
@@ -278,9 +291,82 @@ class VehicleView(Sequence):
                      for c in (self._entries, self._exits, self._directions))
 
 
+class SampleRecord:
+    """What a run recorded at its sample instants, by column: each list
+    holds one entry per sample.  ``settings`` holds the tuple ``(E,
+    t_dispatch, t_close, t_open, U_E, U_safety, U_pass)``, one tuple shared
+    by the samples while none of them changes; ``gauges`` holds what every
+    sensor read, flows before lux, or None where each healthy sensor read
+    the truth (``flow`` or ``E``)."""
+
+    __slots__ = ("flow_count", "lux_count", "time", "n", "gate_open", "flow",
+                 "p_north", "p_south", "settings", "gauges")
+
+    def __init__(self, flow_count: int = 0, lux_count: int = 0):
+        self.flow_count, self.lux_count = flow_count, lux_count
+        self.time: list[float] = []
+        self.n: list[int] = []
+        self.gate_open: list[bool] = []
+        self.flow: list[float] = []
+        self.p_north: list[float] = []
+        self.p_south: list[float] = []
+        self.settings: list[tuple] = []
+        self.gauges: list[Optional[tuple]] = []
+
+    def values(self, i: int) -> tuple:
+        """Sample ``i``'s value of every column but ``time``, in column order."""
+        E, *settings = self.settings[i]
+        flow, gauges = self.flow[i], self.gauges[i]
+        if gauges is None:
+            gauges = (flow,) * self.flow_count + (E,) * self.lux_count
+        p_north, p_south = self.p_north[i], self.p_south[i]
+        return (E, self.n[i], "open" if self.gate_open[i] else "closed", flow, *gauges,
+                p_north, p_south, min(p_north, p_south), *settings)
+
+
+class RowView(Sequence):
+    """A run's rows, read in place from its ``SampleRecord``: a read-only
+    sequence of ``Row`` namedtuples, one per sample instant in ``columns``
+    order, whose length is the number of samples when the view was made.
+    It equals another view, or a tuple, holding the same rows."""
+
+    __slots__ = ("_record", "_columns", "_n", "_row_type")
+
+    def __init__(self, record: SampleRecord, columns: tuple[str, ...]):
+        self._record, self._columns = record, columns
+        self._n = len(record.time)
+        self._row_type = None  # made at the first row read
+
+    @staticmethod
+    def empty() -> "RowView":
+        """The rows of a run that recorded none."""
+        return RowView(SampleRecord(), ())
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: int) -> tuple:
+        i = range(self._n)[index]
+        return self._row(self._record.time[i], *self._record.values(i))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RowView, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _row(self, *values: object) -> tuple:
+        if self._row_type is None:
+            self._row_type = namedtuple("Row", self._columns)  # cells also read by name
+        return self._row_type(*values)
+
+    def record(self) -> tuple[SampleRecord, int]:
+        """The record and how many of its samples the view holds."""
+        return self._record, self._n
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    rows: tuple[tuple, ...]  # one per sample instant, in ``columns`` order
+    rows: RowView  # one per sample instant, in ``columns`` order
     vehicles: VehicleView  # in arrival order
     columns: tuple[str, ...]
     # what the simulator counted, kept whether rows were recorded or not
@@ -330,7 +416,7 @@ def compute_metrics(trace: SimTrace, cfg: ScenarioConfig) -> Metrics:
 
 def row_columns(cfg: ScenarioConfig) -> tuple[str, ...]:
     """The columns of a row, in order: the one place they are named, which
-    ``Simulator.row()`` fills."""
+    ``SampleRecord.values`` fills after ``time``."""
     return (
         "time", "E", "n", "gate", "F", *(slot for _, slot, _ in cfg.sensor_names().slots()),
         "p_north", "p_south", "p", "t_dispatch", "t_close", "t_open",
@@ -361,9 +447,13 @@ class Simulator:
     the heap's events.
 
     Every sample instant updates ``n_peak``, and ``sampled_at`` is the
-    last one taken.  A full run also records the instant's row.
-    ``record_rows=False`` is for model runs: a sample builds no row, so no
-    sensor is read.  ``simulate`` computes such a run by queue recurrence
+    last one taken.  A full run also records the instant in its
+    ``SampleRecord``, appending what varies to one list each; the settings
+    tuple is made again at the first sample after ``_on_profile`` or
+    ``set_parameter`` changes one of its inputs, and the gauges are read
+    only while some sensor is failed or noisy.  ``record_rows=False`` is for
+    model runs: a sample records nothing, so no sensor is read.
+    ``simulate`` computes such a run by queue recurrence
     (``recurrence.counting_run``), and builds a simulator for it, run to
     the end, only where the recurrence hands the run back.  Either way the
     trace returns the per-id vehicle store as a ``VehicleView``, not as
@@ -438,15 +528,21 @@ class Simulator:
             for class_name, slot, index in names.slots()
         )
         self._slot_index = {sensor.slot: i for i, sensor in enumerate(self._sensors)}
-        self._utilities_key: Optional[tuple[float, float, float]] = None
-        self._utilities = None
+        self._class_slots = tuple(
+            tuple(s.slot for s in self._sensors if s.class_name == class_name)
+            for class_name in (FLOW_CLASS, LUX_CLASS)
+        )
         # no sensor failed or noisy: every gauge reads the truth, no noise drawn
         self._all_healthy = True
 
         self.columns = row_columns(cfg)
-        self._row_type = namedtuple("Row", self.columns)  # cells also read by name
-
-        self._rows: list[tuple] = []
+        self._record = SampleRecord(cfg.flow_sensor_count, cfg.lux_sensor_count)
+        # the settings the next sample records; None once an input changed
+        self._settings: Optional[tuple] = None
+        # the settings tuple of the last snapshot, and a snapshot holding
+        # them, which the next snapshot under them copies and writes over
+        self._snapshot_settings: Optional[tuple] = None
+        self._snapshot_base: dict[str, object] = {}
         self.n_peak = 0
         self.sampled_at: Optional[float] = None
 
@@ -480,7 +576,7 @@ class Simulator:
             if n > self.n_peak:
                 self.n_peak = n
             if self.record_rows:
-                self._rows.append(self.row())
+                self._record_sample(time)
             time += self._sample_interval_s
             sample_at = (time, self._next_seq()) if time <= self._duration_s else _NO_SAMPLE
             self._sample_at = sample_at
@@ -604,6 +700,7 @@ class Simulator:
 
     def _on_profile(self, lux: float) -> None:
         self.illuminance = lux
+        self._settings = None
         if lux > DARK_LUX_BOUND:
             # bright conditions pin both intervals at the optimum
             self.t_close_s = OPTIMAL_INTERVAL_S
@@ -638,21 +735,12 @@ class Simulator:
         return fast_share(self.fast[direction], self.exited[direction])
 
     def utilities(self):
-        # recomputed only when an input changes; a rejected timing raises on
-        # every call, as it is never cached
-        key = (self.t_close_s, self.t_open_s, self.illuminance)
-        if key != self._utilities_key:
-            self._utilities = eval_utilities(*key)
-            self._utilities_key = key
-        return self._utilities
+        return eval_utilities(self.t_close_s, self.t_open_s, self.illuminance)
 
     def _gauges(self) -> tuple[Optional[float], ...]:
         """What every sensor reads now, failed ones ``None``: flows before
         lux, each in slot order, which is the order of the noise draws."""
         flow, lux = self.flow_per_min(), self.illuminance
-        if self._all_healthy:
-            cfg = self.cfg
-            return (flow,) * cfg.flow_sensor_count + (lux,) * cfg.lux_sensor_count
         gauge = self._gauge
         return tuple([
             gauge(sensor, flow if sensor.class_name == FLOW_CLASS else lux)
@@ -667,18 +755,26 @@ class Simulator:
             return truth + float(self._rng_noise.normal(0.0, sensor.noise_sigma))
         return truth
 
-    def row(self) -> tuple:
-        """The current value of every column, in ``self.columns`` order."""
-        u = self.utilities()
-        p_north = self.percentage_fast(NORTH)
-        p_south = self.percentage_fast(SOUTH)
-        return self._row_type(
-            self.clock, self.illuminance, self._occupancy,
-            "open" if self.gate_open else "closed", self.flow_per_min(), *self._gauges(),
-            p_north, p_south, min(p_north, p_south),
-            self.t_dispatch_min, self.t_close_s, self.t_open_s,
-            u.u_e, u.u_safety, u.u_pass,
-        )
+    def _record_sample(self, time: float) -> None:
+        """Record the sample at ``time``, the current clock."""
+        settings = self._settings
+        if settings is None:
+            # a rejected timing raises here, every sample until it changes,
+            # and before anything of the sample is recorded
+            u = self.utilities()
+            settings = self._settings = (
+                self.illuminance, self.t_dispatch_min, self.t_close_s, self.t_open_s,
+                u.u_e, u.u_safety, u.u_pass,
+            )
+        record = self._record
+        record.time.append(time)
+        record.n.append(self._occupancy)
+        record.gate_open.append(self.gate_open)
+        record.flow.append(self.flow_per_min())
+        record.p_north.append(self.percentage_fast(NORTH))
+        record.p_south.append(self.percentage_fast(SOUTH))
+        record.settings.append(settings)
+        record.gauges.append(None if self._all_healthy else self._gauges())
 
     # -- probe interface -------------------------------------------------------
 
@@ -690,9 +786,31 @@ class Simulator:
 
     def snapshot(self) -> dict[str, object]:
         """The row recorded at the current instant, without ``time``."""
-        if not self._rows or self._rows[-1][0] != self.clock:
+        record = self._record
+        if not record.time or record.time[-1] != self.clock:
             raise ContractViolationError(f"the simulator recorded no row at {self.clock!r} s")
-        return dict(zip(self.columns[1:], self._rows[-1][1:]))
+        settings = record.settings[-1]
+        if settings is not self._snapshot_settings:
+            self._snapshot_base = dict(zip(self.columns[1:], record.values(-1)))
+            self._snapshot_settings = settings
+        # every value but ``E`` and the settings', which the copy holds
+        values = self._snapshot_base.copy()
+        values["n"] = record.n[-1]
+        values["gate"] = "open" if record.gate_open[-1] else "closed"
+        values["F"] = flow = record.flow[-1]
+        gauges = record.gauges[-1]
+        if gauges is None:
+            flow_slots, lux_slots = self._class_slots
+            for slot in flow_slots:
+                values[slot] = flow
+            for slot in lux_slots:
+                values[slot] = settings[0]
+        else:
+            values.update(zip(self._slot_index, gauges))  # its keys are the slots in order
+        values["p_north"] = north = record.p_north[-1]
+        values["p_south"] = south = record.p_south[-1]
+        values["p"] = min(north, south)
+        return values
 
     def parameters(self) -> dict[str, float]:
         """The current value of each parameter ``set_parameter`` accepts."""
@@ -705,6 +823,7 @@ class Simulator:
             if value <= 0:
                 raise DomainError("dispatch interval must be positive")
             self.t_dispatch_min = float(value)
+            self._settings = None
             self._train_version += 1
             if self._pending_detected:
                 # the detected train still passes; its successor uses the new
@@ -718,10 +837,12 @@ class Simulator:
         if name == "t_close":
             check_gate_timing(value, self.t_open_s, self.illuminance)
             self.t_close_s = float(value)
+            self._settings = None
             return
         if name == "t_open":
             check_gate_timing(self.t_close_s, value, self.illuminance)
             self.t_open_s = float(value)
+            self._settings = None
             return
         raise DomainError(f"unknown parameter {name!r}")
 
@@ -743,7 +864,7 @@ class Simulator:
         # the highway have yet to exit
         exits = self._exits if self.clock >= self._duration_s else self._exits[:]
         return SimTrace(
-            rows=tuple(self._rows),
+            rows=RowView(self._record, self.columns),
             vehicles=VehicleView(self._entries, exits, self._directions),
             columns=self.columns,
             n_peak=self.n_peak,
@@ -788,23 +909,64 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _fmt_cells(values: tuple) -> list[str]:
-    """One row's cells; a value shared by adjacent cells (the flow every
-    healthy gauge reads, or p and the smaller of p_north and p_south) is
-    formatted once."""
-    cells: list[str] = []
-    last: object = cells  # matches no value
-    cell = ""
-    for value in values:
-        if value is not last:
-            last, cell = value, _fmt(value)
-        cells.append(cell)
-    return cells
+def _cell_formatter() -> Callable[[object], str]:
+    """One column's formatter: ``_fmt`` of each value, the cell of each
+    nonzero float kept by value, so each is formatted once.  Other values
+    are formatted each time: 0.0 and -0.0 are equal but write ``0`` and
+    ``-0``, and 1.0 equals 1 and True, which write ``1`` and ``True``."""
+    cells: dict[float, str] = {}
+
+    def cell(value: object) -> str:
+        if value.__class__ is float and value:
+            text = cells.get(value)
+            if text is None:
+                text = cells[value] = f"{value:.9g}"
+            return text
+        return _fmt(value)
+
+    return cell
+
+
+def _trace_lines(rows: RowView) -> Iterator[str]:
+    """Each row's line, formatted from the record's columns.  A settings
+    tuple's cells are formatted once per change; under one, the healthy
+    gauges' cells are joined once per distinct flow value.  Times never
+    repeat and are formatted as they come; every other float goes through
+    its column's formatter."""
+    record, n = rows.record()
+    lux_count = record.lux_count
+    flow_cell, north_cell, south_cell = _cell_formatter(), _cell_formatter(), _cell_formatter()
+    gauge_cells = [_cell_formatter() for _ in range(record.flow_count + lux_count)]
+    settings = None
+    for time, occupancy, gate_open, flow, north, south, current, gauges in itertools.islice(zip(
+        record.time, record.n, record.gate_open, record.flow,
+        record.p_north, record.p_south, record.settings, record.gauges,
+    ), n):
+        if current is not settings:
+            settings = current
+            e_cell = _fmt(settings[0])
+            lux = ("," + e_cell) * lux_count
+            tail = "".join("," + _fmt(value) for value in settings[1:])
+            healthy: dict[str, str] = {}  # the F cell -> every gauge's cells joined after it
+        f_cell = flow_cell(flow)
+        if gauges is None:
+            middle = healthy.get(f_cell)
+            if middle is None:
+                middle = healthy[f_cell] = ("," + f_cell) * record.flow_count + lux
+        else:
+            middle = "".join(["," + fmt(value) for fmt, value in zip(gauge_cells, gauges)])
+        north_text, south_text = north_cell(north), south_cell(south)
+        # p is the smaller share, the northern where they are equal, as ``min`` gives it
+        yield (
+            f"{time:.9g},{e_cell},{occupancy},{'open' if gate_open else 'closed'},{f_cell}"
+            f"{middle},{north_text},{south_text},"
+            f"{south_text if south < north else north_text}{tail}\n"
+        )
 
 
 def write_trace_csv(trace: SimTrace, out: TextIO) -> None:
     out.write(",".join(trace.columns) + "\n")
-    out.writelines(",".join(_fmt_cells(row)) + "\n" for row in trace.rows)
+    out.writelines(_trace_lines(trace.rows))
 
 
 def trace_to_csv(trace: SimTrace) -> str:

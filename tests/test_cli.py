@@ -504,6 +504,23 @@ class TestRun:
         assert done.stderr.startswith("error: ") and "flow window" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_sample_interval_too_small_to_move_the_clock_exits_one(self, tmp_path, spec_path):
+        # past about 1e-4 s, adding 1e-20 s leaves the clock where it is, so
+        # a run with no bound on its sample instants never ends
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("experiment1.json").read_text())
+        scenario.write_text(json.dumps({**base, "sample_interval_s": 1e-20}))
+        env = dict(os.environ, PYTHONPATH=str(Path(redapt.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "redapt.cli", "run", "--spec", spec_path,
+             "--scenario", str(scenario), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ") and "sample instants" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_bad_seed_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path):
         done = run_process("run", "--spec", spec_path, "--scenario", scenario_path,
                            "--out", str(tmp_path / "o"), "--seed", "-1")

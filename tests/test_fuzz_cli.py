@@ -142,7 +142,8 @@ def test_accepted_scenario_describes_its_first_instant(edits):
     except DOCUMENTED:
         return
     sim = Simulator(scenario)
-    assert sim.row().time == 0.0
+    sim.run_until(0.0)
+    assert sim.trace().rows[0].time == 0.0
     bound = dict(pair for c in (FLOW_CLASS, LUX_CLASS) for pair in sim.instances(c))
     spares = build_pool(scenario)
     assert spares.keys() == bound.keys()

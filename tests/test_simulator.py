@@ -17,6 +17,7 @@ from redapt.hrcs import (
     NORTH,
     SOUTH,
     Metrics,
+    RowView,
     ScenarioConfig,
     SensorFault,
     SimTrace,
@@ -29,7 +30,7 @@ from redapt.hrcs import (
     vehicles_to_json,
 )
 from redapt.hrcs import recurrence
-from redapt.hrcs.simulator import _nine_digits
+from redapt.hrcs.simulator import _MAX_SAMPLE_INSTANTS, _nine_digits
 from redapt.hrcs.utilities import DomainError
 
 
@@ -126,6 +127,35 @@ class TestBasics:
             ScenarioConfig.from_dict(
                 {"lambda_north": 10.0, "lambda_south": 10.0, "sample_interval_s": interval}
             )
+
+    @pytest.mark.parametrize("interval, admitted", [
+        (0.0036, True),  # 60 min in 1,000,000 intervals: the bound itself
+        (0.00359, False),
+        (1e-20, False),  # past about 1e-4 s the clock would stop moving
+    ])
+    def test_sample_instants_are_bounded(self, interval, admitted):
+        doc = {"lambda_north": 10.0, "lambda_south": 10.0, "sample_interval_s": interval}
+        if admitted:
+            assert ScenarioConfig.from_dict(doc).sample_interval_s == interval
+            return
+        with pytest.raises(DomainError, match="sample instants"):
+            ScenarioConfig.from_dict(doc)
+
+    def test_bundled_and_soak_scenarios_stay_far_below_the_sample_bound(self):
+        import redapt
+        from test_golden_artifacts import SOAK, load_workloads
+
+        workloads = load_workloads()
+        configs = [
+            ScenarioConfig.from_json(redapt.data_path(f"{name}.json").read_text())
+            for name in ("experiment1", "experiment2", "nfr_lowlight", "sensor_failure",
+                         "sensor_noise")
+        ]
+        configs += [ScenarioConfig.from_dict(workloads.soak_scenario(seed, hours))
+                    for seed in sorted(SOAK) for hours in (48, 192)]
+        configs.append(ScenarioConfig.from_dict(workloads.recording_scenario(1)))
+        assert max(cfg.duration_s / cfg.sample_interval_s for cfg in configs) == 14_400
+        assert 14_400 < _MAX_SAMPLE_INSTANTS / 50
 
 
 class TestSensorNames:
@@ -477,7 +507,7 @@ def counted_trace(entered=(0, 0), exited=(0, 0), fast=(0, 0), n_peak=0, vehicles
         return dict(zip((NORTH, SOUTH), pair))
 
     return SimTrace(
-        rows=(), vehicles=view_of(*vehicles), columns=(), n_peak=n_peak,
+        rows=RowView.empty(), vehicles=view_of(*vehicles), columns=(), n_peak=n_peak,
         entered=by_direction(entered), exited=by_direction(exited), fast=by_direction(fast),
     )
 
