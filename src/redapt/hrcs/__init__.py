@@ -12,6 +12,7 @@ from .simulator import (
     NORTH,
     RowView,
     SOUTH,
+    RunCounts,
     ScenarioConfig,
     SensorFault,
     SimTrace,
@@ -30,7 +31,7 @@ from .utilities import DARK_LUX_BOUND, DomainError, Utilities, eval_utilities
 
 __all__ = [
     "DARK_LUX_BOUND", "DIRECTIONS", "DomainError", "FLOW_CLASS", "LUX_CLASS",
-    "Metrics", "NORTH", "RowView", "RunResult", "SOUTH", "ScenarioConfig",
+    "Metrics", "NORTH", "RowView", "RunCounts", "RunResult", "SOUTH", "ScenarioConfig",
     "SensorFault", "SimTrace", "Simulator", "UnknownSensorError", "Utilities",
     "VehicleRecord", "VehicleView", "build_pool", "compute_metrics",
     "eval_utilities", "run_scenario", "simulate",

@@ -38,6 +38,7 @@ from ..engine import (
 from ..speclang import SpecDocument, State, Verdict
 from .simulator import (
     Metrics,
+    RunCounts,
     ScenarioConfig,
     SimTrace,
     Simulator,
@@ -118,9 +119,9 @@ class RunResult:
         out.writelines(json.dumps(r.to_json_dict()) + "\n" for r in self.reports)
 
 
-def _final_verdict(goal: Goal, trace: SimTrace, model_cfg: ScenarioConfig) -> Verdict:
+def _final_verdict(goal: Goal, counts: RunCounts, model_cfg: ScenarioConfig) -> Verdict:
     """The goal's invariant on the state a whole model run predicts."""
-    metrics = compute_metrics(trace, model_cfg)
+    metrics = compute_metrics(counts, model_cfg)
     predicted = State(model_cfg.duration_s, dict(
         p=min(metrics.p_north, metrics.p_south), n=metrics.n_peak, p_north=metrics.p_north,
         p_south=metrics.p_south, t_dispatch=model_cfg.t_dispatch_min,
@@ -154,9 +155,9 @@ class _Verifiers:
         ``p`` the smaller final share, ``n`` the occupancy peak,
         ``p_north``, ``p_south`` and the candidate's ``t_dispatch``.  A model
         run is not a forecast from the live state.  It records no rows, so
-        ``simulate`` computes it by queue recurrence rather than the event
-        heap.  The verdict is a pure function of the goal and the candidate,
-        so it is cached by both.
+        ``simulate`` computes only its counts, by queue recurrence rather
+        than the event heap.  The verdict is a pure function of the goal
+        and the candidate, so it is cached by both.
         """
         if not isinstance(candidate, Parametric):
             return ViolationType.CONU_FR
@@ -170,11 +171,11 @@ class _Verifiers:
             sensor_faults=(),
         )
         try:
-            trace = simulate(model_cfg, record_rows=False)
+            counts = simulate(model_cfg, record_rows=False)
         except DomainError:  # the scenario does not admit the candidate
             verdict = Verdict.VIOL
         else:
-            verdict = _final_verdict(goal, trace, model_cfg)
+            verdict = _final_verdict(goal, counts, model_cfg)
         violation = ViolationType.CONU_FR if verdict is Verdict.VIOL else ViolationType.NONE
         self._dispatch_cache[key] = violation
         return violation

@@ -25,21 +25,37 @@ As it goes, a run counts by direction the vehicles that ``entered``, those
 that ``exited`` and those that exited ``fast`` (in under
 ``p_time_threshold_s``), and keeps the occupancy peak ``n_peak`` over the
 sample instants.  The rows' ``p`` columns and ``compute_metrics`` read these
-counts.  Every run keeps its vehicles in one store indexed by id, ids given
-in arrival order, and its trace returns no records but a view of that store
+counts (``RunCounts``), which are all a model run returns.  The event loop
+keeps its vehicles in one store indexed by id, ids given in arrival order,
+and its trace returns no records but a view of that store
 (``VehicleView``), which ``vehicles.json`` is written from in id order.
 
-Events are ordered by ``(time, seq)``, where ``seq`` counts the events as
-they are scheduled and no two share one: events at the same instant run in
-the order they were scheduled.  Every event but the sample instants is an
-entry ``(time, seq, handler, payload)`` of a heap, and ``run_until`` pops
-one and calls ``handler(self, *payload)``.  The sample instants are not
-heap entries.  The simulator keeps the next one as a pair ``(time, seq)``,
-its ``seq`` drawn where a heap entry's would be, after the first events are
-scheduled and then right after each sample is taken.  ``run_until`` pops
-the entries that order before that pair, takes the sample, and so runs each
-sample exactly where its heap entry would have run.  A pair decides every
-comparison, so a handler is never compared.  A handler is the class's plain
+Every event has a key ``(time, clock, kind, id)``: the instant it runs at,
+the clock it was scheduled at (0 for those scheduled as the run starts),
+the rank of its kind, and an id that tells apart events of one kind: a
+vehicle's id for a reach or an exit, the direction for an arrival or a
+service (north first), the train version for a detection or a train's
+arrival, the index in the scenario for a profile step or a fault, and 0
+otherwise.  Events run in the order of their keys.  So on one instant an
+event scheduled at an earlier clock runs first, and of those scheduled at
+one clock, the kind ranked first: ``ARRIVAL``, ``REACH``, ``DETECT``,
+``CLOSE``, ``TRAIN_ARRIVAL``, ``TRAIN_CLEAR``, ``OPEN``, ``SERVICE``,
+``PROFILE``, ``FAULT``, ``SAMPLE``, ``EXIT``.  A sample counts as scheduled
+at the previous sample instant, the first at 0.  An effector acts between
+two calls of ``run_until``, so what it schedules on the current instant
+runs after every event that has run there.  The ranks are chosen so that
+in each tie the bundled scenarios, the soak runs and the tests' tie-prone
+runs hold, the event scheduled first runs first: a service before the
+sample on its instant, a sample before an exit scheduled at its clock, and
+the first detection before a profile step on its instant.  The queue
+recurrence (``recurrence.py``) applies the same order.
+
+Every event but the sample instants is a heap entry ``(time, clock, kind,
+id, handler, payload)``, and ``run_until`` pops one and calls
+``handler(self, *payload)``.  No two entries share a key, so a handler or a
+payload is never compared.  The simulator keeps the next sample instant as
+its key ``(time, clock, SAMPLE)``; ``run_until`` pops the entries that order
+before it and then takes the sample.  A handler is the class's plain
 function (``Simulator._on_exit``), not a bound method: a bound method would
 hold the simulator from its own heap, so a finished run, rows and vehicles
 included, would wait for the cyclic garbage collector instead of being freed
@@ -75,7 +91,11 @@ FLOW_CLASS = "I_sensor"
 LUX_CLASS = "I_lux"
 
 _GAP_BLOCK = 256  # arrival gaps drawn at once from a direction's generator
-_NO_SAMPLE = (float("inf"), 0)  # the next sample instant once the run has taken its last
+_NO_SAMPLE = (float("inf"),)  # the next sample instant once the run has taken its last
+
+# the rank of each kind of event among those on one instant scheduled at one clock
+(ARRIVAL, REACH, DETECT, CLOSE, TRAIN_ARRIVAL, TRAIN_CLEAR, OPEN, SERVICE, PROFILE, FAULT,
+ SAMPLE, EXIT) = range(12)
 
 # what a scenario may make the simulator allocate before its run: the flow
 # window is pre-filled with its expected arrivals, and each sensor and spare
@@ -189,6 +209,9 @@ class ScenarioConfig:
             raise DomainError("geometry must be positive")
         if self.t_dispatch_min <= 0 or self.duration_min <= 0:
             raise DomainError("durations must be positive")
+        if self.warn_lead_time_s < 0 or self.train_pass_time_s < 0:
+            # a train would be scheduled to arrive or clear before it is detected
+            raise DomainError("warn lead and train pass times cannot be negative")
         if not self.illuminance_profile or self.illuminance_profile[0][0] > 0.0:
             raise DomainError("illuminance profile must start at time 0")
         check_gate_timing(self.t_close_s, self.t_open_s, self.illuminance_profile[0][1])
@@ -365,15 +388,20 @@ class RowView(Sequence):
 
 
 @dataclass(frozen=True)
-class SimTrace:
-    rows: RowView  # one per sample instant, in ``columns`` order
-    vehicles: VehicleView  # in arrival order
-    columns: tuple[str, ...]
-    # what the simulator counted, kept whether rows were recorded or not
-    n_peak: int
+class RunCounts:
+    """What a run counted, all that ``compute_metrics`` reads."""
+
+    n_peak: int  # the largest occupancy at a sample instant
     entered: Mapping[str, int]  # by direction
     exited: Mapping[str, int]
     fast: Mapping[str, int]  # exited in under ``p_time_threshold_s``
+
+
+@dataclass(frozen=True)
+class SimTrace(RunCounts):
+    rows: RowView  # one per sample instant, in ``columns`` order
+    vehicles: VehicleView  # in arrival order
+    columns: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -400,7 +428,7 @@ def fast_share(fast: int, exited: int) -> float:
     return fast / exited if exited else 1.0
 
 
-def compute_metrics(trace: SimTrace, cfg: ScenarioConfig) -> Metrics:
+def compute_metrics(trace: RunCounts, cfg: ScenarioConfig) -> Metrics:
     """Per-direction crossing-time percentages, occupancy peak and mean flow,
     from the counts the simulator kept.  The shares are counted at the
     ``p_time_threshold_s`` of the scenario that was simulated; ``cfg`` gives
@@ -446,18 +474,14 @@ class Simulator:
     the next sample instant, which ``run_until`` takes in its place among
     the heap's events.
 
-    Every sample instant updates ``n_peak``, and ``sampled_at`` is the
-    last one taken.  A full run also records the instant in its
-    ``SampleRecord``, appending what varies to one list each; the settings
-    tuple is made again at the first sample after ``_on_profile`` or
-    ``set_parameter`` changes one of its inputs, and the gauges are read
-    only while some sensor is failed or noisy.  ``record_rows=False`` is for
-    model runs: a sample records nothing, so no sensor is read.
-    ``simulate`` computes such a run by queue recurrence
-    (``recurrence.counting_run``), and builds a simulator for it, run to
-    the end, only where the recurrence hands the run back.  Either way the
-    trace returns the per-id vehicle store as a ``VehicleView``, not as
-    records.
+    Every sample instant updates ``n_peak`` and is recorded in the run's
+    ``SampleRecord``, what varies appended to one list each, and
+    ``sampled_at`` is the last one taken.  The settings tuple is made again
+    at the first sample after ``_on_profile`` or ``set_parameter`` changes
+    one of its inputs, and the gauges are read only while some sensor is
+    failed or noisy.  The trace returns the per-id vehicle store as a
+    ``VehicleView``, not as records.  Every live run is one of these; a
+    model run is not (``simulate``).
 
     Each direction's queue keeps one invariant, which the recurrence relies
     on: while the gate is open and the queue holds a vehicle, one service is
@@ -467,13 +491,11 @@ class Simulator:
     that joins the queue while the gate is open finds a service pending.
     """
 
-    def __init__(self, cfg: ScenarioConfig, *, record_rows: bool = True):
+    def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
         self.cfg = cfg
-        self.record_rows = record_rows
         self.clock = 0.0
-        self._heap: list[tuple] = []  # (time, seq, handler, payload)
-        self._next_seq = itertools.count(1).__next__
+        self._heap: list[tuple] = []  # (time, clock, kind, id, handler, payload)
         # read on every event of their kind, so computed once
         self._duration_s = cfg.duration_s
         self._half_travel_s = (cfg.highway_length_m / 2.0) / cfg.free_speed_ms
@@ -547,41 +569,40 @@ class Simulator:
         self.sampled_at: Optional[float] = None
 
         for direction in self._gap_scale:  # a direction without arrivals schedules none
-            self._push(self._next_gap(direction), Simulator._on_arrival, (direction,))
+            self._push(self._next_gap(direction), ARRIVAL, direction,
+                       Simulator._on_arrival, (direction,))
         self._schedule_train(self.t_dispatch_min * 60.0)
-        for t, lux in cfg.illuminance_profile[1:]:
-            self._push(t, Simulator._on_profile, (lux,))
-        for fault in cfg.sensor_faults:
-            self._push(fault.at_s, Simulator._on_fault, (fault,))
-        # the next sample instant and its place in the order of events
-        self._sample_at = (0.0, self._next_seq())
+        for i, (t, lux) in enumerate(cfg.illuminance_profile[1:]):
+            self._push(t, PROFILE, i, Simulator._on_profile, (lux,))
+        for i, fault in enumerate(cfg.sensor_faults):
+            self._push(fault.at_s, FAULT, i, Simulator._on_fault, (fault,))
+        self._sample_at = (0.0, 0.0, SAMPLE)  # the next sample instant's key
 
     # -- event machinery ---------------------------------------------------
 
-    def _push(self, time: float, handler, payload: tuple) -> None:
-        heappush(self._heap, (time, self._next_seq(), handler, payload))
+    def _push(self, time: float, kind: int, ident, handler, payload: tuple) -> None:
+        heappush(self._heap, (time, self.clock, kind, ident, handler, payload))
 
     def run_until(self, t_end: float) -> None:
         t_end = min(t_end, self._duration_s)
         heap, pop = self._heap, heappop
         sample_at = self._sample_at
         while sample_at[0] <= t_end:
-            # ``(time, seq, ...) < (time, seq)`` decides on the pair alone
+            # no entry shares a sample's kind, so its first three fields decide
             while heap and heap[0] < sample_at:
-                time, _, handler, payload = pop(heap)
+                time, _, _, _, handler, payload = pop(heap)
                 self.clock = time
                 handler(self, *payload)
             self.clock = self.sampled_at = time = sample_at[0]
             n = self._occupancy
             if n > self.n_peak:
                 self.n_peak = n
-            if self.record_rows:
-                self._record_sample(time)
-            time += self._sample_interval_s
-            sample_at = (time, self._next_seq()) if time <= self._duration_s else _NO_SAMPLE
+            self._record_sample(time)
+            after = time + self._sample_interval_s
+            sample_at = (after, time, SAMPLE) if after <= self._duration_s else _NO_SAMPLE
             self._sample_at = sample_at
         while heap and heap[0][0] <= t_end:
-            time, _, handler, payload = pop(heap)
+            time, _, _, _, handler, payload = pop(heap)
             self.clock = time
             handler(self, *payload)
         self.clock = max(self.clock, t_end)
@@ -615,18 +636,19 @@ class Simulator:
         self.entered[direction] += 1
         self._occupancy += 1
         self._entry_window.append(clock)
-        heap, seq = self._heap, self._next_seq
-        reach_at = clock + self._half_travel_s
-        heappush(heap, (reach_at, seq(), Simulator._on_reach_gate, (vehicle, direction)))
+        heap = self._heap
+        heappush(heap, (clock + self._half_travel_s, clock, REACH, vehicle,
+                        Simulator._on_reach_gate, (vehicle, direction)))
         gaps = self._gaps[direction]
         gap = gaps.pop() if gaps else self._next_gap(direction)
-        heappush(heap, (clock + gap, seq(), Simulator._on_arrival, (direction,)))
+        heappush(heap, (clock + gap, clock, ARRIVAL, direction, Simulator._on_arrival, (direction,)))
 
     def _on_reach_gate(self, vehicle: int, direction: str) -> None:
         queue = self._queues[direction]
         if self.gate_open and not queue:
-            exit_at = self.clock + self._half_travel_s
-            heappush(self._heap, (exit_at, self._next_seq(), Simulator._on_exit, (vehicle,)))
+            clock = self.clock
+            heappush(self._heap, (clock + self._half_travel_s, clock, EXIT, vehicle,
+                                  Simulator._on_exit, (vehicle,)))
             return
         queue.append(vehicle)
 
@@ -637,11 +659,12 @@ class Simulator:
         if not queue:
             return
         vehicle = queue.popleft()
-        clock, heap, seq = self.clock, self._heap, self._next_seq
-        heappush(heap, (clock + self._half_travel_s, seq(), Simulator._on_exit, (vehicle,)))
+        clock, heap = self.clock, self._heap
+        heappush(heap, (clock + self._half_travel_s, clock, EXIT, vehicle,
+                        Simulator._on_exit, (vehicle,)))
         if queue:
-            payload = (direction, version)
-            heappush(heap, (clock + self._service_gap_s, seq(), Simulator._on_service, payload))
+            heappush(heap, (clock + self._service_gap_s, clock, SERVICE, direction,
+                            Simulator._on_service, (direction, version)))
 
     def _on_exit(self, vehicle: int) -> None:
         direction = self._directions[vehicle]
@@ -657,8 +680,8 @@ class Simulator:
         self._pending_detected = False
         self._push(
             max(self.clock, arrival - self.cfg.warn_lead_time_s),
-            Simulator._on_train_detect,
-            (self._train_version, arrival),
+            DETECT, self._train_version,
+            Simulator._on_train_detect, (self._train_version, arrival),
         )
 
     def _on_train_detect(self, version: int, arrival: float) -> None:
@@ -667,11 +690,10 @@ class Simulator:
         # gate timings are captured at detection for the whole cycle; the
         # physical close/pass/open chain runs regardless of rescheduling
         self._pending_detected = True
-        self._push(self.clock + self.t_close_s, Simulator._on_gate_close, ())
-        self._push(arrival, Simulator._on_train_arrive, (version, arrival))
-        self._push(
-            arrival + self.cfg.train_pass_time_s, Simulator._on_train_clear, (self.t_open_s,)
-        )
+        self._push(self.clock + self.t_close_s, CLOSE, 0, Simulator._on_gate_close, ())
+        self._push(arrival, TRAIN_ARRIVAL, version, Simulator._on_train_arrive, (version, arrival))
+        self._push(arrival + self.cfg.train_pass_time_s, TRAIN_CLEAR, 0,
+                   Simulator._on_train_clear, (self.t_open_s,))
 
     def _on_train_arrive(self, version: int, arrival: float) -> None:
         self._last_train_arrival = arrival
@@ -680,7 +702,7 @@ class Simulator:
         self._schedule_train(arrival + self.t_dispatch_min * 60.0)
 
     def _on_train_clear(self, t_open: float) -> None:
-        self._push(self.clock + t_open, Simulator._on_gate_open, ())
+        self._push(self.clock + t_open, OPEN, 0, Simulator._on_gate_open, ())
 
     def _on_gate_close(self) -> None:
         self.gate_open = False
@@ -692,11 +714,8 @@ class Simulator:
         for d in DIRECTIONS:
             self._service_version[d] += 1
             if self._queues[d]:
-                self._push(
-                    self.clock + self._service_gap_s,
-                    Simulator._on_service,
-                    (d, self._service_version[d]),
-                )
+                self._push(self.clock + self._service_gap_s, SERVICE, d,
+                           Simulator._on_service, (d, self._service_version[d]))
 
     def _on_profile(self, lux: float) -> None:
         self.illuminance = lux
@@ -874,23 +893,17 @@ class Simulator:
         )
 
 
-def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace:
-    """Run one scenario start to finish without an adaptation engine.
-
-    ``record_rows=False`` (for model runs) returns a trace without rows
-    whose vehicles and counts are those of the full run.  A run with rows
-    goes through the event loop.  One without is computed by queue
-    recurrence (``recurrence.counting_run``), which gives the event loop's
-    trace; where two events tie on one instant and only the event loop can
-    order them, it hands the run back, and the event loop runs it."""
+def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace | RunCounts:
+    """Run one scenario start to finish without an adaptation engine: by
+    the event loop, which returns the whole ``SimTrace``, or, with
+    ``record_rows=False`` (a model run), by queue recurrence
+    (``recurrence.counting_run``), which returns only the event loop's
+    ``RunCounts``."""
     if not record_rows:
-        from .recurrence import HandBack, counting_run
+        from .recurrence import counting_run
 
-        try:
-            return counting_run(cfg)
-        except HandBack:
-            pass
-    sim = Simulator(cfg, record_rows=record_rows)
+        return counting_run(cfg)
+    sim = Simulator(cfg)
     sim.run_to_end()
     return sim.trace()
 

@@ -18,6 +18,7 @@ from redapt.hrcs import (
     SOUTH,
     Metrics,
     RowView,
+    RunCounts,
     ScenarioConfig,
     SensorFault,
     SimTrace,
@@ -105,6 +106,11 @@ class TestBasics:
             {"flow_sensor_count": 10**8},  # one sensor and one column per slot
             {"lux_sensor_count": 1001},
             {"standby_per_slot": 10**9},  # the pool makes one serial per spare
+            # a train would arrive, or clear, before it is detected: the
+            # event loop would run events earlier than its clock
+            {"warn_lead_time_s": -5.0},
+            {"illuminance_profile": [[0.0, 10.0]], "t_close_s": 1.5, "t_open_s": 6.5,
+             "train_pass_time_s": -12.0},
         ],
     )
     def test_bad_values_rejected(self, override):
@@ -329,13 +335,12 @@ class TestFluidStability:
 
 
 class TestSnapshot:
-    @pytest.mark.parametrize("record_rows, until", [
-        (True, None),  # before the first sample
-        (True, 90.0),  # between the samples at 60 and 120 s
-        (False, 120.0),  # on a sample instant of a run that records no rows
+    @pytest.mark.parametrize("until", [
+        None,  # before the first sample
+        90.0,  # between the samples at 60 and 120 s
     ])
-    def test_snapshot_raises_where_no_row_was_recorded(self, record_rows, until):
-        sim = Simulator(quick_cfg(sample_interval_s=60.0), record_rows=record_rows)
+    def test_snapshot_raises_where_no_row_was_recorded(self, until):
+        sim = Simulator(quick_cfg(sample_interval_s=60.0))
         if until is not None:
             sim.run_until(until)
         with pytest.raises(ContractViolationError, match=f"recorded no row at {sim.clock!r} s"):
@@ -592,8 +597,7 @@ class TestTraceExport:
 
 
 class TestModelRuns:
-    """A run that records no rows keeps the vehicles and scores exactly like
-    a full run."""
+    """A run that records no rows scores exactly like a full run."""
 
     @pytest.mark.parametrize(
         "name, t_dispatch",
@@ -608,21 +612,13 @@ class TestModelRuns:
             cfg = replace(cfg, t_dispatch_min=t_dispatch)
         full = compute_metrics(simulate(cfg), cfg)
         counted = simulate(cfg, record_rows=False)
-        assert counted.rows == () and counted.vehicles == simulate(cfg).vehicles
+        assert type(counted) is RunCounts
         assert compute_metrics(counted, cfg) == full
 
     def test_running_peak_is_the_row_maximum(self):
         sim = Simulator(quick_cfg())
         sim.run_to_end()
         assert sim.n_peak == max(row.n for row in sim.trace().rows) > 0
-
-    def test_counting_run_reads_no_sensor(self):
-        cfg = quick_cfg(sensor_faults=(SensorFault("f_1", "noise", 60.0, sigma=5.0),))
-        sim = Simulator(cfg, record_rows=False)
-        state = sim._rng_noise.bit_generator.state
-        sim.run_to_end()
-        assert sim.trace().rows == ()
-        assert sim._rng_noise.bit_generator.state == state
 
 
 def bundled(name, **overrides):
@@ -632,14 +628,15 @@ def bundled(name, **overrides):
 
 
 def event_loop_trace(cfg, until=None):
-    """The event loop's counting trace, run to ``until`` or to the end."""
-    sim = Simulator(cfg, record_rows=False)
+    """The event loop's trace, run to ``until`` or to the end."""
+    sim = Simulator(cfg)
     sim.run_until(cfg.duration_s if until is None else until)
     return sim.trace()
 
 
-def hand_back(cfg):
-    raise recurrence.HandBack
+def counts_of(trace):
+    """The counts of a trace, as a model run returns them."""
+    return RunCounts(**{f.name: getattr(trace, f.name) for f in fields(RunCounts)})
 
 
 # one discharge per second puts every queued vehicle's exit on a whole
@@ -682,44 +679,31 @@ RECURRENCE_CASES = {
 
 class TestQueueRecurrence:
     """A run without rows is computed by queue recurrence, and gives the
-    event loop's counting trace field by field."""
+    event loop's counts field by field."""
 
-    def test_a_counting_run_is_the_event_loops(self, monkeypatch):
-        handed_back = []
+    def test_a_counting_run_is_the_event_loops(self):
         for name, make in RECURRENCE_CASES.items():
             cfg = make()
-            try:
-                recurrence.counting_run(cfg)
-            except recurrence.HandBack:
-                handed_back.append(name)
-            trace = simulate(cfg, record_rows=False)
-            expected = event_loop_trace(cfg)
-            for f in fields(SimTrace):
-                assert getattr(trace, f.name) == getattr(expected, f.name), (name, f.name)
-            assert type(trace.n_peak) is int
-            # a whole run keeps the vehicles still on the highway at its end
-            assert any(v.exit_time is None for v in trace.vehicles), name
-            with monkeypatch.context() as patched:
-                patched.setattr(recurrence, "counting_run", hand_back)
-                assert simulate(cfg, record_rows=False) == trace, name
-        assert handed_back == ["a pass scheduled on the sample instant before its exit"]
+            counts = simulate(cfg, record_rows=False)
+            assert counts == counts_of(event_loop_trace(cfg)), name
+            assert type(counts.n_peak) is int
+            # a whole run counts the vehicles still on the highway at its end
+            assert sum(counts.entered.values()) > sum(counts.exited.values()), name
 
     @pytest.mark.parametrize("path", ["recurrence", "event loop"])
     @pytest.mark.parametrize("minute", [1, 7, 19])
-    def test_a_stopped_run_returns_the_trace_so_far(self, monkeypatch, path, minute):
-        # a run that ends at `minute` is a longer run's event loop stopped then
-        if path == "event loop":
-            monkeypatch.setattr(recurrence, "counting_run", hand_back)
+    def test_a_stopped_run_returns_the_trace_so_far(self, path, minute):
+        # a run that ends at `minute` counts as a longer run's event loop stopped then
         cfg = quick_cfg(lambda_north=20.0, lambda_south=16.0, train_pass_time_s=110.0)
-        trace = simulate(replace(cfg, duration_min=float(minute)), record_rows=False)
-        assert trace == event_loop_trace(cfg, minute * 60.0)
-        assert trace.n_peak > 0
-        assert trace.rows == ()
+        stopped = event_loop_trace(cfg, minute * 60.0)
+        short = replace(cfg, duration_min=float(minute))
+        if path == "event loop":
+            assert simulate(short) == stopped
+        counts = simulate(short, record_rows=False)
+        assert counts == counts_of(stopped)
+        assert counts.n_peak > 0
         # vehicles that entered by then, some still on the highway
-        assert len(trace.vehicles) == sum(trace.entered.values()) > sum(trace.exited.values())
-        assert max(v.entry_time for v in trace.vehicles) <= minute * 60.0
-        assert any(v.exit_time is None for v in trace.vehicles)
-        assert all(v.exit_time is None or v.exit_time <= minute * 60.0 for v in trace.vehicles)
+        assert sum(counts.entered.values()) > sum(counts.exited.values())
 
     @pytest.mark.parametrize(
         "name", ["experiment1", "experiment2", "nfr_lowlight", "sensor_failure", "sensor_noise"]

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redapt.hrcs import RowView, ScenarioConfig, SensorFault, Simulator, simulate, trace_to_csv
+from redapt.hrcs import (
+    RowView, RunCounts, ScenarioConfig, SensorFault, Simulator, simulate, trace_to_csv,
+)
 from redapt.hrcs.simulator import _cell_formatter
 from redapt.hrcs.utilities import DomainError, eval_utilities
 
@@ -176,4 +178,5 @@ class TestRowView:
         assert len(early) == 3 and tuple(early) == tuple(sim.trace().rows)[:3]
 
     def test_a_model_run_records_no_rows(self):
-        assert simulate(self.CFG, record_rows=False).rows == ()
+        counts = simulate(self.CFG, record_rows=False)
+        assert type(counts) is RunCounts and not hasattr(counts, "rows")
