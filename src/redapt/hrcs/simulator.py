@@ -1,4 +1,4 @@
-"""Deterministic event-driven highway-rail crossing simulator.
+"""Deterministic highway-rail crossing simulator.
 
 Vehicles arrive from north and south as seeded Poisson streams, cross at
 free speed, and are held in a queue at the midpoint gate while trains pass.
@@ -13,22 +13,14 @@ The simulator exposes the probe interface (``now``, ``instances``,
 ``bind_instance``) consumed by the adaptation engine.
 
 One instant is described by one row: the value of every column in
-``Simulator.columns``.  A full run records every sample instant, which
-gauges each sensor once, by column (``SampleRecord``): one list for each
-quantity that varies, one shared tuple of the settings while they hold,
-and the gauges only while some sensor is failed or noisy.  The trace's
-rows are a view of that record (``RowView``), and ``snapshot()`` is the row
-recorded at the current clock without its ``time``, so the engine sees what
-``trace.csv`` records; a swap shows from the next sample on.
-
-As it goes, a run counts by direction the vehicles that ``entered``, those
-that ``exited`` and those that exited ``fast`` (in under
-``p_time_threshold_s``), and keeps the occupancy peak ``n_peak`` over the
-sample instants.  The rows' ``p`` columns and ``compute_metrics`` read these
-counts (``RunCounts``), which are all a model run returns.  The event loop
-keeps its vehicles in one store indexed by id, ids given in arrival order,
-and its trace returns no records but a view of that store
-(``VehicleView``), which ``vehicles.json`` is written from in id order.
+``Simulator.columns``.  A live run records every sample instant by column
+(``SampleRecord``); the trace's rows are a view of that record
+(``RowView``), and ``snapshot()`` is the row recorded at the current clock
+without its ``time``, so the engine sees what ``trace.csv`` records.  A run
+counts by direction the vehicles that ``entered``, ``exited`` and exited
+``fast`` (in under ``p_time_threshold_s``), and keeps the occupancy peak
+``n_peak`` over the sample instants: the counts (``RunCounts``) that the
+rows' ``p`` columns and ``compute_metrics`` read, all a model run returns.
 
 Every event has a key ``(time, clock, kind, id)``: the instant it runs at,
 the clock it was scheduled at (0 for those scheduled as the run starts),
@@ -40,29 +32,28 @@ otherwise.  Events run in the order of their keys.  So on one instant an
 event scheduled at an earlier clock runs first, and of those scheduled at
 one clock, the kind ranked first: ``ARRIVAL``, ``REACH``, ``DETECT``,
 ``CLOSE``, ``TRAIN_ARRIVAL``, ``TRAIN_CLEAR``, ``OPEN``, ``SERVICE``,
-``PROFILE``, ``FAULT``, ``SAMPLE``, ``EXIT``.  A sample counts as scheduled
-at the previous sample instant, the first at 0.  An effector acts between
-two calls of ``run_until``, so what it schedules on the current instant
-runs after every event that has run there.  The ranks are chosen so that
-in each tie the bundled scenarios, the soak runs and the tests' tie-prone
-runs hold, the event scheduled first runs first: a service before the
-sample on its instant, a sample before an exit scheduled at its clock, and
-the first detection before a profile step on its instant.  The queue
-recurrence (``recurrence.py``) applies the same order.
+``PROFILE``, ``FAULT``, ``SAMPLE``, ``EXIT``.  An arrival is scheduled at
+the one before it in its direction, a reach at its arrival, an exit at its
+pass of the gate, and a sample at the previous sample instant, the first
+at 0.  An effector acts between two calls of ``run_until``, so what it
+schedules on the current instant runs after every event that has run
+there.  The ranks are chosen so that in each tie the bundled scenarios, the
+soak runs and the tests' tie-prone runs hold, the event scheduled first
+runs first: a service before the sample on its instant, a sample before an
+exit scheduled at its clock, and the first detection before a profile step
+on its instant.  The queue recurrence (``recurrence.py``) applies this
+order, and the tests' event loop (``tests/reference_simulator.py``) runs it.
 
-Every event but the sample instants is a heap entry ``(time, clock, kind,
-id, handler, payload)``, and ``run_until`` pops one and calls
-``handler(self, *payload)``.  No two entries share a key, so a handler or a
-payload is never compared.  The simulator keeps the next sample instant as
-its key ``(time, clock, SAMPLE)``; ``run_until`` pops the entries that order
-before it and then takes the sample.  A handler is the class's plain
-function (``Simulator._on_exit``), not a bound method: a bound method would
-hold the simulator from its own heap, so a finished run, rows and vehicles
-included, would wait for the cyclic garbage collector instead of being freed
-when its last reference goes.  Each direction's arrival gaps come from that
-direction's own generator, drawn in blocks of ``_GAP_BLOCK`` and consumed in
-order; as the stream serves nothing else, the gaps are those that one draw
-per arrival would give.
+Only the rare events are heap entries ``(time, clock, kind, id, handler,
+payload)``: the train chain, the gate's closes and opens, profile steps and
+faults; the next sample instant's key ``(time, clock, SAMPLE)`` is kept
+beside the heap.  No two entries share a key, so a handler or a payload is
+never compared.  Each direction's vehicles are a lane
+(``recurrence.Lane``), which decides them by queue recurrence over the gate
+events that have run and counts them at each sample instant; the trace
+reads them in place (``VehicleView``).  A handler is the class's plain
+function, not a bound method, and a lane holds no reference to its
+simulator, so a finished run is freed without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -70,12 +61,15 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import numbers
 import operator
-from collections import deque, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from heapq import heappop, heappush
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator, Mapping, Optional, TextIO
 
 from ..engine import ContractViolationError, is_finite
@@ -104,6 +98,9 @@ _MAX_WINDOW_ARRIVALS = 1_000_000
 # also keeps the clock moving, as an interval this far above the duration's
 # precision always advances it
 _MAX_SAMPLE_INSTANTS = 1_000_000
+# the vehicles a run may expect, each kept by a live run and decided by the
+# recurrence; a 30-day soak at experiment-1 flows expects about 1.43 million
+_MAX_VEHICLES = 10_000_000
 _MAX_COUNTS = {"flow_sensor_count": 1_000, "lux_sensor_count": 1_000, "standby_per_slot": 100}
 
 # each sensor class's slot prefix and instance prefix
@@ -232,6 +229,9 @@ class ScenarioConfig:
             raise DomainError(
                 f"{arrivals:g} arrivals expected in the flow window exceed {_MAX_WINDOW_ARRIVALS}"
             )
+        vehicles = (self.lambda_north + self.lambda_south) / 60.0 * self.duration_s
+        if vehicles > _MAX_VEHICLES:
+            raise DomainError(f"{vehicles:g} vehicles expected over the run exceed {_MAX_VEHICLES}")
         closed = self.warn_lead_time_s - self.t_close_s + self.train_pass_time_s + self.t_open_s
         if closed <= 0:
             raise DomainError("gate closure interval is empty; check warn lead and close delay")
@@ -280,38 +280,41 @@ VehicleRecord = namedtuple("VehicleRecord", "entry_time exit_time direction")
 
 
 class VehicleView(Sequence):
-    """A run's vehicles, read in place from the simulator's per-id lists:
-    a read-only sequence of ``VehicleRecord``, in id (arrival) order, whose
-    length is the number of vehicles when the view was made.  It equals
-    another view holding the same records."""
+    """A run's vehicles, read in place from its lanes: a read-only sequence
+    of ``VehicleRecord`` in id (arrival) order, as many as when the view was
+    made.  A lane holds one direction's entry and exit times and how many of
+    its first have exited (it is first in, first out); ``order`` holds each
+    vehicle's lane by id.  It equals another view holding the same records."""
 
-    __slots__ = ("_entries", "_exits", "_directions", "_n")
+    __slots__ = ("_lanes", "_order", "_n")
 
-    def __init__(self, entries: list, exits: list, directions: list):
-        self._entries, self._exits, self._directions = entries, exits, directions
-        self._n = len(entries)
+    def __init__(self, lanes: Sequence[tuple[Sequence, Sequence, int]], order: bytes, n: int):
+        self._lanes, self._order, self._n = tuple(lanes), order, n
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, index: int) -> VehicleRecord:
         i = range(self._n)[index]
-        return VehicleRecord(self._entries[i], self._exits[i], self._directions[i])
+        lane = self._order[i]
+        k = self._order.count(lane, 0, i)  # its place in its lane
+        entries, exits, exited = self._lanes[lane]
+        return VehicleRecord(entries[k], exits[k] if k < exited else None, DIRECTIONS[lane])
 
     def __iter__(self) -> Iterator[VehicleRecord]:
-        return map(VehicleRecord, *self.columns())
+        return itertools.starmap(VehicleRecord, self.tuples())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VehicleView):
             return NotImplemented
-        return self.columns() == other.columns()
+        return self._n == other._n and all(map(operator.eq, self.tuples(), other.tuples()))
 
-    def columns(self) -> tuple[Sequence, Sequence, Sequence]:
-        """The entry times, exit times and directions by id, each of the
-        view's length: the store's own lists once nothing has been added."""
-        n = self._n
-        return tuple(c if len(c) == n else c[:n]
-                     for c in (self._entries, self._exits, self._directions))
+    def tuples(self) -> Iterator[tuple]:
+        """Each vehicle's entry time, exit time and direction, in id order,
+        taken from the lanes in the order ``order`` gives."""
+        lanes = [zip(entries, chain(islice(exits, exited), repeat(None)), repeat(direction))
+                 for (entries, exits, exited), direction in zip(self._lanes, DIRECTIONS)]
+        return map(next, map(lanes.__getitem__, islice(self._order, self._n)))
 
 
 class SampleRecord:
@@ -413,13 +416,7 @@ class Metrics:
     mean_f_south: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "p_north": self.p_north,
-            "p_south": self.p_south,
-            "n_peak": self.n_peak,
-            "mean_f_north": self.mean_f_north,
-            "mean_f_south": self.mean_f_south,
-        }
+        return asdict(self)
 
 
 def fast_share(fast: int, exited: int) -> float:
@@ -470,68 +467,44 @@ class _SensorState:
 
 
 class Simulator:
-    """One crossing, advanced up to a requested time by an event heap and
-    the next sample instant, which ``run_until`` takes in its place among
-    the heap's events.
-
-    Every sample instant updates ``n_peak`` and is recorded in the run's
-    ``SampleRecord``, what varies appended to one list each, and
-    ``sampled_at`` is the last one taken.  The settings tuple is made again
-    at the first sample after ``_on_profile`` or ``set_parameter`` changes
-    one of its inputs, and the gauges are read only while some sensor is
-    failed or noisy.  The trace returns the per-id vehicle store as a
-    ``VehicleView``, not as records.  Every live run is one of these; a
-    model run is not (``simulate``).
-
-    Each direction's queue keeps one invariant, which the recurrence relies
-    on: while the gate is open and the queue holds a vehicle, one service is
-    pending.  The gate's open pushes a service for a queue that holds one,
-    and a service pushes the next while the queue still does.  A vehicle
-    that reaches the open gate with nobody waiting passes at once, so one
-    that joins the queue while the gate is open finds a service pending.
-    """
+    """One crossing, advanced up to a requested time: ``run_until`` runs
+    the heap's events in key order, and before each, and at the end of the
+    step, takes at once the sample instants that order before it.  Each
+    updates ``n_peak``, and ``sampled_at`` is the last one taken.  The
+    settings tuple is made again at the first sample after an input
+    changes, and the gauges are read only while some sensor is failed or
+    noisy.  ``entered``, ``exited``, ``fast`` and ``occupancy()`` are the
+    lanes' counts, brought to the end of the last step when read.  Every
+    live run is one of these; a model run is not (``simulate``)."""
 
     def __init__(self, cfg: ScenarioConfig):
         cfg.validate()
+        from .recurrence import Lane  # numpy, which `check` and `verify` never load
+
         self.cfg = cfg
         self.clock = 0.0
         self._heap: list[tuple] = []  # (time, clock, kind, id, handler, payload)
-        # read on every event of their kind, so computed once
         self._duration_s = cfg.duration_s
-        self._half_travel_s = (cfg.highway_length_m / 2.0) / cfg.free_speed_ms
-        self._service_gap_s = 1.0 / cfg.discharge_rate
         self._sample_interval_s = cfg.sample_interval_s
-        self._p_threshold_s = cfg.p_time_threshold_s
         self._flow_window_s = cfg.flow_window_s
 
         north, south, self._rng_noise = random_streams(cfg.seed)
-        self._rng_arrivals = {NORTH: north, SOUTH: south}
-        # mean gap of each direction that has arrivals, and its undrawn gaps,
-        # last first
-        rates = {NORTH: cfg.lambda_north / 60.0, SOUTH: cfg.lambda_south / 60.0}
-        self._gap_scale = {d: 1.0 / rate for d, rate in rates.items() if rate > 0}
-        self._gaps: dict[str, list[float]] = {d: [] for d in self._gap_scale}
-
+        half_travel_s = (cfg.highway_length_m / 2.0) / cfg.free_speed_ms
+        self._lanes = tuple(  # in the order of DIRECTIONS
+            Lane(rng, rate / 60.0, half_travel_s, 1.0 / cfg.discharge_rate, cfg.p_time_threshold_s)
+            for rng, rate in ((north, cfg.lambda_north), (south, cfg.lambda_south))
+        )
+        # the gate events that have run, as ``recurrence.passes`` reads them
+        self._gate: tuple[list[float], list[float]] = ([math.inf] * 2, [math.inf] * 2)
         self.gate_open = True
-        self._service_version = {d: 0 for d in DIRECTIONS}
-        self._queues: dict[str, deque[int]] = {d: deque() for d in DIRECTIONS}
-        # by vehicle id: entry time, exit time (None while on the highway), direction
-        self._entries: list[float] = []
-        self._exits: list[Optional[float]] = []
-        self._directions: list[str] = []
-        self.entered = {d: 0 for d in DIRECTIONS}
-        self.exited = {d: 0 for d in DIRECTIONS}
-        self.fast = {d: 0 for d in DIRECTIONS}
-        self._occupancy = 0  # vehicles entered and not exited
+        self._step_end: Optional[tuple] = None  # every event before it has run
+        self._order = bytearray()  # each vehicle's lane by id, as far as merged
+        self._merged = (0, 0)
         # flow sensors average over a trailing window; seed it at the steady
         # arrival rate so gauges start saturated instead of ramping up
-        self._entry_window: deque[float] = deque()
         rate = (cfg.lambda_north + cfg.lambda_south) / 60.0
-        if rate > 0:
-            count = int(rate * cfg.flow_window_s)
-            self._entry_window.extend(
-                -(count - i) / rate for i in range(count)
-            )
+        count = int(rate * cfg.flow_window_s) if rate > 0 else 0
+        self._prefill = [-(count - i) / rate for i in range(count)]
 
         self.t_dispatch_min = cfg.t_dispatch_min
         self.t_close_s = cfg.t_close_s
@@ -550,10 +523,6 @@ class Simulator:
             for class_name, slot, index in names.slots()
         )
         self._slot_index = {sensor.slot: i for i, sensor in enumerate(self._sensors)}
-        self._class_slots = tuple(
-            tuple(s.slot for s in self._sensors if s.class_name == class_name)
-            for class_name in (FLOW_CLASS, LUX_CLASS)
-        )
         # no sensor failed or noisy: every gauge reads the truth, no noise drawn
         self._all_healthy = True
 
@@ -561,16 +530,9 @@ class Simulator:
         self._record = SampleRecord(cfg.flow_sensor_count, cfg.lux_sensor_count)
         # the settings the next sample records; None once an input changed
         self._settings: Optional[tuple] = None
-        # the settings tuple of the last snapshot, and a snapshot holding
-        # them, which the next snapshot under them copies and writes over
-        self._snapshot_settings: Optional[tuple] = None
-        self._snapshot_base: dict[str, object] = {}
         self.n_peak = 0
         self.sampled_at: Optional[float] = None
 
-        for direction in self._gap_scale:  # a direction without arrivals schedules none
-            self._push(self._next_gap(direction), ARRIVAL, direction,
-                       Simulator._on_arrival, (direction,))
         self._schedule_train(self.t_dispatch_min * 60.0)
         for i, (t, lux) in enumerate(cfg.illuminance_profile[1:]):
             self._push(t, PROFILE, i, Simulator._on_profile, (lux,))
@@ -584,95 +546,72 @@ class Simulator:
         heappush(self._heap, (time, self.clock, kind, ident, handler, payload))
 
     def run_until(self, t_end: float) -> None:
-        t_end = min(t_end, self._duration_s)
-        heap, pop = self._heap, heappop
-        sample_at = self._sample_at
-        while sample_at[0] <= t_end:
+        end = (min(t_end, self._duration_s), math.inf)  # after every event on its instant
+        heap = self._heap
+        while True:
             # no entry shares a sample's kind, so its first three fields decide
-            while heap and heap[0] < sample_at:
-                time, _, _, _, handler, payload = pop(heap)
-                self.clock = time
-                handler(self, *payload)
-            self.clock = self.sampled_at = time = sample_at[0]
-            n = self._occupancy
-            if n > self.n_peak:
-                self.n_peak = n
-            self._record_sample(time)
-            after = time + self._sample_interval_s
-            sample_at = (after, time, SAMPLE) if after <= self._duration_s else _NO_SAMPLE
-            self._sample_at = sample_at
-        while heap and heap[0][0] <= t_end:
-            time, _, _, _, handler, payload = pop(heap)
+            bound = heap[0] if heap and heap[0] < end else end
+            if self._sample_at < bound:
+                self._take_samples(bound)
+            if bound is end:
+                break
+            time, _, _, _, handler, payload = heappop(heap)
             self.clock = time
             handler(self, *payload)
-        self.clock = max(self.clock, t_end)
+        self._step_end = end
+        self.clock = max(self.clock, end[0])
 
     def run_to_end(self) -> None:
         self.run_until(self._duration_s)
 
-    # -- handlers ------------------------------------------------------------
-    # ``run_until`` never pops an event past the end of the run, so no
-    # handler runs after it
+    def _take_samples(self, bound: tuple) -> None:
+        """Record every sample instant that orders before ``bound``, the
+        next event to run or the end of the step: the gate, the settings and
+        the sensors hold for all of them, and each lane counts at each."""
+        settings = self._settings
+        if settings is None:
+            # a rejected timing raises here, every step until it changes,
+            # and before anything of the samples is recorded
+            u = self.utilities()
+            settings = self._settings = (
+                self.illuminance, self.t_dispatch_min, self.t_close_s, self.t_open_s,
+                u.u_e, u.u_safety, u.u_pass,
+            )
+        interval, duration_s, window_s = self._sample_interval_s, self._duration_s, self._flow_window_s
+        times, clocks = [], []  # a sample counts as scheduled at the one before it
+        sample = self._sample_at
+        while sample < bound:
+            time = sample[0]
+            times.append(time)
+            clocks.append(sample[1])
+            after = time + interval
+            sample = (after, time, SAMPLE) if after <= duration_s else _NO_SAMPLE
+        self._sample_at = sample
+        (present_n, held_n, p_north), (present_s, held_s, p_south) = [
+            lane.advance(self._gate, bound, times, clocks, window_s) for lane in self._lanes
+        ]
+        occupancy = list(map(operator.add, present_n, present_s))
+        held = map(operator.add, held_n, held_s)  # entered within the flow window
+        prefill = self._prefill
+        if prefill:
+            held = [n + len(prefill) - bisect_left(prefill, t - window_s) for n, t in zip(held, times)]
+            if times[-1] - window_s > prefill[-1]:
+                self._prefill = []  # the window has left them behind
+        flows = [n * 60.0 / window_s for n in held]
 
-    def _next_gap(self, direction: str) -> float:
-        gaps = self._gaps[direction]
-        if not gaps:
-            block = self._rng_arrivals[direction].exponential(
-                self._gap_scale[direction], _GAP_BLOCK
-            ).tolist()
-            block.reverse()
-            gaps.extend(block)
-        return gaps.pop()
+        record, m = self._record, len(times)
+        record.time += times
+        record.n += occupancy
+        record.gate_open += repeat(self.gate_open, m)
+        record.flow += flows
+        record.p_north += p_north
+        record.p_south += p_south
+        record.settings += repeat(settings, m)
+        record.gauges += repeat(None, m) if self._all_healthy else map(self._gauges, flows)
+        self.n_peak = max(self.n_peak, max(occupancy))
+        self.clock = self.sampled_at = times[-1]
 
-    # nearly every event is one of the three below, so they push their
-    # successors with ``heappush`` itself rather than through ``_push``
-
-    def _on_arrival(self, direction: str) -> None:
-        clock = self.clock
-        vehicle = len(self._entries)
-        self._entries.append(clock)
-        self._exits.append(None)
-        self._directions.append(direction)
-        self.entered[direction] += 1
-        self._occupancy += 1
-        self._entry_window.append(clock)
-        heap = self._heap
-        heappush(heap, (clock + self._half_travel_s, clock, REACH, vehicle,
-                        Simulator._on_reach_gate, (vehicle, direction)))
-        gaps = self._gaps[direction]
-        gap = gaps.pop() if gaps else self._next_gap(direction)
-        heappush(heap, (clock + gap, clock, ARRIVAL, direction, Simulator._on_arrival, (direction,)))
-
-    def _on_reach_gate(self, vehicle: int, direction: str) -> None:
-        queue = self._queues[direction]
-        if self.gate_open and not queue:
-            clock = self.clock
-            heappush(self._heap, (clock + self._half_travel_s, clock, EXIT, vehicle,
-                                  Simulator._on_exit, (vehicle,)))
-            return
-        queue.append(vehicle)
-
-    def _on_service(self, direction: str, version: int) -> None:
-        if not self.gate_open or version != self._service_version[direction]:
-            return
-        queue = self._queues[direction]
-        if not queue:
-            return
-        vehicle = queue.popleft()
-        clock, heap = self.clock, self._heap
-        heappush(heap, (clock + self._half_travel_s, clock, EXIT, vehicle,
-                        Simulator._on_exit, (vehicle,)))
-        if queue:
-            heappush(heap, (clock + self._service_gap_s, clock, SERVICE, direction,
-                            Simulator._on_service, (direction, version)))
-
-    def _on_exit(self, vehicle: int) -> None:
-        direction = self._directions[vehicle]
-        clock = self._exits[vehicle] = self.clock
-        self.exited[direction] += 1
-        self._occupancy -= 1
-        if clock - self._entries[vehicle] < self._p_threshold_s:
-            self.fast[direction] += 1
+    # -- the train chain and the gate --------------------------------------
 
     def _schedule_train(self, arrival: float) -> None:
         arrival = max(arrival, self.clock)
@@ -690,7 +629,7 @@ class Simulator:
         # gate timings are captured at detection for the whole cycle; the
         # physical close/pass/open chain runs regardless of rescheduling
         self._pending_detected = True
-        self._push(self.clock + self.t_close_s, CLOSE, 0, Simulator._on_gate_close, ())
+        self._push(self.clock + self.t_close_s, CLOSE, 0, Simulator._on_gate_close, (self.clock,))
         self._push(arrival, TRAIN_ARRIVAL, version, Simulator._on_train_arrive, (version, arrival))
         self._push(arrival + self.cfg.train_pass_time_s, TRAIN_CLEAR, 0,
                    Simulator._on_train_clear, (self.t_open_s,))
@@ -702,20 +641,27 @@ class Simulator:
         self._schedule_train(arrival + self.t_dispatch_min * 60.0)
 
     def _on_train_clear(self, t_open: float) -> None:
-        self._push(self.clock + t_open, OPEN, 0, Simulator._on_gate_open, ())
+        self._push(self.clock + t_open, OPEN, 0, Simulator._on_gate_open, (self.clock,))
 
-    def _on_gate_close(self) -> None:
-        self.gate_open = False
-        for d in DIRECTIONS:
-            self._service_version[d] += 1
+    # the lanes read closes and opens alternating: a close of a closed gate
+    # changes nothing, and an open of an open gate voids the pending service
+    # and starts the chain again, as a close and an open on its key would
 
-    def _on_gate_open(self) -> None:
+    def _on_gate_close(self, scheduled: float) -> None:
+        if self.gate_open:
+            self.gate_open = False
+            self._gate_ran(scheduled)
+
+    def _on_gate_open(self, scheduled: float) -> None:
+        if self.gate_open:
+            self._gate_ran(scheduled)
         self.gate_open = True
-        for d in DIRECTIONS:
-            self._service_version[d] += 1
-            if self._queues[d]:
-                self._push(self.clock + self._service_gap_s, SERVICE, d,
-                           Simulator._on_service, (d, self._service_version[d]))
+        self._gate_ran(scheduled)
+
+    def _gate_ran(self, scheduled: float) -> None:
+        times, clocks = self._gate
+        times.insert(-2, self.clock)  # before the two events that never come
+        clocks.insert(-2, scheduled)
 
     def _on_profile(self, lux: float) -> None:
         self.illuminance = lux
@@ -735,32 +681,61 @@ class Simulator:
 
     # -- derived state -------------------------------------------------------
 
+    def _settled(self) -> tuple:
+        """The lanes, their counts brought to the end of the last step."""
+        end = self._step_end
+        if end is not None:
+            for lane in self._lanes:
+                lane.advance(self._gate, end, [end[0]], [math.inf], self._flow_window_s)
+            self._step_end = None
+        return self._lanes
+
+    def _by_direction(self, count: str) -> dict[str, int]:
+        return {d: getattr(lane, count) for d, lane in zip(DIRECTIONS, self._settled())}
+
+    entered = property(lambda self: self._by_direction("entered"))
+    exited = property(lambda self: self._by_direction("exited"))
+    fast = property(lambda self: self._by_direction("fast"))  # exited in under p_time_threshold_s
+
+    def occupancy(self) -> int:
+        return sum(lane.entered - lane.exited for lane in self._settled())
+
+    def _merge_arrivals(self) -> int:
+        """Extend the lane of each vehicle by id to every one that has
+        entered, and return their number."""
+        import numpy as np  # loaded with the lanes' generators
+
+        (north, south), (i, j) = self._settled(), self._merged
+        a = np.frombuffer(north.entries, count=north.entered)
+        b = np.frombuffer(south.entries, count=south.entered)
+        ahead = np.searchsorted(b, a[i:], "left")  # southern arrivals before each northern
+        for k in np.flatnonzero(np.searchsorted(b, a[i:], "right") > ahead).tolist():
+            # on one instant the one scheduled first (at the arrival before it
+            # in its lane, the first at 0) runs first, the northern on one key
+            clock = a[i + k - 1] if i + k else 0.0
+            while ahead[k] < len(b) and b[ahead[k]] == a[i + k] and (
+                    b[ahead[k] - 1] if ahead[k] else 0.0) < clock:
+                ahead[k] += 1
+        merged = np.ones(len(a) + len(b) - i - j, np.uint8)
+        merged[ahead - j + np.arange(len(a) - i)] = 0
+        del a, b  # a view of a lane's list would stop it growing
+        self._order += merged.tobytes()
+        self._merged = (north.entered, south.entered)
+        return len(self._order)
+
     def _sensor(self, slot: str) -> _SensorState:
         if slot not in self._slot_index:
             raise UnknownSensorError(slot)
         return self._sensors[self._slot_index[slot]]
 
-    def occupancy(self) -> int:
-        return self._occupancy
-
-    def flow_per_min(self) -> float:
-        horizon = self.clock - self._flow_window_s
-        window = self._entry_window
-        while window and window[0] < horizon:
-            window.popleft()
-        return len(window) * 60.0 / self._flow_window_s
-
-    def percentage_fast(self, direction: str) -> float:
-        return fast_share(self.fast[direction], self.exited[direction])
-
     def utilities(self):
         return eval_utilities(self.t_close_s, self.t_open_s, self.illuminance)
 
-    def _gauges(self) -> tuple[Optional[float], ...]:
-        """What every sensor reads now, failed ones ``None``: flows before
-        lux, each in slot order, which is the order of the noise draws."""
-        flow, lux = self.flow_per_min(), self.illuminance
-        gauge = self._gauge
+    def _gauges(self, flow: float) -> tuple[Optional[float], ...]:
+        """What every sensor reads when the flow is ``flow``, failed ones
+        ``None``: flows before lux, each in slot order, which is the order
+        of the noise draws."""
+        lux, gauge = self.illuminance, self._gauge
         return tuple([
             gauge(sensor, flow if sensor.class_name == FLOW_CLASS else lux)
             for sensor in self._sensors
@@ -773,27 +748,6 @@ class Simulator:
         if sensor.noise_sigma > 0:
             return truth + float(self._rng_noise.normal(0.0, sensor.noise_sigma))
         return truth
-
-    def _record_sample(self, time: float) -> None:
-        """Record the sample at ``time``, the current clock."""
-        settings = self._settings
-        if settings is None:
-            # a rejected timing raises here, every sample until it changes,
-            # and before anything of the sample is recorded
-            u = self.utilities()
-            settings = self._settings = (
-                self.illuminance, self.t_dispatch_min, self.t_close_s, self.t_open_s,
-                u.u_e, u.u_safety, u.u_pass,
-            )
-        record = self._record
-        record.time.append(time)
-        record.n.append(self._occupancy)
-        record.gate_open.append(self.gate_open)
-        record.flow.append(self.flow_per_min())
-        record.p_north.append(self.percentage_fast(NORTH))
-        record.p_south.append(self.percentage_fast(SOUTH))
-        record.settings.append(settings)
-        record.gauges.append(None if self._all_healthy else self._gauges())
 
     # -- probe interface -------------------------------------------------------
 
@@ -808,28 +762,7 @@ class Simulator:
         record = self._record
         if not record.time or record.time[-1] != self.clock:
             raise ContractViolationError(f"the simulator recorded no row at {self.clock!r} s")
-        settings = record.settings[-1]
-        if settings is not self._snapshot_settings:
-            self._snapshot_base = dict(zip(self.columns[1:], record.values(-1)))
-            self._snapshot_settings = settings
-        # every value but ``E`` and the settings', which the copy holds
-        values = self._snapshot_base.copy()
-        values["n"] = record.n[-1]
-        values["gate"] = "open" if record.gate_open[-1] else "closed"
-        values["F"] = flow = record.flow[-1]
-        gauges = record.gauges[-1]
-        if gauges is None:
-            flow_slots, lux_slots = self._class_slots
-            for slot in flow_slots:
-                values[slot] = flow
-            for slot in lux_slots:
-                values[slot] = settings[0]
-        else:
-            values.update(zip(self._slot_index, gauges))  # its keys are the slots in order
-        values["p_north"] = north = record.p_north[-1]
-        values["p_south"] = south = record.p_south[-1]
-        values["p"] = min(north, south)
-        return values
+        return dict(zip(self.columns[1:], record.values(-1)))
 
     def parameters(self) -> dict[str, float]:
         """The current value of each parameter ``set_parameter`` accepts."""
@@ -877,28 +810,24 @@ class Simulator:
     # -- trace export ------------------------------------------------------------
 
     def trace(self) -> SimTrace:
-        # entries and directions are only appended to, and no vehicle exits
-        # once the run has ended, so a finished run's view reads the store
-        # itself; one taken earlier copies the exit times, as vehicles on
-        # the highway have yet to exit
-        exits = self._exits if self.clock >= self._duration_s else self._exits[:]
+        n = self._merge_arrivals()  # a view reads the lanes, only appended to, in place
         return SimTrace(
             rows=RowView(self._record, self.columns),
-            vehicles=VehicleView(self._entries, exits, self._directions),
+            vehicles=VehicleView([(lane.entries, lane.exits, lane.exited) for lane in self._lanes],
+                                 self._order, n),
             columns=self.columns,
             n_peak=self.n_peak,
-            entered=dict(self.entered),
-            exited=dict(self.exited),
-            fast=dict(self.fast),
+            entered=self.entered,
+            exited=self.exited,
+            fast=self.fast,
         )
 
 
 def simulate(cfg: ScenarioConfig, *, record_rows: bool = True) -> SimTrace | RunCounts:
-    """Run one scenario start to finish without an adaptation engine: by
-    the event loop, which returns the whole ``SimTrace``, or, with
-    ``record_rows=False`` (a model run), by queue recurrence
-    (``recurrence.counting_run``), which returns only the event loop's
-    ``RunCounts``."""
+    """Run one scenario start to finish without an adaptation engine: as a
+    live run, which returns the whole ``SimTrace``, or, with
+    ``record_rows=False`` (a model run), by ``recurrence.counting_run``,
+    which returns only its ``RunCounts``."""
     if not record_rows:
         from .recurrence import counting_run
 
@@ -1002,10 +931,9 @@ def _nine_digits(value: float) -> str:
 
 def _vehicle_records(vehicles: VehicleView) -> Iterator[str]:
     """Each record of ``vehicles.json`` with the separator before it."""
-    entries, exits, directions = vehicles.columns()
-    quoted = {d: json.dumps(d) for d in set(directions)}
+    quoted = {d: json.dumps(d) for d in DIRECTIONS}
     separator = "\n"
-    for entry_time, exit_time, direction in zip(entries, exits, directions):
+    for entry_time, exit_time, direction in vehicles.tuples():
         yield (
             f'{separator}    {{\n'
             f'      "entry_time": {_nine_digits(entry_time)},\n'

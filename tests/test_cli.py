@@ -521,6 +521,23 @@ class TestRun:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_scenario_expecting_too_many_vehicles_exits_one(self, tmp_path, spec_path):
+        # about 3.3e10 vehicles, which would take days to run; the timeout
+        # fails the test should the run start
+        scenario = tmp_path / "scenario.json"
+        base = json.loads(redapt.data_path("experiment1.json").read_text())
+        scenario.write_text(json.dumps({**base, "duration_min": 1e9, "sample_interval_s": 1e6}))
+        env = dict(os.environ, PYTHONPATH=str(Path(redapt.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "redapt.cli", "run", "--spec", spec_path,
+             "--scenario", str(scenario), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ") and "vehicles expected" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_bad_seed_exits_one_without_traceback(self, tmp_path, spec_path, scenario_path):
         done = run_process("run", "--spec", spec_path, "--scenario", scenario_path,
                            "--out", str(tmp_path / "o"), "--seed", "-1")

@@ -31,8 +31,10 @@ from redapt.hrcs import (
     vehicles_to_json,
 )
 from redapt.hrcs import recurrence
-from redapt.hrcs.simulator import _MAX_SAMPLE_INSTANTS, _nine_digits
+from redapt.hrcs.simulator import _MAX_SAMPLE_INSTANTS, _MAX_VEHICLES, _nine_digits
 from redapt.hrcs.utilities import DomainError
+
+import reference_simulator
 
 
 def quick_cfg(**overrides):
@@ -69,7 +71,7 @@ class TestBasics:
         sim.run_to_end()
         entered = sum(sim.entered.values())
         exited = sum(sim.exited.values())
-        assert entered == exited + sim._exits.count(None)
+        assert entered == exited + sum(v.exit_time is None for v in sim.trace().vehicles)
         assert all(row.n >= 0 for row in sim.trace().rows)
         assert sim.trace().rows[-1].n == entered - exited
 
@@ -164,6 +166,43 @@ class TestBasics:
         assert 14_400 < _MAX_SAMPLE_INSTANTS / 50
 
 
+    @pytest.mark.parametrize("rates, duration_min, admitted", [
+        # 60 vehicles a minute, one a second, for 10,000,000 s: the bound itself
+        ((30.0, 30.0), 1e7 / 60, True),
+        ((30.0, 30.0), math.nextafter(1e7 / 60, math.inf), False),
+        # about 3.3e10 vehicles at 15 and 18 a minute, which would take days to run
+        ((15.0, 18.0), 1e9, False),
+    ])
+    def test_expected_vehicles_are_bounded(self, rates, duration_min, admitted):
+        # only validated: a run is never started on these
+        doc = {"lambda_north": rates[0], "lambda_south": rates[1], "duration_min": duration_min,
+               "sample_interval_s": 1e6}
+        if admitted:
+            assert ScenarioConfig.from_dict(doc).duration_s == _MAX_VEHICLES
+            return
+        with pytest.raises(DomainError, match="vehicles expected over the run"):
+            ScenarioConfig.from_dict(doc)
+
+    def test_bundled_and_soak_scenarios_stay_far_below_the_vehicle_bound(self):
+        import redapt
+        from test_golden_artifacts import SOAK, load_workloads
+
+        workloads = load_workloads()
+        docs = [json.loads(redapt.data_path(f"{name}.json").read_text())
+                for name in ("experiment1", "experiment2", "nfr_lowlight", "sensor_failure",
+                             "sensor_noise")]
+        docs += [workloads.soak_scenario(seed, 48) for seed in sorted(SOAK)]
+        docs.append(workloads.recording_scenario(1))
+        month = ScenarioConfig.from_dict(workloads.soak_scenario(1, 30 * 24))
+
+        def expected(cfg):
+            return (cfg.lambda_north + cfg.lambda_south) / 60.0 * cfg.duration_s
+
+        assert max(expected(ScenarioConfig.from_dict(doc)) for doc in docs) < 100_000
+        assert expected(month) == pytest.approx(1.43e6, rel=0.01)
+        assert expected(month) < _MAX_VEHICLES / 5
+
+
 class TestSensorNames:
     def test_a_slot_is_filled_exactly_when_it_is_listed(self):
         names = quick_cfg(flow_sensor_count=12, lux_sensor_count=0).sensor_names()
@@ -235,21 +274,22 @@ class TestEventLoop:
         ))
         sim = Simulator(cfg)
 
-        def one_by_one():
-            flow = sim.flow_per_min()
+        def one_by_one(flow):
             return tuple(
                 sim._gauge(s, flow if s.class_name == FLOW_CLASS else sim.illuminance)
                 for s in sim._sensors
             )
 
         sim.run_until(50.0)
-        assert sim._gauges() == one_by_one() and None not in sim._gauges()
+        flow = sim.snapshot()["F"]
+        assert sim._gauges(flow) == one_by_one(flow) and None not in sim._gauges(flow)
         sim.run_until(200.0)
-        assert sim._gauges() == one_by_one() and sim._gauges().count(None) == 2
+        flow = sim.snapshot()["F"]
+        assert sim._gauges(flow) == one_by_one(flow) and sim._gauges(flow).count(None) == 2
         sim.bind_instance("f_2", "ir_12")
-        assert sim._gauges() == one_by_one() and sim._gauges().count(None) == 1
+        assert sim._gauges(flow) == one_by_one(flow) and sim._gauges(flow).count(None) == 1
         sim.bind_instance("e_1", "lux_11")
-        assert sim._gauges() == one_by_one() and None not in sim._gauges()
+        assert sim._gauges(flow) == one_by_one(flow) and None not in sim._gauges(flow)
         assert sim._all_healthy  # every sensor healed: gauged without a per-sensor pass
 
     @pytest.mark.parametrize("interval, trace_sha256, n_peak", [
@@ -500,9 +540,10 @@ def _closure_starts(trace):
 
 
 def view_of(*records):
-    """A view over three lists holding ``records``, in the order given."""
-    return VehicleView([v.entry_time for v in records], [v.exit_time for v in records],
-                       [v.direction for v in records])
+    """A view holding ``records``, in the order given."""
+    return reference_simulator.view_of([v.entry_time for v in records],
+                                       [v.exit_time for v in records],
+                                       [v.direction for v in records])
 
 
 def counted_trace(entered=(0, 0), exited=(0, 0), fast=(0, 0), n_peak=0, vehicles=()):
@@ -628,8 +669,8 @@ def bundled(name, **overrides):
 
 
 def event_loop_trace(cfg, until=None):
-    """The event loop's trace, run to ``until`` or to the end."""
-    sim = Simulator(cfg)
+    """The reference event loop's trace, run to ``until`` or to the end."""
+    sim = reference_simulator.Simulator(cfg)
     sim.run_until(cfg.duration_s if until is None else until)
     return sim.trace()
 
@@ -679,7 +720,8 @@ RECURRENCE_CASES = {
 
 class TestQueueRecurrence:
     """A run without rows is computed by queue recurrence, and gives the
-    event loop's counts field by field."""
+    reference event loop's counts field by field; a live run gives its
+    whole trace."""
 
     def test_a_counting_run_is_the_event_loops(self):
         for name, make in RECURRENCE_CASES.items():
@@ -719,7 +761,8 @@ class TestQueueRecurrence:
         # is timed in the dark, the rest in the light
         assert times[:6] == [292.0, 336.0, 594.0, 634.0, 894.0, 934.0]
         assert scheduled[:6] == [290.0, 330.0, 590.0, 630.0, 890.0, 930.0]
-        assert len(times) == 2 * 8  # the detection at 2,390 s is within the 40 minutes
+        # the detection at 2,390 s is within the 40 minutes; two events that never come end them
+        assert len(times) == 2 * 8 + 2 and times[-2:] == scheduled[-2:] == [math.inf] * 2
 
 
 class TestVehiclesJson:
@@ -815,7 +858,7 @@ class TestVehiclesJsonOrder:
 
     def test_equal_entry_times_keep_id_order(self):
         # ids 1 to 4 enter at once, from both directions
-        trace = replace(counted_trace(), vehicles=VehicleView(
+        trace = replace(counted_trace(), vehicles=reference_simulator.view_of(
             [1.0, 2.5, 2.5, 2.5, 2.5, 4.0],
             [10.0, 11.0, 12.0, 13.0, None, 14.0],
             [NORTH, SOUTH, NORTH, SOUTH, NORTH, SOUTH],
