@@ -105,10 +105,9 @@ def passes(entries, half_travel_s: float, service_gap_s: float,
     at, both ending in two events that never come."""
     inf = math.inf
     times, scheduled = gate
-    # the gate events run before the vehicle reaches the gate; the next close
-    # that can break the service chain; the previous vehicle's pass, and the
-    # clock and kind of that event: a reach at its arrival if it passed as it
-    # reached the gate, else a service at the pass or open before it
+    # the gate events run before the vehicle's reach; the next close that can
+    # break the service chain; the previous pass, and its event's clock and
+    # kind: a reach at its arrival, or a service at the pass or open before it
     k, c, last, last_scheduled, last_kind = queue
     until_time, until_rest = until[0], tuple(until[1:3])
     out: list[float] = []
@@ -155,6 +154,7 @@ class Lane:
     __slots__ = ("entries", "passes", "exits", "entered", "exited", "fast", "before_window",
                  "_queue", "_draw", "_half_travel_s", "_service_gap_s", "_p_threshold_s")
 
+    @np.errstate(over="ignore")  # an arrival past the float range never comes
     def __init__(self, rng, rate: float, half_travel_s: float, service_gap_s: float,
                  p_threshold_s: float):
         self.entries, self.passes = array("d"), array("d")
@@ -169,11 +169,11 @@ class Lane:
         self.entries.extend(np.cumsum(self._draw()).tolist() if self._draw else [math.inf])
 
     def draw(self, until: float) -> None:
-        """Draw arrivals until one comes after ``until``, each gap added to
-        the arrival before it."""
+        """Draw arrivals, each gap added to the last, until one is after ``until``."""
         entries = self.entries
         while entries[-1] <= until:
-            entries.frombytes(np.cumsum(np.concatenate(([entries[-1]], self._draw())))[1:].tobytes())
+            with np.errstate(over="ignore"):
+                entries.frombytes(np.cumsum(np.concatenate(([entries[-1]], self._draw())))[1:].tobytes())
 
     def advance(self, gate: tuple[list[float], list[float]], until: tuple,
                 times: list[float], clocks: list[float], window_s: float) -> tuple[list, ...]:

@@ -558,8 +558,8 @@ class Simulator:
             time, _, _, _, handler, payload = heappop(heap)
             self.clock = time
             handler(self, *payload)
-        self._step_end = end
         self.clock = max(self.clock, end[0])
+        self._step_end = (self.clock, math.inf)  # a step back runs nothing
 
     def run_to_end(self) -> None:
         self.run_until(self._duration_s)

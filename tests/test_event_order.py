@@ -310,12 +310,15 @@ def test_a_live_run_is_the_event_loops(cfg, whole_gaps, data):
     assume(valid(cfg))
     duration_s = cfg.duration_s
     interval = cfg.sample_interval_s
-    # steps that end on sample instants, between them and on half seconds
-    ends = sorted(data.draw(st.lists(st.one_of(
+    # steps that end on sample instants, between them and on half seconds;
+    # unsorted, some go back, which runs nothing
+    ends = data.draw(st.lists(st.one_of(
         st.integers(0, int(duration_s / interval)).map(lambda k: k * interval),
         whole_seconds(0, int(duration_s)),
         st.integers(0, 2 * int(duration_s)).map(lambda k: k / 2),
-    ), max_size=12)))
+    ), max_size=12))
+    if data.draw(st.booleans()):
+        ends.sort()
     actions = data.draw(st.lists(st.lists(ACTIONS, max_size=3), min_size=len(ends),
                                  max_size=len(ends)))
     # a step read or not: the counts are brought to the clock only when read
