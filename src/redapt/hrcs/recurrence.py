@@ -151,13 +151,13 @@ class Lane:
     and entered before the flow window.  The entry and exit lists each end
     in a vehicle that never comes, so that a count stops there."""
 
-    __slots__ = ("entries", "passes", "exits", "entered", "exited", "fast", "before_window",
+    __slots__ = ("entries", "passed", "exits", "entered", "exited", "fast", "before_window",
                  "_queue", "_draw", "_half_travel_s", "_service_gap_s", "_p_threshold_s")
 
     @np.errstate(over="ignore")  # an arrival past the float range never comes
     def __init__(self, rng, rate: float, half_travel_s: float, service_gap_s: float,
                  p_threshold_s: float):
-        self.entries, self.passes = array("d"), array("d")
+        self.entries, self.passed = array("d"), array("d")
         self.exits = array("d", [math.inf])
         self.entered = self.exited = self.fast = self.before_window = 0
         self._queue = START
@@ -185,9 +185,9 @@ class Lane:
         the share of those exited that exited fast (1.0 while none has)."""
         entries = self.entries
         self.draw(until[0])
-        decided, self._queue = passes(entries[len(self.passes):], self._half_travel_s,
+        decided, self._queue = passes(entries[len(self.passed):], self._half_travel_s,
                                       self._service_gap_s, gate, self._queue, until)
-        exits, passed, half = self.exits, self.passes, self._half_travel_s
+        exits, passed, half = self.exits, self.passed, self._half_travel_s
         if decided:
             passed.extend(decided)
             exits[-1:] = array("d", [t + half for t in decided] + [math.inf])
